@@ -1,20 +1,15 @@
 """Morse shellings of second barycentric subdivisions, built from discrete
 Morse functions and independently certified."""
 
-from .labels import Label, LabelRegistry, atom, bary
+from .labels import Label, atom, bary
 from .complexes import (
     EMPTY,
     RelativeComplex,
     Simplex,
     SimplicialComplex,
-    VertexMap,
-    apply_map,
     barycentric,
     barycentric_complex,
-    derived_neighborhood,
     join,
-    link_iso_sd,
-    link_iso_sd2,
     make_complex,
     star_link,
 )
@@ -27,13 +22,11 @@ from .tiles import (
     classify,
     cone,
     recompose,
-    tile_faces,
     tile_join,
     tile_vertex_link,
 )
 from .morse import (
     DiscreteMorseFunction,
-    Filtration,
     FiltrationStep,
     canonicalize,
     critical_faces,

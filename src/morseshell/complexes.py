@@ -4,9 +4,7 @@ Everything here is purely combinatorial: a simplex is a finite set of labels,
 a complex is a downward closed family of simplices given by its facets, and a
 relative complex is a pair K \\ L with L a subcomplex of K containing no facet
 of K.  The module provides joins, barycentric subdivision (the complex of
-flags of non-empty faces), stars and links (absolute and relative), first
-derived neighborhoods, and the vertex maps identifying links in first and
-second subdivisions with joins of subdivided boundaries and links.
+flags of non-empty faces), and stars and links (absolute and relative).
 
 Conventions for degenerate complexes matter throughout and are fixed here:
 
@@ -17,7 +15,7 @@ Conventions for degenerate complexes matter throughout and are fixed here:
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, Tuple
 
 from .labels import Label, LabelLike, as_label, bary
 
@@ -26,7 +24,6 @@ __all__ = [
     "EMPTY",
     "SimplicialComplex",
     "RelativeComplex",
-    "VertexMap",
     "make_complex",
     "closure_complex",
     "void_complex",
@@ -39,11 +36,6 @@ __all__ = [
     "star_complex",
     "link_complex",
     "star_link",
-    "derived_neighborhood",
-    "link_iso_sd",
-    "link_iso_sd2",
-    "star_intersection_sd2",
-    "apply_map",
 ]
 
 
@@ -352,10 +344,6 @@ def join(s1: RelativeComplex, s2: RelativeComplex) -> RelativeComplex:
 # -- barycentric subdivision ----------------------------------------------
 
 
-def _flag_label(face: Simplex) -> Label:
-    return bary(face.vertices)
-
-
 def barycentric_complex(k: SimplicialComplex) -> SimplicialComplex:
     """The complex of flags of non-empty faces of k.
 
@@ -383,7 +371,7 @@ def barycentric(s: RelativeComplex) -> RelativeComplex:
     )
 
 
-# -- stars, links, derived neighborhoods -----------------------------------
+# -- stars and links --------------------------------------------------------
 
 
 def star_complex(k: SimplicialComplex, s: Simplex) -> SimplicialComplex:
@@ -419,160 +407,3 @@ def star_link(s: RelativeComplex, sigma: Simplex) -> Tuple[RelativeComplex, Rela
         st_l = void_complex()
         lk_l = void_complex()
     return RelativeComplex(st_k, st_l), RelativeComplex(lk_k, lk_l)
-
-
-def derived_neighborhood(l: SimplicialComplex, k: SimplicialComplex) -> SimplicialComplex:
-    """First derived neighborhood N(L, K) ⊆ sd(K).
-
-    The union of the closed stars, in sd(K), of the barycenters of the
-    vertices of L.  Its facets are the maximal flags of K whose minimal
-    face is a vertex of L.
-    """
-    if not l.is_void and not l.is_subcomplex_of(k):
-        raise ValueError("first argument must be a subcomplex of the second")
-    sd_k = barycentric_complex(k)
-    l_vertices = set(l.vertices())
-    if not l_vertices:
-        return void_complex()
-    chosen = []
-    for flag in sd_k.facets:
-        bottom = min(flag.vertices, key=lambda lab: len(lab.members))
-        if len(bottom.members) == 1 and bottom.members[0] in l_vertices:
-            chosen.append(flag)
-    return SimplicialComplex(chosen, _absorb=False)
-
-
-# -- vertex maps ------------------------------------------------------------
-
-
-class VertexMap:
-    """A total injective label map, acting on simplices, complexes and more."""
-
-    __slots__ = ("mapping",)
-
-    def __init__(self, mapping: Mapping[Label, Label]):
-        self.mapping = dict(mapping)
-        if len(set(self.mapping.values())) != len(self.mapping):
-            raise ValueError("vertex map must be injective")
-
-    def __getitem__(self, v: Label) -> Label:
-        try:
-            return self.mapping[v]
-        except KeyError:
-            raise KeyError(f"label outside the domain of the map: {v!r}") from None
-
-    def domain(self) -> FrozenSet[Label]:
-        return frozenset(self.mapping)
-
-    def image(self) -> FrozenSet[Label]:
-        return frozenset(self.mapping.values())
-
-    def on_simplex(self, s: Simplex) -> Simplex:
-        return Simplex(self[v] for v in s)
-
-    def on_complex(self, k: SimplicialComplex) -> SimplicialComplex:
-        if k.is_void:
-            return k
-        return SimplicialComplex(
-            tuple(self.on_simplex(f) for f in k.facets), _absorb=False
-        )
-
-    def on_relative(self, s: RelativeComplex) -> RelativeComplex:
-        return RelativeComplex(self.on_complex(s.ambient), self.on_complex(s.missing))
-
-    def compose(self, inner: "VertexMap") -> "VertexMap":
-        return VertexMap({v: self[w] for v, w in inner.mapping.items()})
-
-
-def link_iso_sd(k: SimplicialComplex, sigma: Simplex) -> VertexMap:
-    """Vertex map realizing sd(∂σ) ∗ sd(lk_K(σ)) ≅ lk_{sd K}(σ̂).
-
-    Barycenters of proper faces of σ map to themselves; the barycenter of a
-    link face λ maps to the barycenter of σ ∪ λ.
-    """
-    if sigma not in k or sigma.is_empty:
-        raise ValueError(f"{sigma!r} is not a non-empty face of the complex")
-    mapping: Dict[Label, Label] = {}
-    for face in sigma.faces():
-        if not face.is_empty and face != sigma:
-            lab = _flag_label(face)
-            mapping[lab] = lab
-    for lam in link_complex(k, sigma).faces():
-        if not lam.is_empty:
-            mapping[_flag_label(lam)] = _flag_label(sigma.union(lam))
-    return VertexMap(mapping)
-
-
-def link_model_sd(k: SimplicialComplex, sigma: Simplex) -> SimplicialComplex:
-    """The model complex sd(∂σ) ∗ sd(lk_K(σ)), domain of link_iso_sd."""
-    bd = barycentric_complex(boundary_complex(sigma))
-    lk = barycentric_complex(link_complex(k, sigma))
-    return join_complexes(bd, lk)
-
-
-def link_iso_sd2(k: SimplicialComplex, sigma: Simplex) -> VertexMap:
-    """Vertex map realizing sd(sd(∂σ) ∗ sd(lk_K σ)) ≅ lk_{sd²K}(σ̂̂).
-
-    A vertex of the domain is the barycenter of a face Y of the model join;
-    it maps to the barycenter of the sd(K)-simplex obtained by pushing Y
-    through link_iso_sd and adjoining the barycenter of σ itself.
-    """
-    inner = link_iso_sd(k, sigma)
-    sigma_hat = _flag_label(sigma)
-    model = link_model_sd(k, sigma)
-    mapping: Dict[Label, Label] = {}
-    for face in model.faces():
-        if face.is_empty:
-            continue
-        pushed = [inner[v] for v in face]
-        mapping[bary(face.vertices)] = bary(pushed + [sigma_hat])
-    return VertexMap(mapping)
-
-
-def star_intersection_sd2(
-    k: SimplicialComplex, sigma: Simplex, tau: Simplex
-) -> Tuple[SimplicialComplex, Optional[SimplicialComplex]]:
-    """Intersection of the closed stars of σ̂̂ and τ̂̂ in sd²(K), with model.
-
-    Returns the intersection subcomplex of sd²(K) and, when σ is a proper
-    face of τ, its model N(τ̂, sd(∂σ) ∗ sd(lk_K σ)) inside the domain of
-    link_iso_sd2(K, σ): the image of the model under that map is the
-    intersection.  The intersection is void unless one face contains the
-    other.
-    """
-    if sigma not in k or tau not in k or sigma.is_empty or tau.is_empty:
-        raise ValueError("both arguments must be non-empty faces of the complex")
-    sd2 = barycentric_complex(barycentric_complex(k))
-    s_hat = bary([_flag_label(sigma)])
-    t_hat = bary([_flag_label(tau)])
-    st_s = star_complex(sd2, Simplex([s_hat]))
-    st_t = star_complex(sd2, Simplex([t_hat]))
-    inter_faces = (st_s.faces() & st_t.faces()) - {EMPTY}
-    inter = sd2.restrict(inter_faces) if inter_faces else void_complex()
-    model: Optional[SimplicialComplex] = None
-    if sigma < tau:
-        # the vertex of sd(lk_K(σ)) identified with τ̂ is the barycenter of
-        # the opposite face of σ in τ
-        w = _flag_label(tau.minus(sigma))
-        model = derived_neighborhood(
-            SimplicialComplex((Simplex([w]),)), link_model_sd(k, sigma)
-        )
-    return inter, model
-
-
-def apply_map(x, m: VertexMap):
-    """Structure-preserving relabeling of simplices, complexes and tilings."""
-    from .tiles import MorseTile
-    from .engine import Tiling
-
-    if isinstance(x, Simplex):
-        return m.on_simplex(x)
-    if isinstance(x, SimplicialComplex):
-        return m.on_complex(x)
-    if isinstance(x, RelativeComplex):
-        return m.on_relative(x)
-    if isinstance(x, MorseTile):
-        return x.relabel(m)
-    if isinstance(x, Tiling):
-        return Tiling(m.on_relative(x.space), tuple(t.relabel(m) for t in x.tiles))
-    raise TypeError(f"cannot apply a vertex map to {type(x).__name__}")

@@ -21,7 +21,7 @@ step none.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .complexes import (
     EMPTY,
@@ -35,7 +35,7 @@ from .complexes import (
     void_complex,
 )
 from .labels import Label, bary
-from .morse import DiscreteMorseFunction, canonicalize, filtration, validate
+from .morse import DiscreteMorseFunction, canonicalize, critical_census, filtration, validate
 from .tiles import (
     CanonicalTriple,
     MorseTile,
@@ -81,9 +81,6 @@ class Census:
     def signed_count(self) -> int:
         return sum((-1) ** k * n for k, n in self.critical.items())
 
-    def add_critical(self, index: int) -> None:
-        self.critical[index] = self.critical.get(index, 0) + 1
-
 
 # -- join forms --------------------------------------------------------------
 
@@ -112,23 +109,10 @@ def _slice(entries: Sequence[Entry], j: int) -> Tuple[Tuple[Entry, ...], Tuple[E
     return rest[:j], rest[j:]
 
 
-def _lift_tile(t: MorseTile, v: Label) -> MorseTile:
-    """Push a tile of a subdivided link into the subdivided star: each
-    barycenter label absorbs the linked vertex."""
-
-    def lift_label(lab: Label) -> Label:
-        return bary(lab.members + (v,))
-
-    def lift_simplex(s: Simplex) -> Simplex:
-        if s.is_empty:
-            return s
-        return Simplex(lift_label(w) for w in s)
-
-    return MorseTile(
-        lift_simplex(t.underlying),
-        frozenset(lift_simplex(r) for r in t.missing_ridges),
-        None if t.morse_face is None else lift_simplex(t.morse_face),
-    )
+def _lift(v: Label) -> Callable[[Label], Label]:
+    """Label map pushing tiles of a subdivided link into the subdivided
+    star: each barycenter label absorbs the linked vertex."""
+    return lambda lab: bary(lab.members + (v,))
 
 
 def _cone_block(apex: Label, tiles: Sequence[MorseTile], deprive: int) -> List[MorseTile]:
@@ -198,7 +182,8 @@ def _shell_entries_join(
             bpre = len(block)
         else:
             block, bpre = _shell_entries_join(part_l, part_r)
-        lifted = [_lift_tile(t, vj) for t in block]
+        lift = _lift(vj)
+        lifted = [t.relabel(lift) for t in block]
         tiles.extend(_cone_block(bary([vj]), lifted, bpre))
         if j < len(left):
             prefix = len(tiles)
@@ -396,7 +381,7 @@ def shell_sd_relative(s: RelativeComplex, v: Label) -> Tuple[Tiling, int]:
 # -- the second-subdivision pipeline -----------------------------------------
 
 
-def _sd2_transport(sigma: Simplex):
+def _sd2_transport(sigma: Simplex) -> Callable[[Label], Label]:
     """Label map carrying tiles of sd(sd(∂σ) ∗ sd(lk_K σ)) onto the link of
     the double barycenter of σ: boundary-side barycenters keep their face,
     link-side ones absorb σ, and every flag gains the barycenter of σ."""
@@ -411,19 +396,7 @@ def _sd2_transport(sigma: Simplex):
     def on_label(lab: Label) -> Label:
         return bary([on_model_vertex(u) for u in lab.members] + [sigma_hat])
 
-    def on_simplex(x: Simplex) -> Simplex:
-        if x.is_empty:
-            return x
-        return Simplex(on_label(w) for w in x)
-
-    def on_tile(t: MorseTile) -> MorseTile:
-        return MorseTile(
-            on_simplex(t.underlying),
-            frozenset(on_simplex(r) for r in t.missing_ridges),
-            None if t.morse_face is None else on_simplex(t.morse_face),
-        )
-
-    return on_tile
+    return on_label
 
 
 def _link_shelling(k: SimplicialComplex, sigma: Simplex, start: Optional[Label] = None):
@@ -481,7 +454,7 @@ def _critical_step(k: SimplicialComplex, sigma: Simplex, first: bool) -> List[Mo
                 RelativeComplex(sd_lk), min(sd_lk.vertices())
             )
             lift = _sd2_transport(sigma)
-            tiles = _cone_block(apex, [lift(t) for t in model.tiles], deprive=0)
+            tiles = _cone_block(apex, [t.relabel(lift) for t in model.tiles], deprive=0)
         if not first:
             tiles = _strip_empty(tiles)
         return tiles
@@ -500,7 +473,7 @@ def _critical_step(k: SimplicialComplex, sigma: Simplex, first: bool) -> List[Mo
                 blocks.append((block, pre))
     head, tail = _blocks_to_phases(blocks)
     lift = _sd2_transport(sigma)
-    return _cone_block(apex, [lift(t) for t in head + tail], deprive=len(head))
+    return _cone_block(apex, [t.relabel(lift) for t in head + tail], deprive=len(head))
 
 
 def _collapse_step(k: SimplicialComplex, theta: Simplex, tau: Simplex) -> List[MorseTile]:
@@ -546,7 +519,7 @@ def _collapse_step(k: SimplicialComplex, theta: Simplex, tau: Simplex) -> List[M
     head, tail = _blocks_to_phases(blocks)
     lift = _sd2_transport(tau)
     tau_apex = bary([bary(tau.vertices)])
-    tiles.extend(_cone_block(tau_apex, [lift(t) for t in head + tail], deprive=len(head)))
+    tiles.extend(_cone_block(tau_apex, [t.relabel(lift) for t in head + tail], deprive=len(head)))
 
     # stage two: the star of the double barycenter of theta
     u = tau.minus(theta).vertices[0]
@@ -586,7 +559,7 @@ def _collapse_step(k: SimplicialComplex, theta: Simplex, tau: Simplex) -> List[M
     theta_apex = bary([bary(theta.vertices)])
     ordered = head_a + head_b + tail_a + tail_b
     tiles.extend(
-        _cone_block(theta_apex, [lift(t) for t in ordered], deprive=len(head_a) + len(head_b))
+        _cone_block(theta_apex, [t.relabel(lift) for t in ordered], deprive=len(head_a) + len(head_b))
     )
     return tiles
 
@@ -607,14 +580,13 @@ def shell_sd2_from_dmf(
         f = canonicalize(k, f)
     steps = filtration(k, f).steps
     tiles: List[MorseTile] = []
-    census = Census()
     for i, step in enumerate(steps):
         if step.is_critical:
             tiles.extend(_critical_step(k, step.critical, first=i == 0))
-            census.add_critical(step.critical.dim)
         else:
             theta, tau = step.collapse
             tiles.extend(_collapse_step(k, theta, tau))
-    census.regular = len(tiles) - sum(census.critical.values())
+    critical = critical_census(k, f)
+    census = Census(critical, len(tiles) - sum(critical.values()))
     space = barycentric(barycentric(RelativeComplex(k)))
     return Tiling(space, tuple(tiles)), census

@@ -162,38 +162,7 @@ def dump_morse_json(f: DiscreteMorseFunction) -> str:
 
 
 def tile_to_json(t: MorseTile) -> dict:
-    """Standalone tile record, keyed by its simplex."""
-    if t.morse_face is None:
-        morse = None
-    elif t.morse_face.is_empty:
-        morse = "empty"
-    else:
-        morse = simplex_to_json(t.morse_face)
-    return {
-        "simplex": simplex_to_json(t.underlying),
-        "ridges": sorted(
-            (simplex_to_json(r) for r in t.missing_ridges), key=json.dumps
-        ),
-        "morse_face": morse,
-    }
-
-
-def tile_from_json(data: dict) -> MorseTile:
-    raw = data.get("morse_face")
-    if raw is None:
-        morse: Optional[Simplex] = None
-    elif raw == "empty":
-        morse = EMPTY
-    else:
-        morse = simplex_from_json(raw)
-    return MorseTile(
-        simplex_from_json(data["simplex"]),
-        frozenset(simplex_from_json(r) for r in data.get("ridges", ())),
-        morse,
-    )
-
-
-def _tile_to_json(t: MorseTile) -> dict:
+    """Wire record of a tile, as written to tiling files."""
     if t.morse_face is None:
         morse = None
     elif t.morse_face.is_empty:
@@ -211,7 +180,7 @@ def _tile_to_json(t: MorseTile) -> dict:
     }
 
 
-def _tile_from_json(data: dict) -> MorseTile:
+def tile_from_json(data: dict) -> MorseTile:
     underlying = simplex_from_json(data["facet"])
     ridges = frozenset(simplex_from_json(r) for r in data.get("ridges", ()))
     raw = data.get("morse_face")
@@ -227,7 +196,7 @@ def _tile_from_json(data: dict) -> MorseTile:
 def tiling_to_lines(t: Tiling, depth: int, census: Census) -> List[str]:
     """Tile lines in shelling order plus the trailing summary record."""
     lines = [
-        json.dumps(_tile_to_json(tile), sort_keys=True, separators=(",", ":"))
+        json.dumps(tile_to_json(tile), sort_keys=True, separators=(",", ":"))
         for tile in t.tiles
     ]
     digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
@@ -257,7 +226,7 @@ def tiling_from_lines(lines: Sequence[str]) -> Tuple[List[MorseTile], dict, bool
         if "summary" in data:
             summary = data["summary"]
         else:
-            tiles.append(_tile_from_json(data))
+            tiles.append(tile_from_json(data))
             tile_lines.append(line)
     digest = hashlib.sha256(("\n".join(tile_lines) + "\n").encode()).hexdigest()
     checksum_ok = summary.get("checksum") == f"sha256:{digest}"

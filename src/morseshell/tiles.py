@@ -28,7 +28,6 @@ from .complexes import (
     RelativeComplex,
     Simplex,
     SimplicialComplex,
-    VertexMap,
     closure_complex,
     void_complex,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "tile_join",
     "cone",
     "tile_vertex_link",
-    "tile_faces",
     "tile_to_relative",
 ]
 
@@ -181,12 +179,21 @@ class MorseTile:
             return MorseTile(self.underlying, frozenset([EMPTY]), None, self.anchor)
         return MorseTile(self.underlying, frozenset(), EMPTY, self.anchor)
 
-    def relabel(self, m: VertexMap) -> "MorseTile":
+    def relabel(self, label_map: Callable[[Label], Label]) -> "MorseTile":
+        """The same tile with every vertex label sent through ``label_map``.
+
+        The simplex, the missing ridges, the Morse face and the anchor are
+        mapped; the empty simplex and an absent anchor stay as they are.
+        """
+
+        def on(s: Simplex) -> Simplex:
+            return Simplex(label_map(v) for v in s)
+
         return MorseTile(
-            m.on_simplex(self.underlying),
-            frozenset(m.on_simplex(r) for r in self.missing_ridges),
-            None if self.morse_face is None else m.on_simplex(self.morse_face),
-            None if self.anchor is None else m.on_simplex(self.anchor),
+            on(self.underlying),
+            frozenset(on(r) for r in self.missing_ridges),
+            None if self.morse_face is None else on(self.morse_face),
+            None if self.anchor is None else on(self.anchor),
         )
 
     def __repr__(self) -> str:
@@ -197,11 +204,6 @@ class MorseTile:
             parts.append(f" morse {self.morse_face!r}")
         parts.append(f" [{self.tile_class()!r}])")
         return "".join(parts)
-
-
-def tile_faces(tile: MorseTile) -> FrozenSet[Simplex]:
-    """Faces of the tile; contains ∅ exactly for a closed simplex."""
-    return tile.faces()
 
 
 def make_tile(

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .complexes import RelativeComplex, Simplex, SimplicialComplex
+from .complexes import RelativeComplex, Simplex, SimplicialComplex, barycentric
 from .engine import Census, Tiling
 from .morse import DiscreteMorseFunction, critical_census as dmf_census
 from .tiles import MorseTile, NotAMorseTileError, classify
@@ -79,6 +79,15 @@ def critical_census(t: Tiling) -> Census:
 def verify_tiling(s: RelativeComplex, t: Tiling, strong: bool = False) -> Certificate:
     """Check that t is a Morse shelling of s; failures carry witnesses."""
     cert = Certificate()
+    _check_tiles(cert, s, t)
+    _check_homology(cert, s)
+    if strong:
+        cert.strong_ok = _strong_condition(s, t)
+    return cert
+
+
+def _check_tiles(cert: Certificate, s: RelativeComplex, t: Tiling) -> None:
+    """Partition, shelling and tile-shape checks, plus the tile census."""
     faces = s.faces()
     ambient_facets = set(s.ambient.facets)
     missing_faces = s.missing.faces()
@@ -116,22 +125,21 @@ def verify_tiling(s: RelativeComplex, t: Tiling, strong: bool = False) -> Certif
                 break
 
     cert.census = critical_census(t)
-    signed = sum((-1) ** k * n for k, n in cert.census.critical.items())
+
+
+def _check_homology(cert: Certificate, s: RelativeComplex) -> None:
+    """The certificate's census against s: its signed count must be the
+    Euler characteristic, and for an absolute s each census[k] at least the
+    k-th mod-2 Betti number.  Both are invariant under subdivision, so a
+    tiling of sd²(K) is checked against K itself."""
+    signed = cert.census.signed_count()
     if signed != s.euler():
         cert._fail("euler_ok", None, f"signed census {signed} != Euler {s.euler()}", None)
-
     if s.is_absolute and not s.ambient.is_void:
-        betti = mod2_betti(s.ambient)
-        for k, b in enumerate(betti):
-            if cert.census.critical.get(k, 0) < b:
-                cert._fail(
-                    "morse_inequalities_ok", None,
-                    f"census[{k}] = {cert.census.critical.get(k, 0)} < betti {b}", None,
-                )
-
-    if strong:
-        cert.strong_ok = _strong_condition(s, t)
-    return cert
+        for k, b in enumerate(mod2_betti(s.ambient)):
+            n = cert.census.critical.get(k, 0)
+            if n < b:
+                cert._fail("morse_inequalities_ok", None, f"census[{k}] = {n} < betti {b}", None)
 
 
 def _strong_condition(s: RelativeComplex, t: Tiling) -> bool:
@@ -196,12 +204,19 @@ def audit(
 ) -> Certificate:
     """Extended certificate for a tiling of sd²(K) built from f.
 
-    On top of verify_tiling, requires the critical-tile census to match the
-    critical-face census of f index by index, re-checks the Euler count
-    against K itself, and the weak Morse inequalities against K's mod-2
-    Betti numbers.
+    The space the tiling names must equal sd²(K), rebuilt here from K; the
+    tiles are checked against it face by face, and the Euler count and the
+    weak Morse inequalities against K itself.  On top of that, the
+    critical-tile census must match the critical-face census of f index by
+    index.
     """
-    cert = verify_tiling(t.space, t, strong=strong)
+    cert = Certificate()
+    if t.space != barycentric(barycentric(RelativeComplex(k))):
+        cert._fail("partition_ok", None, "tiling names a space other than sd²(K)", None)
+    _check_tiles(cert, t.space, t)
+    _check_homology(cert, RelativeComplex(k))
+    if strong:
+        cert.strong_ok = _strong_condition(t.space, t)
     expected = dmf_census(k, f)
     got = {i: n for i, n in cert.census.critical.items() if n}
     cert.census_matches_function = got == {i: n for i, n in expected.items() if n}
@@ -211,11 +226,4 @@ def audit(
                 cert.failures.append(
                     (None, f"census[{i}] = {got.get(i, 0)} but f has {expected.get(i, 0)} critical faces", None)
                 )
-    signed = sum((-1) ** i * n for i, n in cert.census.critical.items())
-    if signed != k.euler():
-        cert._fail("euler_ok", None, f"signed census {signed} != Euler {k.euler()}", None)
-    betti = mod2_betti(k)
-    for i, b in enumerate(betti):
-        if cert.census.critical.get(i, 0) < b:
-            cert._fail("morse_inequalities_ok", None, f"census[{i}] below Betti number {b}", None)
     return cert

@@ -4,28 +4,31 @@ from math import comb
 
 import pytest
 
+from oracles import (
+    VertexMap,
+    apply_map,
+    derived_neighborhood,
+    link_iso_sd,
+    link_iso_sd2,
+    star_intersection_sd2,
+)
+
 from morseshell.complexes import (
     EMPTY,
     RelativeComplex,
     Simplex,
     SimplicialComplex,
-    VertexMap,
-    apply_map,
     barycentric,
     barycentric_complex,
     boundary_complex,
     closure_complex,
-    derived_neighborhood,
     empty_complex,
     join,
     join_complexes,
     link_complex,
-    link_iso_sd,
-    link_iso_sd2,
     make_complex,
     star_complex,
     star_link,
-    star_intersection_sd2,
     void_complex,
 )
 from morseshell.labels import atom, bary

@@ -1,5 +1,7 @@
 import pytest
 
+from oracles import apply_map, link_iso_sd, link_iso_sd2, link_model_sd
+
 from morseshell.catalog import (
     boundary_sphere,
     cone_over_circle,
@@ -11,18 +13,17 @@ from morseshell.complexes import (
     EMPTY,
     RelativeComplex,
     Simplex,
-    apply_map,
     barycentric,
     barycentric_complex,
     boundary_complex,
     join_complexes,
     link_complex,
-    link_iso_sd,
     make_complex,
     star_complex,
 )
 from morseshell.engine import (
     Tiling,
+    _sd2_transport,
     cone_shelling,
     shell_boundary_sd,
     shell_sd2_from_dmf,
@@ -461,3 +462,18 @@ def test_transported_shelling_verifies_in_the_link():
     moved = apply_map(model, m)
     assert moved.tiles == tuple(t.relabel(m) for t in model.tiles)
     assert verify_tiling(target_space, Tiling(target_space, moved.tiles)).ok
+
+
+def test_sd2_transport_agrees_with_the_link_isomorphism_oracle():
+    # the engine's label map against the brute-force identification of
+    # sd(sd(∂σ) ∗ sd(lk σ)) with the link of σ̂̂ in sd²(K), on every vertex
+    k = two_triangles()
+    for sigma in k.faces():
+        if sigma.is_empty:
+            continue
+        transport = _sd2_transport(sigma)
+        m = link_iso_sd2(k, sigma)
+        domain = barycentric_complex(link_model_sd(k, sigma)).vertices()
+        assert set(domain) == set(m.mapping)
+        for lab in domain:
+            assert transport(lab) == m[lab]

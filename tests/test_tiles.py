@@ -13,7 +13,6 @@ from morseshell.tiles import (
     cone,
     make_tile,
     recompose,
-    tile_faces,
     tile_join,
     tile_to_relative,
     tile_vertex_link,
@@ -249,17 +248,17 @@ def test_vertex_link_agrees_with_star_link_up_to_dim_4():
 
 
 def test_faces_of_closed_edge():
-    assert tile_faces(MorseTile(s(a, b), frozenset())) == {EMPTY, s(a), s(b), s(a, b)}
+    assert MorseTile(s(a, b), frozenset()).faces() == {EMPTY, s(a), s(b), s(a, b)}
 
 
 def test_faces_of_open_edge():
     t = classify(s(a, b), [s(a), s(b)])
-    assert tile_faces(t) == {s(a, b)}
+    assert t.faces() == {s(a, b)}
 
 
 def test_faces_of_dotted_edge():
     t = classify(s(a, b), [EMPTY])
-    assert tile_faces(t) == {s(a), s(b), s(a, b)}
+    assert t.faces() == {s(a), s(b), s(a, b)}
 
 
 def test_every_nonempty_face_contains_restriction_set():

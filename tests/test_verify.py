@@ -7,11 +7,11 @@ from morseshell.catalog import (
     simplex_complex,
     two_triangles,
 )
-from morseshell.complexes import RelativeComplex, Simplex, SimplicialComplex
+from morseshell.complexes import RelativeComplex, Simplex, SimplicialComplex, make_complex
 from morseshell.engine import Tiling, shell_sd2_from_dmf
 from morseshell.labels import atom
 from morseshell.morse import greedy_collapse_dmf, trivial_dmf
-from morseshell.tiles import MorseTile
+from morseshell.tiles import MorseTile, TileClass
 from morseshell.verify import audit, critical_census, mod2_betti, verify_tiling
 
 a, b, c, d = (atom(x) for x in "abcd")
@@ -189,3 +189,27 @@ def test_audit_checks_weak_morse_inequalities():
     betti = mod2_betti(k)
     for i, bi in enumerate(betti):
         assert cert.census.critical.get(i, 0) >= bi
+
+
+def test_audit_rejects_a_tiling_of_a_relabelled_copy(circle_tiling):
+    k, f, _ = circle_tiling
+    copy = make_complex([["x" + v.name for v in facet] for facet in k.facets])
+    tiling, _ = shell_sd2_from_dmf(copy, trivial_dmf(copy))
+    assert verify_tiling(tiling.space, tiling).ok
+    cert = audit(k, f, tiling)
+    assert not cert.partition_ok and not cert.ok
+    assert (None, "tiling names a space other than sd²(K)", None) in cert.failures
+
+
+def test_audit_reports_each_homology_failure_once():
+    k = moebius_torus()
+    f = greedy_collapse_dmf(k)
+    tiling, _ = shell_sd2_from_dmf(k, f)
+    kept = tuple(t for t in tiling.tiles if t.tile_class() != TileClass.critical(0))
+    assert len(kept) == len(tiling.tiles) - 1
+    cert = audit(k, f, Tiling(tiling.space, kept))
+    assert not cert.partition_ok
+    assert not cert.euler_ok and not cert.morse_inequalities_ok
+    reasons = [reason for _, reason, _ in cert.failures]
+    assert sum(r.startswith("signed census") for r in reasons) == 1
+    assert sum("betti" in r for r in reasons) == 1
