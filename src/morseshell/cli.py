@@ -25,7 +25,7 @@ from typing import List, Optional
 from .complexes import RelativeComplex, barycentric
 from .engine import Census, Tiling, shell_sd_relative, shell_sd2_from_dmf
 from .labels import atom
-from .morse import canonicalize, greedy_collapse_dmf, trivial_dmf, validate
+from .morse import canonicalize, greedy_collapse_dmf, trivial_dmf
 from .serial import (
     certificate_to_json,
     dump_complex_json,
@@ -102,11 +102,7 @@ def _obtain_morse(args, s: RelativeComplex):
         return greedy_collapse_dmf(k)
     if not args.function:
         raise UsageError("morse load requires --function FILE")
-    f = load_morse_json(_read(args.function), k)
-    report = validate(k, f)
-    if not report.is_dmf:
-        raise UsageError(f"not a discrete Morse function: {report.witnesses}")
-    return canonicalize(k, f)
+    return canonicalize(k, load_morse_json(_read(args.function), k))
 
 
 def cmd_morse(args) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .complexes import EMPTY, Simplex, SimplicialComplex
 
@@ -42,9 +42,18 @@ class DiscreteMorseFunction:
 
 
 def _check_total(k: SimplicialComplex, f: DiscreteMorseFunction) -> None:
-    for s in k.faces():
-        if not s.is_empty and s not in f.values:
-            raise ValueError(f"function not defined on the face {s!r}")
+    """f must take a value on every non-empty face of K and on nothing else."""
+    for s in f.values:
+        if s.is_empty:
+            raise ValueError("function has a value on the empty face {}")
+        if s not in k:
+            raise ValueError(f"function has a value on {s!r}, which is not a face of the complex")
+    if len(f.values) != len(k.faces()) - (EMPTY in k):
+        missing = min(
+            (s for s in k.faces() if not s.is_empty and s not in f.values),
+            key=lambda s: s.key,
+        )
+        raise ValueError(f"function not defined on the face {missing!r}")
 
 
 @dataclass
@@ -60,96 +69,151 @@ class ValidationReport:
         return self.is_dmf and self.is_monotone and self.is_semi_injective and self.is_generic
 
 
+def _faces_by_key(k: SimplicialComplex) -> List[Simplex]:
+    return sorted((s for s in k.faces() if not s.is_empty), key=lambda s: s.key)
+
+
+class _Hasse(NamedTuple):
+    """Face-incidence table of K, local to one call.
+
+    Faces are the non-empty faces of K in ``key`` order and are referred to
+    by position, so every list below is in ``key`` order too.
+    """
+
+    faces: List[Simplex]
+    up: List[List[int]]      # codimension-one cofaces
+    down: List[List[int]]    # codimension-one faces (ridges), the empty one aside
+    above: List[List[int]]   # proper cofaces of every codimension
+    below: List[List[int]]   # non-empty proper faces of every codimension
+
+
+def _hasse(k: SimplicialComplex) -> _Hasse:
+    """Fill the table from each face's own subsets: Σ 2^|t| work, not n²."""
+    faces = _faces_by_key(k)
+    pos = {s: i for i, s in enumerate(faces)}
+    up: List[List[int]] = [[] for _ in faces]
+    above: List[List[int]] = [[] for _ in faces]
+    down: List[List[int]] = []
+    below: List[List[int]] = []
+    for i, t in enumerate(faces):
+        n = len(t)
+        # t.faces() runs by size, then lexicographically: key order
+        subs = [pos[s] for s in t.faces() if 0 < len(s) < n]
+        for j in subs:
+            above[j].append(i)
+        ridges = subs[len(subs) - n:] if n > 1 else []
+        for j in ridges:
+            up[j].append(i)
+        down.append(ridges)
+        below.append(subs)
+    return _Hasse(faces, up, down, above, below)
+
+
 def validate(k: SimplicialComplex, f: DiscreteMorseFunction) -> ValidationReport:
     """Check the two cardinality conditions plus the three canonical-form
     properties (monotone, semi-injective, generic), with witnesses."""
     _check_total(k, f)
+    return _validate(_hasse(k), f)
+
+
+def _validate(h: _Hasse, f: DiscreteMorseFunction) -> ValidationReport:
     report = ValidationReport()
-    faces = sorted((s for s in k.faces() if not s.is_empty), key=lambda s: s.key)
-    for s in faces:
-        up = [t for t in faces if s < t and f[s] >= f[t]]
-        down = [t for t in faces if t < s and f[s] <= f[t]]
+    witnesses = report.witnesses
+    faces = h.faces
+    val = [f[s] for s in faces]
+    for i, s in enumerate(faces):
+        v = val[i]
+        up = [faces[j] for j in h.above[i] if v >= val[j]]
+        down = [faces[j] for j in h.below[i] if v <= val[j]]
         if len(up) > 1:
             report.is_dmf = False
-            report.witnesses.setdefault("dmf_up", (s, *up))
+            witnesses.setdefault("dmf_up", (s, *up))
         if len(down) > 1:
             report.is_dmf = False
-            report.witnesses.setdefault("dmf_down", (s, *down))
-        for t in faces:
-            if s < t and f[s] > f[t] and not report.witnesses.get("monotone"):
-                report.is_monotone = False
-                report.witnesses["monotone"] = (s, t)
+            witnesses.setdefault("dmf_down", (s, *down))
+        if report.is_monotone:
+            for j in h.above[i]:
+                if v > val[j]:
+                    report.is_monotone = False
+                    witnesses["monotone"] = (s, faces[j])
+                    break
     by_value: Dict[Fraction, List[Simplex]] = {}
-    for s in faces:
-        by_value.setdefault(f[s], []).append(s)
-    for val, group in sorted(by_value.items()):
-        if len(group) > 2 and not report.witnesses.get("semi_injective"):
+    for s, v in zip(faces, val):
+        by_value.setdefault(v, []).append(s)
+    for _, group in sorted(by_value.items()):
+        if len(group) > 2 and report.is_semi_injective:
             report.is_semi_injective = False
-            report.witnesses["semi_injective"] = tuple(group)
-        for a in group:
-            for b in group:
-                if a.key < b.key and not (a < b or b < a):
+            witnesses["semi_injective"] = tuple(group)
+        if report.is_generic:
+            # the first incomparable pair in key order; the faces a passed
+            # over are comparable with all later ones, so they form a chain
+            # of at most dim K + 1 faces and the search stays linear
+            for x, a in enumerate(group):
+                b = next((b for b in group[x + 1:] if not (a < b or b < a)), None)
+                if b is not None:
                     report.is_generic = False
-                    report.witnesses.setdefault("generic", (a, b))
+                    witnesses["generic"] = (a, b)
+                    break
     return report
 
 
-def _matching(k: SimplicialComplex, f: DiscreteMorseFunction) -> Dict[Simplex, Simplex]:
+def _matching(h: _Hasse, f: DiscreteMorseFunction) -> Dict[Simplex, Simplex]:
     """Codimension-one pairs (σ, τ) with f(τ) ≤ f(σ); each face in ≤ 1 pair."""
+    faces = h.faces
+    val = [f[s] for s in faces]
     pairs: Dict[Simplex, Simplex] = {}
-    used = set()
-    for s in sorted((x for x in k.faces() if not x.is_empty), key=lambda x: x.key):
-        for t in sorted(k.faces(), key=lambda x: x.key):
-            if t.dim == s.dim + 1 and s < t and f[t] <= f[s]:
-                if s in used or t in used:
+    used = [False] * len(faces)
+    for i, s in enumerate(faces):
+        for j in h.up[i]:
+            if val[j] <= val[i]:
+                if used[i] or used[j]:
                     raise ValueError("function does not induce a matching; not a dmf")
-                pairs[s] = t
-                used.add(s)
-                used.add(t)
+                pairs[s] = faces[j]
+                used[i] = used[j] = True
     return pairs
 
 
 def _assign_values(
-    k: SimplicialComplex, pairs: Dict[Simplex, Simplex]
+    faces: Sequence[Simplex], pairs: Mapping[Simplex, Simplex]
 ) -> DiscreteMorseFunction:
     """Values from a matching: topologically sort the matched Hasse diagram
     (pairs contracted, all other cover relations pointing up) with a
-    canonical tie-break; matched pairs share one value."""
-    partner: Dict[Simplex, Simplex] = {}
+    canonical tie-break; matched pairs share one value.
+
+    ``faces`` are the non-empty faces of K in ``key`` order; a node is the
+    position of its smallest face, which is the ridge of a matched pair.
+    """
+    pos = {s: i for i, s in enumerate(faces)}
+    node = list(range(len(faces)))
     for s, t in pairs.items():
-        partner[s] = t
-        partner[t] = s
-    faces = [s for s in k.faces() if not s.is_empty]
-    node_of: Dict[Simplex, Simplex] = {}
-    for s in faces:
-        mate = partner.get(s)
-        node_of[s] = s if mate is None or s.key < mate.key else mate
-    members: Dict[Simplex, List[Simplex]] = {}
-    for s in faces:
-        members.setdefault(node_of[s], []).append(s)
-    succs: Dict[Simplex, set] = {n: set() for n in members}
-    indeg: Dict[Simplex, int] = {n: 0 for n in members}
-    for s in faces:
-        for t in faces:
-            if t.dim == s.dim + 1 and s < t and pairs.get(s) != t:
-                a, b = node_of[s], node_of[t]
-                if a != b and b not in succs[a]:
-                    succs[a].add(b)
-                    indeg[b] += 1
-    heap = [n.key for n in members if indeg[n] == 0]
-    key_to_node = {n.key: n for n in members}
+        node[pos[t]] = pos[s]
+    succs: List[set] = [set() for _ in faces]
+    indeg = [0] * len(faces)
+    for i, t in enumerate(faces):
+        b = node[i]
+        for r in t.ridges():
+            if r.is_empty:
+                continue
+            a = node[pos[r]]
+            if a != b and b not in succs[a]:
+                succs[a].add(b)
+                indeg[b] += 1
+    members: Dict[int, List[Simplex]] = {}
+    for i, s in enumerate(faces):
+        members.setdefault(node[i], []).append(s)
+    heap = [n for n in members if indeg[n] == 0]
     heapq.heapify(heap)
     values: Dict[Simplex, Fraction] = {}
     counter = 0
     while heap:
-        n = key_to_node[heapq.heappop(heap)]
+        n = heapq.heappop(heap)
         for s in members[n]:
             values[s] = Fraction(counter)
         counter += 1
         for b in succs[n]:
             indeg[b] -= 1
             if indeg[b] == 0:
-                heapq.heappush(heap, b.key)
+                heapq.heappush(heap, b)
     if len(values) != len(faces):
         raise ValueError("matched Hasse diagram has a cycle; not an acyclic matching")
     return DiscreteMorseFunction(values)
@@ -158,10 +222,15 @@ def _assign_values(
 def canonicalize(k: SimplicialComplex, f: DiscreteMorseFunction) -> DiscreteMorseFunction:
     """Reassign values so the function is monotone, semi-injective and
     generic, preserving the induced pairing and so the critical faces."""
-    report = validate(k, f)
+    _check_total(k, f)
+    return _canonical(_hasse(k), f)
+
+
+def _canonical(h: _Hasse, f: DiscreteMorseFunction) -> DiscreteMorseFunction:
+    report = _validate(h, f)
     if not report.is_dmf:
         raise ValueError(f"not a discrete Morse function: {report.witnesses}")
-    return _assign_values(k, _matching(k, f))
+    return _assign_values(h.faces, _matching(h, f))
 
 
 def critical_faces(k: SimplicialComplex, f: DiscreteMorseFunction) -> Dict[Simplex, int]:
@@ -239,10 +308,8 @@ def filtration(k: SimplicialComplex, f: DiscreteMorseFunction) -> Filtration:
 
 def trivial_dmf(k: SimplicialComplex) -> DiscreteMorseFunction:
     """Dimension as a Morse function, canonicalized; every face critical."""
-    raw = DiscreteMorseFunction(
-        {s: Fraction(s.dim) for s in k.faces() if not s.is_empty}
-    )
-    return canonicalize(k, raw)
+    h = _hasse(k)
+    return _canonical(h, DiscreteMorseFunction({s: Fraction(s.dim) for s in h.faces}))
 
 
 def dmf_from_matching(
@@ -253,7 +320,7 @@ def dmf_from_matching(
     seen = set()
     mapping: Dict[Simplex, Simplex] = {}
     for s, t in pairs:
-        if s not in k.faces() or t not in k.faces():
+        if s not in k or t not in k:
             raise ValueError(f"({s!r}, {t!r}) is not a pair of faces")
         if not (s < t and t.dim == s.dim + 1):
             raise ValueError(f"({s!r}, {t!r}) is not a ridge/coface pair")
@@ -261,7 +328,7 @@ def dmf_from_matching(
             raise ValueError("matching reuses a face")
         seen.update((s, t))
         mapping[s] = t
-    return _assign_values(k, mapping)
+    return _assign_values(_faces_by_key(k), mapping)
 
 
 def greedy_collapse_dmf(k: SimplicialComplex) -> DiscreteMorseFunction:
@@ -271,31 +338,55 @@ def greedy_collapse_dmf(k: SimplicialComplex) -> DiscreteMorseFunction:
     such pair; otherwise remove the canonically smallest facet as a critical
     face.  On complexes the greedy order fully collapses, the result has a
     single critical vertex.
+
+    ``count`` holds each face's remaining cofaces of codimension one; two
+    heaps on ``key`` hold the faces whose count fell to 1 (free-ridge
+    candidates) and to 0 (maximal faces), and stale entries are dropped
+    when popped.  The heaps are read only between steps, when the remaining
+    faces form a subcomplex.  Then a count of 1 means the ridge is free: a
+    coface of its one coface would contain a second coface of the ridge.  A
+    ridge whose count falls to 1 in the middle of a step, while its coface
+    still lies in the facet being collapsed, therefore stays queued and is
+    free once the step is done.
     """
-    remaining = {s for s in k.faces() if not s.is_empty}
-    removal: List[Tuple[Simplex, ...]] = []
-    while remaining:
-        maximal = [s for s in remaining if not any(s < t for t in remaining)]
-        best: Optional[Tuple[Simplex, Simplex]] = None
-        for tau in maximal:
-            for theta in tau.ridges():
-                if theta.is_empty or theta not in remaining:
-                    continue
-                cofaces = [t for t in remaining if theta < t]
-                if cofaces == [tau]:
-                    cand = (theta, tau)
-                    if best is None or (cand[0].key, cand[1].key) < (best[0].key, best[1].key):
-                        best = cand
-        if best is not None:
-            removal.append(best)
-            remaining.difference_update(best)
+    h = _hasse(k)
+    faces = h.faces
+    count = [len(c) for c in h.up]
+    alive = [True] * len(faces)
+    free = [i for i, c in enumerate(count) if c == 1]
+    maximal = [i for i, c in enumerate(count) if c == 0]
+    heapq.heapify(free)
+    heapq.heapify(maximal)
+
+    def remove(i: int) -> None:
+        alive[i] = False
+        for j in h.down[i]:
+            count[j] -= 1
+            if count[j] == 1:
+                heapq.heappush(free, j)
+            elif count[j] == 0:
+                heapq.heappush(maximal, j)
+
+    def top(heap: List[int], wanted: int) -> Optional[int]:
+        while heap and not (alive[heap[0]] and count[heap[0]] == wanted):
+            heapq.heappop(heap)
+        return heap[0] if heap else None
+
+    removal: List[Tuple[int, ...]] = []
+    left = len(faces)
+    while left:
+        theta = top(free, 1)
+        if theta is None:
+            step: Tuple[int, ...] = (top(maximal, 0),)
         else:
-            crit = min(maximal, key=lambda s: s.key)
-            removal.append((crit,))
-            remaining.discard(crit)
+            step = (theta, next(t for t in h.up[theta] if alive[t]))
+        removal.append(step)
+        for i in step:
+            remove(i)
+        left -= len(step)
     values: Dict[Simplex, Fraction] = {}
     total = len(removal)
-    for step, faces in enumerate(removal):
-        for s in faces:
-            values[s] = Fraction(total - step)
-    return canonicalize(k, DiscreteMorseFunction(values))
+    for n, step in enumerate(removal):
+        for i in step:
+            values[faces[i]] = Fraction(total - n)
+    return _canonical(h, DiscreteMorseFunction(values))

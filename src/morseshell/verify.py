@@ -184,16 +184,19 @@ def mod2_betti(k: SimplicialComplex) -> Tuple[int, ...]:
 
 
 def _gf2_rank(columns: Sequence[int]) -> int:
-    pivots: List[int] = []
-    rank = 0
+    """Rank over GF(2) of bit-vector columns: reduce each column against
+    the pivots, keyed by their leading bit, until it is zero or has a
+    leading bit of its own."""
+    pivots: Dict[int, int] = {}
     for col in columns:
-        for p in pivots:
-            col = min(col, col ^ p)
-        if col:
-            pivots.append(col)
-            pivots.sort(reverse=True)
-            rank += 1
-    return rank
+        while col:
+            lead = col.bit_length()
+            p = pivots.get(lead)
+            if p is None:
+                pivots[lead] = col
+                break
+            col ^= p
+    return len(pivots)
 
 
 def audit(

@@ -5,10 +5,15 @@ and flags, never calling the code paths under test.  The link-isomorphism
 layer at the end (derived neighborhoods, the vertex maps identifying links
 in first and second subdivisions with joins of subdivided boundaries and
 links, double-star intersections) spells out by brute force the
-identifications the engine's label transports realize.
+identifications the engine's label transports realize.  The Morse-layer
+oracles are the all-pairs scans the face-incidence table in
+``morseshell.morse`` replaced, and ``gf2_rank`` is textbook row reduction
+of a dense 0/1 matrix.
 """
+import heapq
+from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from morseshell.complexes import (
     EMPTY,
@@ -24,6 +29,7 @@ from morseshell.complexes import (
 )
 from morseshell.engine import Tiling
 from morseshell.labels import Label, bary
+from morseshell.morse import DiscreteMorseFunction, ValidationReport
 from morseshell.tiles import MorseTile
 
 
@@ -257,3 +263,168 @@ def apply_map(x, m: VertexMap):
     if isinstance(x, Tiling):
         return Tiling(m.on_relative(x.space), tuple(t.relabel(m) for t in x.tiles))
     raise TypeError(f"cannot apply a vertex map to {type(x).__name__}")
+
+
+# -- Morse layer ------------------------------------------------------------
+
+
+def _nonempty_by_key(k: SimplicialComplex) -> List[Simplex]:
+    return sorted((s for s in k.faces() if not s.is_empty), key=lambda s: s.key)
+
+
+def validate_oracle(k: SimplicialComplex, f: DiscreteMorseFunction) -> ValidationReport:
+    """``morse.validate`` by comparing every pair of faces."""
+    report = ValidationReport()
+    faces = _nonempty_by_key(k)
+    for s in faces:
+        up = [t for t in faces if s < t and f[s] >= f[t]]
+        down = [t for t in faces if t < s and f[s] <= f[t]]
+        if len(up) > 1:
+            report.is_dmf = False
+            report.witnesses.setdefault("dmf_up", (s, *up))
+        if len(down) > 1:
+            report.is_dmf = False
+            report.witnesses.setdefault("dmf_down", (s, *down))
+        for t in faces:
+            if s < t and f[s] > f[t] and not report.witnesses.get("monotone"):
+                report.is_monotone = False
+                report.witnesses["monotone"] = (s, t)
+    by_value: Dict[Fraction, List[Simplex]] = {}
+    for s in faces:
+        by_value.setdefault(f[s], []).append(s)
+    for val, group in sorted(by_value.items()):
+        if len(group) > 2 and not report.witnesses.get("semi_injective"):
+            report.is_semi_injective = False
+            report.witnesses["semi_injective"] = tuple(group)
+        for a in group:
+            for b in group:
+                if a.key < b.key and not (a < b or b < a):
+                    report.is_generic = False
+                    report.witnesses.setdefault("generic", (a, b))
+    return report
+
+
+def matching_oracle(k: SimplicialComplex, f: DiscreteMorseFunction) -> Dict[Simplex, Simplex]:
+    """The pairing of f, re-sorting all faces for every face."""
+    pairs: Dict[Simplex, Simplex] = {}
+    used = set()
+    for s in _nonempty_by_key(k):
+        for t in sorted(k.faces(), key=lambda x: x.key):
+            if t.dim == s.dim + 1 and s < t and f[t] <= f[s]:
+                if s in used or t in used:
+                    raise ValueError("function does not induce a matching; not a dmf")
+                pairs[s] = t
+                used.add(s)
+                used.add(t)
+    return pairs
+
+
+def assign_values_oracle(
+    k: SimplicialComplex, pairs: Mapping[Simplex, Simplex]
+) -> DiscreteMorseFunction:
+    """Canonical values of a matching: cover relations found by comparing
+    every pair of faces, then a min-key topological sort."""
+    partner: Dict[Simplex, Simplex] = {}
+    for s, t in pairs.items():
+        partner[s] = t
+        partner[t] = s
+    faces = [s for s in k.faces() if not s.is_empty]
+    node_of: Dict[Simplex, Simplex] = {}
+    for s in faces:
+        mate = partner.get(s)
+        node_of[s] = s if mate is None or s.key < mate.key else mate
+    members: Dict[Simplex, List[Simplex]] = {}
+    for s in faces:
+        members.setdefault(node_of[s], []).append(s)
+    succs: Dict[Simplex, set] = {n: set() for n in members}
+    indeg: Dict[Simplex, int] = {n: 0 for n in members}
+    for s in faces:
+        for t in faces:
+            if t.dim == s.dim + 1 and s < t and pairs.get(s) != t:
+                a, b = node_of[s], node_of[t]
+                if a != b and b not in succs[a]:
+                    succs[a].add(b)
+                    indeg[b] += 1
+    heap = [n.key for n in members if indeg[n] == 0]
+    key_to_node = {n.key: n for n in members}
+    heapq.heapify(heap)
+    values: Dict[Simplex, Fraction] = {}
+    counter = 0
+    while heap:
+        n = key_to_node[heapq.heappop(heap)]
+        for s in members[n]:
+            values[s] = Fraction(counter)
+        counter += 1
+        for b in succs[n]:
+            indeg[b] -= 1
+            if indeg[b] == 0:
+                heapq.heappush(heap, b.key)
+    if len(values) != len(faces):
+        raise ValueError("matched Hasse diagram has a cycle; not an acyclic matching")
+    return DiscreteMorseFunction(values)
+
+
+def canonicalize_oracle(k: SimplicialComplex, f: DiscreteMorseFunction) -> DiscreteMorseFunction:
+    report = validate_oracle(k, f)
+    if not report.is_dmf:
+        raise ValueError(f"not a discrete Morse function: {report.witnesses}")
+    return assign_values_oracle(k, matching_oracle(k, f))
+
+
+def trivial_oracle(k: SimplicialComplex) -> DiscreteMorseFunction:
+    raw = {s: Fraction(s.dim) for s in k.faces() if not s.is_empty}
+    return canonicalize_oracle(k, DiscreteMorseFunction(raw))
+
+
+def greedy_oracle(k: SimplicialComplex) -> DiscreteMorseFunction:
+    """The greedy collapse rule, rescanning the remaining faces every step:
+    collapse the key-smallest free (ridge, facet) pair, or else remove the
+    key-smallest facet as critical."""
+    remaining = {s for s in k.faces() if not s.is_empty}
+    removal: List[Tuple[Simplex, ...]] = []
+    while remaining:
+        maximal = [s for s in remaining if not any(s < t for t in remaining)]
+        best: Optional[Tuple[Simplex, Simplex]] = None
+        for tau in maximal:
+            for theta in tau.ridges():
+                if theta.is_empty or theta not in remaining:
+                    continue
+                cofaces = [t for t in remaining if theta < t]
+                if cofaces == [tau]:
+                    cand = (theta, tau)
+                    if best is None or (cand[0].key, cand[1].key) < (best[0].key, best[1].key):
+                        best = cand
+        if best is not None:
+            removal.append(best)
+            remaining.difference_update(best)
+        else:
+            crit = min(maximal, key=lambda s: s.key)
+            removal.append((crit,))
+            remaining.discard(crit)
+    values: Dict[Simplex, Fraction] = {}
+    total = len(removal)
+    for step, faces in enumerate(removal):
+        for s in faces:
+            values[s] = Fraction(total - step)
+    return canonicalize_oracle(k, DiscreteMorseFunction(values))
+
+
+# -- homology ---------------------------------------------------------------
+
+
+def gf2_rank(columns: Sequence[int]) -> int:
+    """Rank over GF(2) of bit-vector columns, by Gauss–Jordan elimination of
+    the dense 0/1 matrix whose rows are the columns."""
+    width = max((c.bit_length() for c in columns), default=0)
+    rows = [[(c >> b) & 1 for b in range(width)] for c in columns]
+    rank = 0
+    for b in range(width):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][b]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][b]:
+                rows[r] = [x ^ y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank

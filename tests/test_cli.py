@@ -51,6 +51,25 @@ def test_morse_load_requires_function(circle_file):
     assert run(["morse", str(circle_file), "load"]) == 1
 
 
+@pytest.mark.parametrize(
+    "key, error",
+    [
+        ("", "error: function has a value on the empty face {}\n"),
+        ("a d", "error: function has a value on {a d}, which is not a face of the complex\n"),
+    ],
+    ids=["empty-face", "non-face"],
+)
+def test_morse_load_rejects_a_value_off_the_complex(circle_file, tmp_path, capsys, key, error):
+    fpath = tmp_path / "f.json"
+    assert run(["morse", str(circle_file), "trivial", "-o", str(fpath)]) == 0
+    data = json.loads(fpath.read_text())
+    data["values"][key] = "7/1"
+    fpath.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["morse", str(circle_file), "load", "--function", str(fpath), "-o", "/dev/null"]) == 1
+    assert capsys.readouterr().err == error
+
+
 def test_shell_sd_pipeline(circle_file, tmp_path):
     out = tmp_path / "t.jsonl"
     assert run(["shell-sd", str(circle_file), "--vertex", "a", "-o", str(out)]) == 0

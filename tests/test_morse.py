@@ -1,9 +1,11 @@
+import re
 from fractions import Fraction
 
 import pytest
 
 from morseshell.catalog import boundary_sphere, cone_over_circle, simplex_complex
 from morseshell.complexes import EMPTY, Simplex, make_complex
+from morseshell.engine import shell_sd2_from_dmf
 from morseshell.labels import atom
 from morseshell.morse import (
     DiscreteMorseFunction,
@@ -66,6 +68,27 @@ def test_constant_function_is_not_dmf():
 def test_validate_requires_total_function():
     with pytest.raises(ValueError):
         validate(edge(), DiscreteMorseFunction({s(a): Fraction(0)}))
+
+
+STRAY_VALUES = [
+    (EMPTY, "function has a value on the empty face {}"),
+    (s(a, c), "function has a value on {a c}, which is not a face of the complex"),
+]
+
+
+@pytest.mark.parametrize("stray, message", STRAY_VALUES, ids=["empty-face", "non-face"])
+def test_validate_rejects_a_value_off_the_complex(stray, message):
+    values = dict(dim_function(edge()).values)
+    values[stray] = Fraction(7)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        validate(edge(), DiscreteMorseFunction(values))
+
+
+def test_shelling_rejects_a_value_off_the_complex_before_building():
+    values = dict(trivial_dmf(edge()).values)
+    values[s(a, c)] = Fraction(7)
+    with pytest.raises(ValueError, match=re.escape(STRAY_VALUES[1][1])):
+        shell_sd2_from_dmf(edge(), DiscreteMorseFunction(values))
 
 
 # -- canonicalization -----------------------------------------------------------

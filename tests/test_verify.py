@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 
 from morseshell.catalog import (
@@ -7,12 +9,20 @@ from morseshell.catalog import (
     simplex_complex,
     two_triangles,
 )
-from morseshell.complexes import RelativeComplex, Simplex, SimplicialComplex, make_complex
+from morseshell.complexes import (
+    RelativeComplex,
+    Simplex,
+    SimplicialComplex,
+    barycentric,
+    make_complex,
+)
 from morseshell.engine import Tiling, shell_sd2_from_dmf
 from morseshell.labels import atom
 from morseshell.morse import greedy_collapse_dmf, trivial_dmf
 from morseshell.tiles import MorseTile, TileClass
-from morseshell.verify import audit, critical_census, mod2_betti, verify_tiling
+from morseshell.verify import _gf2_rank, audit, critical_census, mod2_betti, verify_tiling
+
+from oracles import gf2_rank
 
 a, b, c, d = (atom(x) for x in "abcd")
 
@@ -74,6 +84,47 @@ def test_betti_alternating_sum_is_euler():
     for k in (two_triangles(), cone_over_circle(), boundary_sphere(1)):
         betti = mod2_betti(k)
         assert sum((-1) ** i * bi for i, bi in enumerate(betti)) == k.euler()
+
+
+def _boundary_columns(k, d):
+    """Columns of the mod-2 boundary map from d-faces to (d-1)-faces."""
+    rows = sorted((f for f in k.faces() if f.dim == d - 1), key=lambda f: f.key)
+    row = {f: i for i, f in enumerate(rows)}
+    return [
+        sum(1 << row[r] for r in f.ridges())
+        for f in sorted((f for f in k.faces() if f.dim == d), key=lambda f: f.key)
+    ]
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [
+        lambda: simplex_complex(3),
+        lambda: boundary_sphere(3),
+        cone_over_circle,
+        two_triangles,
+        moebius_torus,
+    ],
+    ids=["simplex", "sphere", "cone", "two-triangles", "torus"],
+)
+def test_gf2_rank_matches_row_reduction_on_catalog_complexes_and_their_subdivisions(builder):
+    k = builder()
+    rng = Random(5)
+    for space in (k, barycentric(RelativeComplex(k)).ambient):
+        for d in range(1, space.dim + 1):
+            cols = _boundary_columns(space, d)
+            assert _gf2_rank(cols) == gf2_rank(cols)
+            rng.shuffle(cols)
+            assert _gf2_rank(cols) == gf2_rank(cols)
+        assert mod2_betti(space) == mod2_betti(k)
+
+
+def test_gf2_rank_matches_row_reduction_on_random_columns():
+    rng = Random(11)
+    for _ in range(200):
+        width, count = rng.randint(1, 12), rng.randint(0, 12)
+        cols = [rng.getrandbits(width) for _ in range(count)]
+        assert _gf2_rank(cols) == gf2_rank(cols)
 
 
 # -- certificates on honest tilings ----------------------------------------------
