@@ -35,7 +35,7 @@ from .serial import (
     tiling_from_lines,
     tiling_to_lines,
 )
-from .verify import audit, critical_census, mod2_betti, verify_tiling
+from .verify import audit, mod2_betti, verify_tiling
 
 log = logging.getLogger("morseshell")
 
@@ -123,7 +123,7 @@ def cmd_shell_sd(args) -> int:
     tiling, prefix = shell_sd_relative(s, v)
     cert = verify_tiling(tiling.space, tiling, strong=args.strong)
     log.info("star segment: %d of %d tiles", prefix, len(tiling.tiles))
-    _emit_tiling(args, tiling, 1, critical_census(tiling))
+    _emit_tiling(args, tiling, 1, cert.census)
     if not cert.ok:
         sys.stderr.write(certificate_to_json(cert))
         return 2
@@ -139,7 +139,7 @@ def cmd_shell_sd2(args) -> int:
         f = trivial_dmf(k) if args.morse == "trivial" else greedy_collapse_dmf(k)
     else:
         f = canonicalize(k, load_morse_json(_read(args.morse), k))
-    tiling, census = shell_sd2_from_dmf(k, f)
+    tiling, _ = shell_sd2_from_dmf(k, f)
     cert = audit(k, f, tiling, strong=args.strong)
     _emit_tiling(args, tiling, 2, cert.census)
     if not cert.ok:
@@ -155,13 +155,12 @@ def cmd_verify(args) -> int:
     space = _subdivide(s, depth)
     tiling = Tiling(space, tuple(tiles))
     cert = verify_tiling(space, tiling, strong=args.strong)
-    recomputed = critical_census(tiling)
     recorded = {int(k): v for k, v in summary.get("census", {}).items()}
-    census_ok = recorded == recomputed.critical and summary.get("tiles") == len(tiles)
+    census_ok = recorded == cert.census.critical and summary.get("tiles") == len(tiles)
     if not checksum_ok:
         cert.failures.append((None, "tile lines do not match the recorded checksum", None))
     if not census_ok:
-        cert.failures.append((None, f"recorded census {recorded} != recomputed {recomputed.critical}", None))
+        cert.failures.append((None, f"recorded census {recorded} != recomputed {cert.census.critical}", None))
     _write(args.output, certificate_to_json(cert))
     return 0 if cert.ok and census_ok and checksum_ok else 2
 

@@ -37,7 +37,6 @@ from .complexes import (
 from .labels import Label, bary
 from .morse import DiscreteMorseFunction, canonicalize, critical_census, filtration, validate
 from .tiles import (
-    CanonicalTriple,
     MorseTile,
     canonical_triple,
     cone as cone_tile,
@@ -60,6 +59,7 @@ __all__ = [
 
 CLOSED, OPEN, DOTTED = "closed", "open", "dotted"
 Entry = Tuple[Label, str]
+Block = Tuple[Sequence[MorseTile], int]  # shelled tiles and their segment length
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,10 @@ class Census:
 # -- join forms --------------------------------------------------------------
 
 
-def _entries_of_tile(t: MorseTile) -> Tuple[Entry, ...]:
+def _entries(t: Optional[MorseTile]) -> Tuple[Entry, ...]:
+    """The (vertex, role) pairs of a tile's canonical triple; none for None."""
+    if t is None:
+        return ()
     trip = canonical_triple(t)
     return (
         tuple((v, CLOSED) for v in trip.sigma)
@@ -116,14 +119,14 @@ def _lift(v: Label) -> Callable[[Label], Label]:
 
 
 def _cone_block(apex: Label, tiles: Sequence[MorseTile], deprive: int) -> List[MorseTile]:
-    out = []
-    for i, t in enumerate(tiles):
-        out.append(cone_tile(apex, t, dotted=i < deprive))
-    return out
+    return [cone_tile(apex, t, dotted=i < deprive) for i, t in enumerate(tiles)]
 
 
-def _dot(t: MorseTile) -> MorseTile:
-    return t.dotted()
+def _concat(blocks: Sequence[Block]) -> Tuple[List[MorseTile], int]:
+    """Chain shelled blocks: the segments of all blocks first, then the
+    rest; returns the tiles and the length of their segment."""
+    head = [t for block, pre in blocks for t in block[:pre]]
+    return head + [t for block, pre in blocks for t in block[pre:]], len(head)
 
 
 def _strip_empty(tiles: List[MorseTile]) -> List[MorseTile]:
@@ -133,7 +136,7 @@ def _strip_empty(tiles: List[MorseTile]) -> List[MorseTile]:
         return list(tiles)
     assert len(closed) == 1, "several tiles own the empty face"
     out = list(tiles)
-    out[closed[0]] = _dot(out[closed[0]])
+    out[closed[0]] = out[closed[0]].dotted()
     return out
 
 
@@ -144,17 +147,12 @@ def _shell_entries_tile(entries: Sequence[Entry]) -> List[MorseTile]:
     if len(entries) == 1:
         v, role = entries[0]
         return [vertex_tile(bary([v]), open_=role != CLOSED)]
-    closed = [e for e in entries if e[1] == CLOSED]
-    open_ = [e for e in entries if e[1] == OPEN]
-    if closed:
-        head, rest = closed[0], tuple(e for e in entries if e != closed[0])
-        return _shell_entries_join((head,), rest)[0]
-    if open_:
-        head, rest = open_[0], tuple(e for e in entries if e != open_[0])
-        return _shell_entries_join((head,), rest)[0]
+    heads = [e for e in entries if e[1] == CLOSED] or [e for e in entries if e[1] == OPEN]
+    if heads:
+        rest = tuple(e for e in entries if e != heads[0])
+        return _shell_entries_join(heads[:1], rest)[0]
     # dotted simplex: shell the closed simplex, then remove the empty face
-    tiles = _shell_entries_tile(tuple((v, CLOSED) for v, _ in entries))
-    return _strip_empty(tiles)
+    return _strip_empty(_shell_entries_tile(tuple((v, CLOSED) for v, _ in entries)))
 
 
 def _shell_entries_join(
@@ -165,26 +163,22 @@ def _shell_entries_join(
     Returns the tiles and the number of leading tiles covering the union of
     stars of the barycenters of T's vertices.  Each vertex contributes the
     cone over a recursively shelled link, deprived of its base over the part
-    of the link lying in earlier stars.
+    of the link lying in earlier stars.  Either side may be empty: the other
+    tile is then shelled alone, all of it in the segment when it is T.
     """
+    if not right:
+        tiles = _shell_entries_tile(left)
+        return tiles, len(tiles)
+    if not left:
+        return _shell_entries_tile(right), 0
     left = _regroup(left)
-    right = _regroup(right)
-    entries = left + right
-    assert left and right
+    entries = left + _regroup(right)
     tiles: List[MorseTile] = []
     prefix = 0
     for j, (vj, _) in enumerate(entries):
-        part_l, part_r = _slice(entries, j)
-        if not part_l:
-            block, bpre = _shell_entries_tile(part_r), 0
-        elif not part_r:
-            block = _shell_entries_tile(part_l)
-            bpre = len(block)
-        else:
-            block, bpre = _shell_entries_join(part_l, part_r)
+        block, bpre = _shell_entries_join(*_slice(entries, j))
         lift = _lift(vj)
-        lifted = [t.relabel(lift) for t in block]
-        tiles.extend(_cone_block(bary([vj]), lifted, bpre))
+        tiles.extend(_cone_block(bary([vj]), [t.relabel(lift) for t in block], bpre))
         if j < len(left):
             prefix = len(tiles)
     if any(role != CLOSED for _, role in entries):
@@ -203,7 +197,7 @@ def shell_sd_tile(t: MorseTile) -> Tiling:
     """
     if t.underlying.is_empty:
         raise ValueError("cannot shell the empty tile")
-    tiles = _shell_entries_tile(_entries_of_tile(t))
+    tiles = _shell_entries_tile(_entries(t))
     return Tiling(barycentric(tile_to_relative(t)), tuple(tiles))
 
 
@@ -223,7 +217,7 @@ def shell_sd_join(t: MorseTile, tp: MorseTile) -> Tuple[Tiling, int]:
         raise ValueError("join factors must be non-empty")
     if set(t.underlying) & set(tp.underlying):
         raise ValueError("join factors share vertex labels")
-    tiles, prefix = _shell_entries_join(_entries_of_tile(t), _entries_of_tile(tp))
+    tiles, prefix = _shell_entries_join(_entries(t), _entries(tp))
     space = barycentric(join(tile_to_relative(t), tile_to_relative(tp)))
     return Tiling(space, tuple(tiles)), prefix
 
@@ -260,7 +254,7 @@ def shell_boundary_sd(sigma: Simplex, last: Optional[Simplex] = None) -> Boundar
     for j, rho in enumerate(ridges[:-1]):
         shared = [Simplex(set(rho.vertices) & set(ridges[i].vertices)) for i in range(j)]
         block_tile = MorseTile(rho, frozenset(shared))
-        tiles.extend(_shell_entries_tile(_entries_of_tile(block_tile)))
+        tiles.extend(_shell_entries_tile(_entries(block_tile)))
     prefix = len(tiles)
     apex = bary(last.vertices)
     if last.dim == 0:
@@ -317,7 +311,7 @@ def _subtract(tile: MorseTile, m_faces: frozenset) -> MorseTile:
             break
     if i_m < 0:
         if tile.is_closed and EMPTY in m_faces:
-            return _dot(tile)
+            return tile.dotted()
         return tile
     seg = Simplex(positions[: i_m + 1])
     if any(seg <= r for r in tile.missing_ridges):
@@ -344,37 +338,20 @@ def shell_sd_relative(s: RelativeComplex, v: Label) -> Tuple[Tiling, int]:
     star = sorted((f for f in k.facets if v in f), key=lambda f: f.key)
     rest = sorted((f for f in k.facets if v not in f), key=lambda f: f.key)
     seen: set = set(l_faces)
-    star_blocks: List[Tuple[List[MorseTile], int]] = []
-    tail_blocks: List[List[MorseTile]] = []
+    blocks: List[Block] = []
     for facet in star + rest:
         m_faces = frozenset(f for f in facet.faces() if f in seen)
         missing_ridges = frozenset(r for r in facet.ridges() if r in m_faces)
         if v in facet:
             opp = facet.without(v)
-            if opp.is_empty:
-                block = [vertex_tile(bary([v]), open_=EMPTY in missing_ridges)]
-                bpre = 1
-            else:
-                head: Entry = (v, OPEN if opp in missing_ridges else CLOSED)
-                opp_ridges = frozenset(
-                    r.without(v) for r in missing_ridges if v in r
-                )
-                side = MorseTile(opp, opp_ridges)
-                block, bpre = _shell_entries_join((head,), _entries_of_tile(side))
-            star_blocks.append(([_subtract(t, m_faces) for t in block], bpre))
+            head: Tuple[Entry, ...] = ((v, OPEN if opp in missing_ridges else CLOSED),)
+            side = MorseTile(opp, frozenset(r.without(v) for r in missing_ridges if v in r))
         else:
-            basic = MorseTile(facet, missing_ridges)
-            block = _shell_entries_tile(_entries_of_tile(basic))
-            tail_blocks.append([_subtract(t, m_faces) for t in block])
+            head, side = (), MorseTile(facet, missing_ridges)
+        block, bpre = _shell_entries_join(head, _entries(side))
+        blocks.append(([_subtract(t, m_faces) for t in block], bpre))
         seen.update(facet.faces())
-    tiles: List[MorseTile] = []
-    for block, bpre in star_blocks:
-        tiles.extend(block[:bpre])
-    prefix = len(tiles)
-    for block, bpre in star_blocks:
-        tiles.extend(block[bpre:])
-    for block in tail_blocks:
-        tiles.extend(block)
+    tiles, prefix = _concat(blocks)
     return Tiling(barycentric(s), tuple(tiles)), prefix
 
 
@@ -399,16 +376,19 @@ def _sd2_transport(sigma: Simplex) -> Callable[[Label], Label]:
     return on_label
 
 
-def _link_shelling(k: SimplicialComplex, sigma: Simplex, start: Optional[Label] = None):
-    """Morse shelling of sd(lk_K σ) with its unique closed tile first, plus
-    the star-segment length for the chosen start vertex."""
+def _link_shelling(
+    k: SimplicialComplex, sigma: Simplex, start: Optional[Label] = None
+) -> Tuple[Tuple[Optional[MorseTile], ...], int]:
+    """Tiles of a Morse shelling of sd(lk_K σ), its unique closed tile
+    first, plus the star-segment length for the chosen start vertex; a
+    single None stands for the tiles of an empty link."""
     lk = link_complex(k, sigma)
     if lk.dim < 0:
-        return None, 0
+        return (None,), 0
     if start is None:
         start = min(lk.vertices())
     tiling, prefix = shell_sd_relative(RelativeComplex(lk), start)
-    return tiling, prefix
+    return tiling.tiles, prefix
 
 
 def _split_cone_tile(t: MorseTile, apex: Label) -> Optional[MorseTile]:
@@ -432,136 +412,70 @@ def _split_cone_tile(t: MorseTile, apex: Label) -> Optional[MorseTile]:
     return MorseTile(base, frozenset(ridges), morse)
 
 
-def _blocks_to_phases(
-    blocks: List[Tuple[List[MorseTile], int]]
-) -> Tuple[List[MorseTile], List[MorseTile]]:
-    head = [t for block, pre in blocks for t in block[:pre]]
-    tail = [t for block, pre in blocks for t in block[pre:]]
-    return head, tail
+def _double_star(sigma: Simplex, blocks: Sequence[Block]) -> List[MorseTile]:
+    """Tiles of the star of the double barycenter of σ from shelled blocks
+    of its link: the chained blocks are carried onto the link by
+    ``_sd2_transport`` and coned, their segment deprived of its base."""
+    tiles, prefix = _concat(blocks)
+    lift = _sd2_transport(sigma)
+    apex = bary([bary(sigma.vertices)])
+    return _cone_block(apex, [t.relabel(lift) for t in tiles], deprive=prefix)
 
 
 def _critical_step(k: SimplicialComplex, sigma: Simplex, first: bool) -> List[MorseTile]:
     """Tiles extending the shelling over the double star of a critical face;
     exactly one of them is critical, of index dim σ."""
-    apex = bary([bary(sigma.vertices)])
     if sigma.dim == 0:
         lk = link_complex(k, sigma)
         if lk.dim < 0:
-            tiles = [vertex_tile(apex)]
+            tiles = [vertex_tile(bary([bary(sigma.vertices)]))]
         else:
             sd_lk = barycentric_complex(lk)
-            model, _ = shell_sd_relative(
-                RelativeComplex(sd_lk), min(sd_lk.vertices())
-            )
-            lift = _sd2_transport(sigma)
-            tiles = _cone_block(apex, [t.relabel(lift) for t in model.tiles], deprive=0)
-        if not first:
-            tiles = _strip_empty(tiles)
-        return tiles
-    boundary = shell_boundary_sd(sigma)
-    link_tiling, _ = _link_shelling(k, sigma)
-    blocks: List[Tuple[List[MorseTile], int]] = []
-    for t_l in boundary.tiles:
-        if link_tiling is None:
-            block = _shell_entries_tile(_entries_of_tile(t_l))
-            blocks.append((block, len(block)))
-        else:
-            for t_m in link_tiling.tiles:
-                block, pre = _shell_entries_join(
-                    _entries_of_tile(t_l), _entries_of_tile(t_m)
-                )
-                blocks.append((block, pre))
-    head, tail = _blocks_to_phases(blocks)
-    lift = _sd2_transport(sigma)
-    return _cone_block(apex, [t.relabel(lift) for t in head + tail], deprive=len(head))
+            model, _ = shell_sd_relative(RelativeComplex(sd_lk), min(sd_lk.vertices()))
+            tiles = _double_star(sigma, [(model.tiles, 0)])
+        return tiles if first else _strip_empty(tiles)
+    link_tiles, _ = _link_shelling(k, sigma)
+    return _double_star(sigma, [
+        _shell_entries_join(_entries(t_l), _entries(t_m))
+        for t_l in shell_boundary_sd(sigma).tiles
+        for t_m in link_tiles
+    ])
 
 
 def _collapse_step(k: SimplicialComplex, theta: Simplex, tau: Simplex) -> List[MorseTile]:
     """Tiles extending the shelling over the double stars of a collapse pair
     (first the coface, then the free ridge); no critical tiles arise."""
-    tiles: List[MorseTile] = []
-
     # stage one: the star of the double barycenter of tau
     boundary = shell_boundary_sd(tau, last=theta)
-    link_tiling, _ = _link_shelling(k, tau)
-    theta_hat = boundary.apex
-    blocks: List[Tuple[List[MorseTile], int]] = []
-    link_tiles: Sequence[Optional[MorseTile]] = (
-        [None] if link_tiling is None else list(link_tiling.tiles)
-    )
+    base_tiles = boundary.base_tiles or (None,)
+    link_tiles, _ = _link_shelling(k, tau)
+    open_apex = vertex_tile(boundary.apex, open_=True)
+    blocks = []
     for l, t_l in enumerate(boundary.tiles):
-        in_tail = l >= boundary.prefix
-        base_tile = boundary.base_tiles[l - boundary.prefix] if in_tail and boundary.base_tiles else None
         for t_m in link_tiles:
-            if not in_tail:
-                if t_m is None:
-                    block = _shell_entries_tile(_entries_of_tile(t_l))
-                    blocks.append((block, len(block)))
-                else:
-                    blocks.append(
-                        _shell_entries_join(_entries_of_tile(t_l), _entries_of_tile(t_m))
-                    )
+            if l < boundary.prefix:
+                blocks.append(_shell_entries_join(_entries(t_l), _entries(t_m)))
             else:
-                second = (
-                    vertex_tile(theta_hat, open_=True)
-                    if t_m is None
-                    else tile_join(vertex_tile(theta_hat, open_=True), t_m)
-                )
-                if base_tile is None:
-                    block = _shell_entries_tile(_entries_of_tile(second))
-                    blocks.append((block, 0))
-                else:
-                    blocks.append(
-                        _shell_entries_join(
-                            _entries_of_tile(base_tile), _entries_of_tile(second)
-                        )
-                    )
-    head, tail = _blocks_to_phases(blocks)
-    lift = _sd2_transport(tau)
-    tau_apex = bary([bary(tau.vertices)])
-    tiles.extend(_cone_block(tau_apex, [t.relabel(lift) for t in head + tail], deprive=len(head)))
+                second = open_apex if t_m is None else tile_join(open_apex, t_m)
+                base_tile = base_tiles[l - boundary.prefix]
+                blocks.append(_shell_entries_join(_entries(base_tile), _entries(second)))
+    tiles = _double_star(tau, blocks)
 
     # stage two: the star of the double barycenter of theta
     u = tau.minus(theta).vertices[0]
     link2, star_split = _link_shelling(k, theta, start=u)
-    assert link2 is not None, "a free ridge always has a coface"
+    assert link2[0] is not None, "a free ridge always has a coface"
     u_hat = bary([u])
-    base_tiles: Sequence[Optional[MorseTile]] = (
-        [None] if not boundary.base_tiles else list(boundary.base_tiles)
-    )
-    blocks_a: List[Tuple[List[MorseTile], int]] = []
-    blocks_b: List[Tuple[List[MorseTile], int]] = []
+    blocks_a, blocks_b = [], []
     for t_l in base_tiles:
-        for m, t_m in enumerate(link2.tiles):
+        for m, t_m in enumerate(link2):
             if m < star_split:
+                head = _entries(t_l) + ((u_hat, CLOSED),)
                 inner = _split_cone_tile(t_m, u_hat)
-                head_entries: Tuple[Entry, ...] = ((u_hat, CLOSED),)
-                if t_l is not None:
-                    head_entries = _entries_of_tile(t_l) + head_entries
-                if inner is None:
-                    block = _shell_entries_tile(head_entries)
-                    blocks_a.append((block, len(block)))
-                else:
-                    blocks_a.append(
-                        _shell_entries_join(head_entries, _entries_of_tile(inner))
-                    )
+                blocks_a.append(_shell_entries_join(head, _entries(inner)))
             else:
-                if t_l is None:
-                    block = _shell_entries_tile(_entries_of_tile(t_m))
-                    blocks_b.append((block, 0))
-                else:
-                    blocks_b.append(
-                        _shell_entries_join(_entries_of_tile(t_l), _entries_of_tile(t_m))
-                    )
-    head_a, tail_a = _blocks_to_phases(blocks_a)
-    head_b, tail_b = _blocks_to_phases(blocks_b)
-    lift = _sd2_transport(theta)
-    theta_apex = bary([bary(theta.vertices)])
-    ordered = head_a + head_b + tail_a + tail_b
-    tiles.extend(
-        _cone_block(theta_apex, [t.relabel(lift) for t in ordered], deprive=len(head_a) + len(head_b))
-    )
-    return tiles
+                blocks_b.append(_shell_entries_join(_entries(t_l), _entries(t_m)))
+    return tiles + _double_star(theta, blocks_a + blocks_b)
 
 
 def shell_sd2_from_dmf(

@@ -13,16 +13,19 @@ __all__ = ["Label", "LabelRegistry", "atom", "bary", "as_label"]
 
 
 class Label:
-    """An interned vertex label: Atom(name) or Bary(member labels)."""
+    """An interned vertex label: Atom(name) or Bary(member labels).
 
-    __slots__ = ("is_atom", "name", "members", "_key", "_hash")
+    Labels from the one registry compare and hash by identity (those of
+    ``object``): interning makes equal structure the same object.
+    """
+
+    __slots__ = ("is_atom", "name", "members", "_key")
 
     def __init__(self, is_atom: bool, name: str, members: Tuple["Label", ...], key):
         self.is_atom = is_atom
         self.name = name          # atoms only
         self.members = members    # barycenters only, canonically sorted
         self._key = key
-        self._hash = hash(key)
 
     @property
     def key(self):
@@ -40,12 +43,6 @@ class Label:
 
     def __le__(self, other: "Label") -> bool:
         return self._key <= other._key
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (isinstance(other, Label) and self._key == other._key)
 
     def __repr__(self) -> str:
         if self.is_atom:

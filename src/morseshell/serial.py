@@ -76,7 +76,10 @@ def load_complex_text(text: str) -> RelativeComplex:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        facets.append(line.split())
+        names = line.split()
+        if len(set(names)) != len(names):
+            raise ValueError(f"facet {line!r} repeats a vertex")
+        facets.append(names)
     if not facets:
         raise ValueError("no facets in input")
     return RelativeComplex(make_complex(facets))
@@ -93,14 +96,21 @@ def dump_complex_text(s: RelativeComplex) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _facet_from_json(data) -> Simplex:
+    s = simplex_from_json(data)
+    if len(s) != len(data):
+        raise ValueError(f"facet {json.dumps(data)} repeats a vertex")
+    return s
+
+
 def load_complex_json(text: str) -> RelativeComplex:
     data = json.loads(text)
     if not isinstance(data, dict) or "facets" not in data:
         raise ValueError('complex JSON needs a "facets" array')
-    ambient = SimplicialComplex([simplex_from_json(f) for f in data["facets"]])
+    ambient = SimplicialComplex([_facet_from_json(f) for f in data["facets"]])
     missing_raw = data.get("missing") or []
     if missing_raw:
-        missing = SimplicialComplex([simplex_from_json(f) for f in missing_raw])
+        missing = SimplicialComplex([_facet_from_json(f) for f in missing_raw])
     else:
         missing = void_complex()
     return RelativeComplex(ambient, missing)

@@ -139,3 +139,24 @@ def test_parse_error_exits_one(tmp_path):
 
 def test_missing_file_exits_one():
     assert run(["info", "/nonexistent/path.txt"]) == 1
+
+
+def test_text_facet_with_a_repeated_vertex_exits_one(tmp_path, capsys):
+    path = tmp_path / "repeat.txt"
+    path.write_text("a b c\na a b\n")
+    assert run(["info", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot parse complex {path}: facet 'a a b' repeats a vertex\n"
+    )
+
+
+@pytest.mark.parametrize("part", ["facets", "missing"])
+def test_json_facet_with_a_repeated_vertex_exits_one(tmp_path, capsys, part):
+    data = {"facets": [["a", "b", "c"]], "missing": [["a", "b"]]}
+    data[part] = [["a", "a", "b"]] + data[part]
+    path = tmp_path / "repeat.json"
+    path.write_text(json.dumps(data))
+    assert run(["info", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f'error: cannot parse complex {path}: facet ["a", "a", "b"] repeats a vertex\n'
+    )

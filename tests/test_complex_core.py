@@ -35,6 +35,8 @@ from morseshell.labels import atom, bary
 from morseshell.serial import (
     dump_complex_json,
     dump_complex_text,
+    label_from_json,
+    label_to_json,
     load_complex,
     load_complex_json,
 )
@@ -80,6 +82,19 @@ def test_make_complex_absorbs_redundant_facets():
 def test_make_complex_rejects_empty_facet():
     with pytest.raises(ValueError):
         make_complex([[]])
+
+
+def test_labels_are_interned_so_equal_structure_is_identity():
+    """bary of one member set is one object, whatever the order or repeats
+    of its members, and so is a label read back from its JSON form."""
+    inner = bary([a, b])
+    lab = bary([inner, c])
+    assert bary([b, a]) is inner and bary([a, b, a]) is inner
+    assert bary([c, bary([b, a, b])]) is lab and bary([c, inner, c]) is lab
+    assert atom("a") is a
+    assert label_from_json(label_to_json(lab)) is lab
+    assert label_from_json([["b", "a"], "c", "c"]) is lab
+    assert label_from_json("a") is a
 
 
 # -- the trusted face kernel ----------------------------------------------------
