@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .complexes import RelativeComplex, barycentric
+from .complexes import RelativeComplex, SimplicialComplex, barycentric
 from .engine import Census, Tiling, shell_sd_relative, shell_sd2_from_dmf
 from .labels import atom
 from .morse import canonicalize, greedy_collapse_dmf, trivial_dmf
@@ -94,20 +94,20 @@ def cmd_sd(args) -> int:
     return 0
 
 
-def _obtain_morse(args, s: RelativeComplex):
-    k = s.ambient
-    if args.kind == "trivial":
+def _obtain_morse(k: SimplicialComplex, kind: str, path: Optional[str]):
+    """The trivial or greedy function on k, or the canonicalized one in path."""
+    if kind == "trivial":
         return trivial_dmf(k)
-    if args.kind == "greedy":
+    if kind == "greedy":
         return greedy_collapse_dmf(k)
-    if not args.function:
+    if not path:
         raise UsageError("morse load requires --function FILE")
-    return canonicalize(k, load_morse_json(_read(args.function), k))
+    return canonicalize(k, load_morse_json(_read(path), k))
 
 
 def cmd_morse(args) -> int:
     s = _load_space(args.input)
-    f = _obtain_morse(args, s)
+    f = _obtain_morse(s.ambient, args.kind, args.function)
     _write(args.output, dump_morse_json(f))
     return 0
 
@@ -135,10 +135,7 @@ def cmd_shell_sd2(args) -> int:
     if not s.missing.is_void:
         raise UsageError("shell-sd2 expects an absolute complex")
     k = s.ambient
-    if args.morse in ("trivial", "greedy"):
-        f = trivial_dmf(k) if args.morse == "trivial" else greedy_collapse_dmf(k)
-    else:
-        f = canonicalize(k, load_morse_json(_read(args.morse), k))
+    f = _obtain_morse(k, args.morse, args.morse)
     tiling, _ = shell_sd2_from_dmf(k, f)
     cert = audit(k, f, tiling, strong=args.strong)
     _emit_tiling(args, tiling, 2, cert.census)

@@ -3,8 +3,9 @@
 Everything here is purely combinatorial: a simplex is a finite set of labels,
 a complex is a downward closed family of simplices given by its facets, and a
 relative complex is a pair K \\ L with L a subcomplex of K containing no facet
-of K.  The module provides joins, barycentric subdivision (the complex of
-flags of non-empty faces), and stars and links (absolute and relative).
+of K.  Both store facets only; face sets are derived on first use.  The
+module provides joins, barycentric subdivision (the complex of flags of
+non-empty faces), and stars and links (absolute and relative).
 
 Conventions for degenerate complexes matter throughout and are fixed here:
 
@@ -15,7 +16,7 @@ Conventions for degenerate complexes matter throughout and are fixed here:
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from typing import Dict, FrozenSet, Iterable, Iterator, Tuple
+from typing import FrozenSet, Iterable, Iterator, Optional, Tuple
 
 from .labels import Label, LabelLike, as_label, bary
 
@@ -135,27 +136,20 @@ EMPTY = Simplex(())
 
 
 class SimplicialComplex:
-    """A finite simplicial complex, stored as facets plus an eager face index.
+    """A finite simplicial complex, stored as its facets.
 
-    The face index maps every face (the empty one included) to the facets
-    containing it.  Instances are immutable by discipline; all derived data
-    is computed at construction.
+    The face set (the empty face included) is derived from the facets on
+    first use and kept.  Instances are immutable by discipline.
     """
 
-    __slots__ = ("facets", "_index", "_hash")
+    __slots__ = ("facets", "_faces", "_hash")
 
     def __init__(self, facets: Iterable[Simplex], _absorb: bool = True):
         fs = sorted(set(facets), key=lambda s: s.key)
         if _absorb:
             fs = [f for f in fs if not any(f < g for g in fs)]
         self.facets: Tuple[Simplex, ...] = tuple(fs)
-        index: Dict[Simplex, list] = {}
-        for f in self.facets:
-            for face in f.faces():
-                index.setdefault(face, []).append(f)
-        self._index: Dict[Simplex, Tuple[Simplex, ...]] = {
-            face: tuple(owners) for face, owners in index.items()
-        }
+        self._faces: Optional[FrozenSet[Simplex]] = None
         self._hash = hash(self.facets)
 
     # -- basic queries ---------------------------------------------------
@@ -165,16 +159,18 @@ class SimplicialComplex:
         return not self.facets
 
     def faces(self) -> FrozenSet[Simplex]:
-        return frozenset(self._index)
+        if self._faces is None:
+            self._faces = frozenset(face for f in self.facets for face in f.faces())
+        return self._faces
 
     def __contains__(self, s: Simplex) -> bool:
-        return s in self._index
+        return s in self.faces()
 
     def __iter__(self) -> Iterator[Simplex]:
-        return iter(sorted(self._index, key=lambda s: s.key))
+        return iter(sorted(self.faces(), key=lambda s: s.key))
 
     def facets_containing(self, s: Simplex) -> Tuple[Simplex, ...]:
-        return self._index.get(s, ())
+        return tuple(f for f in self.facets if s <= f)
 
     @property
     def dim(self) -> int:
@@ -186,24 +182,21 @@ class SimplicialComplex:
     def f_vector(self) -> Tuple[int, ...]:
         """Counts of faces by dimension, starting at dimension 0."""
         counts = [0] * (self.dim + 1) if self.dim >= 0 else []
-        for s in self._index:
+        for s in self.faces():
             if not s.is_empty:
                 counts[s.dim] += 1
         return tuple(counts)
 
     def euler(self) -> int:
         """Euler characteristic, summed over non-empty faces."""
-        return sum((-1) ** s.dim for s in self._index if not s.is_empty)
+        return sum((-1) ** s.dim for s in self.faces() if not s.is_empty)
 
     def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
         return all(f in other for f in self.facets)
 
     def restrict(self, keep: Iterable[Simplex]) -> "SimplicialComplex":
         """Subcomplex generated by the given faces of this complex."""
-        gens = [s for s in keep if s in self._index]
-        if not gens:
-            return void_complex()
-        return SimplicialComplex(gens)
+        return SimplicialComplex([s for s in keep if s in self])
 
     def __hash__(self) -> int:
         return self._hash
@@ -263,8 +256,8 @@ class RelativeComplex:
 
     Facets of K lying in L are deleted from both sides at construction, so
     the invariant holds for every instance.  The faces of the relative
-    complex are the faces of K not in L; the empty simplex is a face exactly
-    when L is void.
+    complex are the faces of K not in L, derived on first use; the empty
+    simplex is a face exactly when L is void.
     """
 
     __slots__ = ("ambient", "missing", "_faces")
@@ -290,9 +283,11 @@ class RelativeComplex:
             raise ValueError("missing part must be a subcomplex of the ambient complex")
         self.ambient = ambient
         self.missing = missing
-        self._faces = frozenset(ambient.faces() - missing.faces())
+        self._faces: Optional[FrozenSet[Simplex]] = None
 
     def faces(self) -> FrozenSet[Simplex]:
+        if self._faces is None:
+            self._faces = self.ambient.faces() - self.missing.faces()
         return self._faces
 
     @property
@@ -301,10 +296,10 @@ class RelativeComplex:
 
     @property
     def has_empty_face(self) -> bool:
-        return EMPTY in self._faces
+        return EMPTY in self.faces()
 
     def euler(self) -> int:
-        return sum((-1) ** s.dim for s in self._faces if not s.is_empty)
+        return sum((-1) ** s.dim for s in self.faces() if not s.is_empty)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -348,16 +343,11 @@ def barycentric_complex(k: SimplicialComplex) -> SimplicialComplex:
     """The complex of flags of non-empty faces of k.
 
     Vertices are barycenter labels of the non-empty faces; facets are the
-    maximal flags, one per ordering of each facet's vertices.
+    maximal flags, one per ordering of each facet's vertices.  The void
+    complex and the empty complex {∅} are their own subdivisions.
     """
-    if k.is_void:
-        return void_complex()
-    if k.facets == (EMPTY,):
-        return empty_complex()
     flags = set()
     for f in k.facets:
-        if f.is_empty:
-            continue
         for perm in permutations(f.vertices):
             chain = [bary(perm[: i + 1]) for i in range(len(perm))]
             flags.add(Simplex(chain))

@@ -112,12 +112,6 @@ def _slice(entries: Sequence[Entry], j: int) -> Tuple[Tuple[Entry, ...], Tuple[E
     return rest[:j], rest[j:]
 
 
-def _lift(v: Label) -> Callable[[Label], Label]:
-    """Label map pushing tiles of a subdivided link into the subdivided
-    star: each barycenter label absorbs the linked vertex."""
-    return lambda lab: bary(lab.members + (v,))
-
-
 def _cone_block(apex: Label, tiles: Sequence[MorseTile], deprive: int) -> List[MorseTile]:
     return [cone_tile(apex, t, dotted=i < deprive) for i, t in enumerate(tiles)]
 
@@ -140,23 +134,26 @@ def _strip_empty(tiles: List[MorseTile]) -> List[MorseTile]:
     return out
 
 
-def _shell_entries_tile(entries: Sequence[Entry]) -> List[MorseTile]:
-    """Shell the subdivision of a single tile given as (vertex, role) pairs."""
+def _shell_entries_tile(
+    entries: Sequence[Entry], walked: Tuple[Label, ...] = ()
+) -> List[MorseTile]:
+    """Shell the subdivision of a single tile given as (vertex, role) pairs;
+    every barycenter also absorbs the vertices already ``walked``."""
     if not entries:
         return []
     if len(entries) == 1:
         v, role = entries[0]
-        return [vertex_tile(bary([v]), open_=role != CLOSED)]
+        return [vertex_tile(bary((v,) + walked), open_=role != CLOSED)]
     heads = [e for e in entries if e[1] == CLOSED] or [e for e in entries if e[1] == OPEN]
     if heads:
         rest = tuple(e for e in entries if e != heads[0])
-        return _shell_entries_join(heads[:1], rest)[0]
+        return _shell_entries_join(heads[:1], rest, walked)[0]
     # dotted simplex: shell the closed simplex, then remove the empty face
-    return _strip_empty(_shell_entries_tile(tuple((v, CLOSED) for v, _ in entries)))
+    return _strip_empty(_shell_entries_tile(tuple((v, CLOSED) for v, _ in entries), walked))
 
 
 def _shell_entries_join(
-    left: Sequence[Entry], right: Sequence[Entry]
+    left: Sequence[Entry], right: Sequence[Entry], walked: Tuple[Label, ...] = ()
 ) -> Tuple[List[MorseTile], int]:
     """Shell sd(T ∗ T′) walking the vertices of T first.
 
@@ -164,21 +161,22 @@ def _shell_entries_join(
     stars of the barycenters of T's vertices.  Each vertex contributes the
     cone over a recursively shelled link, deprived of its base over the part
     of the link lying in earlier stars.  Either side may be empty: the other
-    tile is then shelled alone, all of it in the segment when it is T.
+    tile is then shelled alone, all of it in the segment when it is T.  The
+    link is shelled with the vertex added to ``walked``, so its barycenters
+    come out labeled as in the star.
     """
     if not right:
-        tiles = _shell_entries_tile(left)
+        tiles = _shell_entries_tile(left, walked)
         return tiles, len(tiles)
     if not left:
-        return _shell_entries_tile(right), 0
+        return _shell_entries_tile(right, walked), 0
     left = _regroup(left)
     entries = left + _regroup(right)
     tiles: List[MorseTile] = []
     prefix = 0
     for j, (vj, _) in enumerate(entries):
-        block, bpre = _shell_entries_join(*_slice(entries, j))
-        lift = _lift(vj)
-        tiles.extend(_cone_block(bary([vj]), [t.relabel(lift) for t in block], bpre))
+        block, bpre = _shell_entries_join(*_slice(entries, j), walked + (vj,))
+        tiles.extend(_cone_block(bary((vj,) + walked), block, bpre))
         if j < len(left):
             prefix = len(tiles)
     if any(role != CLOSED for _, role in entries):

@@ -141,21 +141,39 @@ def _face_key(s: Simplex) -> str:
 def _face_from_key(key) -> Simplex:
     if isinstance(key, str):
         return Simplex(key.split())
-    return Simplex(key)
+    if isinstance(key, list) and all(isinstance(v, str) for v in key):
+        return Simplex(key)
+    raise ValueError(f"Morse face {json.dumps(key)} is neither a string nor an array of names")
+
+
+def _morse_value(key: str, raw) -> Fraction:
+    """A value of a Morse file; a malformed numeral keeps Fraction's message."""
+    if isinstance(raw, (str, int, float)):
+        try:
+            return Fraction(raw)
+        except (ZeroDivisionError, OverflowError):
+            pass
+    raise ValueError(f"Morse value {json.dumps(raw)} on {key!r} is not a finite number")
 
 
 def load_morse_json(text: str, k: SimplicialComplex) -> DiscreteMorseFunction:
     data = json.loads(text)
-    if "pairs" in data:
-        pairs = [
-            (_face_from_key(p[0]), _face_from_key(p[1])) for p in data["pairs"]
-        ]
-        return dmf_from_matching(k, pairs)
-    if "values" not in data:
+    if not isinstance(data, dict) or not ("pairs" in data or "values" in data):
         raise ValueError('Morse JSON needs "values" or "pairs"')
+    if "pairs" in data:
+        if not isinstance(data["pairs"], list):
+            raise ValueError('Morse "pairs" must be an array of [face, coface] pairs')
+        pairs = []
+        for p in data["pairs"]:
+            if not isinstance(p, list) or len(p) != 2:
+                raise ValueError(f"Morse pair {json.dumps(p)} is not a [face, coface] array")
+            pairs.append((_face_from_key(p[0]), _face_from_key(p[1])))
+        return dmf_from_matching(k, pairs)
+    if not isinstance(data["values"], dict):
+        raise ValueError('Morse "values" must be an object from faces to numbers')
     values: Dict[Simplex, Fraction] = {}
     for key, raw in data["values"].items():
-        values[_face_from_key(key)] = Fraction(raw)
+        values[_face_from_key(key)] = _morse_value(key, raw)
     return DiscreteMorseFunction(values)
 
 
@@ -191,6 +209,10 @@ def tile_to_json(t: MorseTile) -> dict:
 
 
 def tile_from_json(data: dict) -> MorseTile:
+    if "facet" not in data:
+        raise ValueError(f'tile record {json.dumps(data)} has no "facet"')
+    if not isinstance(data.get("ridges", []), list):
+        raise ValueError(f'tile record {json.dumps(data)} has "ridges" that are not an array')
     underlying = simplex_from_json(data["facet"])
     ridges = frozenset(simplex_from_json(r) for r in data.get("ridges", ()))
     raw = data.get("morse_face")
@@ -223,6 +245,19 @@ def tiling_to_lines(t: Tiling, depth: int, census: Census) -> List[str]:
     return lines
 
 
+def _summary_from_json(data) -> dict:
+    """The summary record, checked for the shape of the fields read back."""
+    if not (
+        isinstance(data, dict)
+        and isinstance(data.get("depth", 0), int)
+        and isinstance(data.get("census", {}), dict)
+    ):
+        raise ValueError(
+            f"summary {json.dumps(data)} is not an object with an integer depth and a census object"
+        )
+    return data
+
+
 def tiling_from_lines(lines: Sequence[str]) -> Tuple[List[MorseTile], dict, bool]:
     """Parse tile lines and the summary; also report checksum validity."""
     tiles: List[MorseTile] = []
@@ -233,8 +268,10 @@ def tiling_from_lines(lines: Sequence[str]) -> Tuple[List[MorseTile], dict, bool
         if not line:
             continue
         data = json.loads(line)
+        if not isinstance(data, dict):
+            raise ValueError(f"tiling line {line!r} is not a JSON object")
         if "summary" in data:
-            summary = data["summary"]
+            summary = _summary_from_json(data["summary"])
         else:
             tiles.append(tile_from_json(data))
             tile_lines.append(line)

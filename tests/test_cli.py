@@ -160,3 +160,53 @@ def test_json_facet_with_a_repeated_vertex_exits_one(tmp_path, capsys, part):
     assert capsys.readouterr().err == (
         f'error: cannot parse complex {path}: facet ["a", "a", "b"] repeats a vertex\n'
     )
+
+
+MALFORMED_MORSE = [
+    ('"pairs"', 'Morse JSON needs "values" or "pairs"'),
+    ('{"pairs": 5}', 'Morse "pairs" must be an array'),
+    ('{"pairs": [["a"]]}', 'Morse pair ["a"] is not'),
+    ('{"values": []}', 'Morse "values" must be an object'),
+    ('{"values": {"a": null}}', "Morse value null on 'a'"),
+]
+
+
+@pytest.mark.parametrize("command", ["morse", "shell-sd2"])
+@pytest.mark.parametrize(
+    "content, fragment", MALFORMED_MORSE,
+    ids=["string", "pairs-number", "short-pair", "values-array", "null-value"],
+)
+def test_malformed_morse_file_exits_one(circle_file, tmp_path, capsys, command, content, fragment):
+    fpath = tmp_path / "f.json"
+    fpath.write_text(content)
+    if command == "morse":
+        argv = ["morse", str(circle_file), "load", "--function", str(fpath)]
+    else:
+        argv = ["shell-sd2", str(circle_file), "--morse", str(fpath)]
+    assert run(argv + ["-o", "/dev/null"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err
+
+
+@pytest.mark.parametrize(
+    "line, fragment",
+    [
+        ("{}", 'tile record {} has no "facet"'),
+        ("[1]", "tiling line '[1]' is not a JSON object"),
+        ('"x"', "tiling line '\"x\"' is not a JSON object"),
+        ('{"facet": ["a"], "ridges": 5}', '"ridges" that are not an array'),
+        ('{"summary": 5}', "summary 5 is not an object"),
+    ],
+    ids=["no-facet", "array", "string", "ridges-number", "summary-number"],
+)
+def test_malformed_tiling_line_exits_one(circle_file, tmp_path, capsys, line, fragment):
+    out = tmp_path / "t.jsonl"
+    assert run(["shell-sd2", str(circle_file), "-o", str(out)]) == 0
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(out.read_text() + line + "\n")
+    capsys.readouterr()
+    assert run(["verify", str(circle_file), "--tiling", str(bad), "-o", "/dev/null"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err
