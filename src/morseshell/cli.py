@@ -151,7 +151,7 @@ def cmd_verify(args) -> int:
     depth = int(summary.get("depth", 0))
     space = _subdivide(s, depth)
     tiling = Tiling(space, tuple(tiles))
-    cert = verify_tiling(space, tiling, strong=args.strong)
+    cert = verify_tiling(space, tiling, strong=args.strong, homology_of=s)
     recorded = {int(k): v for k, v in summary.get("census", {}).items()}
     census_ok = recorded == cert.census.critical and summary.get("tiles") == len(tiles)
     if not checksum_ok:

@@ -16,7 +16,7 @@ Conventions for degenerate complexes matter throughout and are fixed here:
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from typing import FrozenSet, Iterable, Iterator, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from .labels import Label, LabelLike, as_label, bary
 
@@ -160,7 +160,14 @@ class SimplicialComplex:
 
     def faces(self) -> FrozenSet[Simplex]:
         if self._faces is None:
-            self._faces = frozenset(face for f in self.facets for face in f.faces())
+            # facets share faces: dedupe the vertex tuples, then build each
+            # face once
+            keys = set()
+            for f in self.facets:
+                vs = f.vertices
+                for r in range(len(vs) + 1):
+                    keys.update(combinations(vs, r))
+            self._faces = frozenset(map(_simplex, keys))
         return self._faces
 
     def __contains__(self, s: Simplex) -> bool:
@@ -192,7 +199,9 @@ class SimplicialComplex:
         return sum((-1) ** s.dim for s in self.faces() if not s.is_empty)
 
     def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
-        return all(f in other for f in self.facets)
+        """Every facet lies under a facet of other; no face set is derived."""
+        under = _under_facets(other)
+        return all(under(f) for f in self.facets)
 
     def restrict(self, keep: Iterable[Simplex]) -> "SimplicialComplex":
         """Subcomplex generated by the given faces of this complex."""
@@ -206,6 +215,23 @@ class SimplicialComplex:
 
     def __repr__(self) -> str:
         return f"SimplicialComplex({len(self.facets)} facets, dim {self.dim})"
+
+
+def _under_facets(k: SimplicialComplex) -> Callable[[Simplex], bool]:
+    """Face membership in k from its facets alone: s is a face of k iff it
+    lies under some facet, looked up among the facets through s's first
+    vertex."""
+    by_vertex: Dict[Label, List[Simplex]] = {}
+    for f in k.facets:
+        for v in f.vertices:
+            by_vertex.setdefault(v, []).append(f)
+
+    def under(s: Simplex) -> bool:
+        if s.is_empty:
+            return not k.is_void
+        return any(s <= f for f in by_vertex.get(s.vertices[0], ()))
+
+    return under
 
 
 def void_complex() -> SimplicialComplex:
@@ -255,7 +281,8 @@ class RelativeComplex:
     """A pair K \\ L with L ⊆ K a subcomplex containing no facet of K.
 
     Facets of K lying in L are deleted from both sides at construction, so
-    the invariant holds for every instance.  The faces of the relative
+    the invariant holds for every instance.  Construction tests faces
+    against facets only and derives no face set.  The faces of the relative
     complex are the faces of K not in L, derived on first use; the empty
     simplex is a face exactly when L is void.
     """
@@ -266,7 +293,8 @@ class RelativeComplex:
         if missing is None:
             missing = void_complex()
         while True:
-            shared = {f for f in ambient.facets if f in missing}
+            in_missing = _under_facets(missing)
+            shared = {f for f in ambient.facets if in_missing(f)}
             if not shared:
                 break
             rim = [r for f in shared for r in f.ridges()]
@@ -287,7 +315,10 @@ class RelativeComplex:
 
     def faces(self) -> FrozenSet[Simplex]:
         if self._faces is None:
-            self._faces = self.ambient.faces() - self.missing.faces()
+            if self.missing.is_void:
+                self._faces = self.ambient.faces()
+            else:
+                self._faces = self.ambient.faces() - self.missing.faces()
         return self._faces
 
     @property

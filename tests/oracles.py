@@ -8,7 +8,9 @@ links, double-star intersections) spells out by brute force the
 identifications the engine's label transports realize.  The Morse-layer
 oracles are the all-pairs scans the face-incidence table in
 ``morseshell.morse`` replaced, and ``gf2_rank`` is textbook row reduction
-of a dense 0/1 matrix.
+of a dense 0/1 matrix.  The reference verifier at the end is the certifier
+on ``Simplex`` face sets and the engine's tile calculus (``classify``,
+``MorseTile.faces``, ``tile_class``) that ``morseshell.verify`` replaced.
 """
 import heapq
 from fractions import Fraction
@@ -27,10 +29,11 @@ from morseshell.complexes import (
     star_complex,
     void_complex,
 )
-from morseshell.engine import Tiling
+from morseshell.engine import Census, Tiling
 from morseshell.labels import Label, bary
 from morseshell.morse import DiscreteMorseFunction, ValidationReport
-from morseshell.tiles import MorseTile
+from morseshell.tiles import MorseTile, NotAMorseTileError, classify
+from morseshell.verify import Certificate, mod2_betti
 
 
 def faces_of(simplex):
@@ -428,3 +431,96 @@ def gf2_rank(columns: Sequence[int]) -> int:
                 rows[r] = [x ^ y for x, y in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+# -- reference verifier -------------------------------------------------------
+
+
+def critical_census_oracle(t: Tiling) -> Census:
+    """Counts of critical tiles by index, regular tiles aside."""
+    census = Census()
+    for tile in t.tiles:
+        try:
+            cls = tile.tile_class()
+        except NotAMorseTileError:
+            continue
+        if cls.is_critical:
+            census.critical[cls.index] = census.critical.get(cls.index, 0) + 1
+        else:
+            census.regular += 1
+    return census
+
+
+def check_tiles_oracle(cert: Certificate, s: RelativeComplex, t: Tiling) -> None:
+    """Partition, shelling and tile-shape checks, plus the tile census."""
+    faces = s.faces()
+    ambient_facets = set(s.ambient.facets)
+    missing_faces = s.missing.faces()
+
+    owner: Dict[Simplex, int] = {}
+    for p, tile in enumerate(t.tiles):
+        if tile.underlying not in ambient_facets:
+            cert._fail("partition_ok", p, "tile not anchored at an ambient facet", tile.underlying)
+            continue
+        try:
+            classify(tile.underlying, tile.missing_faces())
+        except NotAMorseTileError as err:
+            cert._fail("tiles_ok", p, f"not a Morse tile: {err}", tile.underlying)
+        for face in tile.faces():
+            if face not in faces:
+                cert._fail("partition_ok", p, "tile claims a face outside the complex", face)
+            elif face in owner:
+                cert._fail("partition_ok", p, f"face also owned by tile {owner[face]}", face)
+            else:
+                owner[face] = p
+    for face in sorted(faces - set(owner), key=lambda f: f.key):
+        cert._fail("partition_ok", None, "face not covered by any tile", face)
+
+    for p, tile in enumerate(t.tiles):
+        for face in tile.underlying.faces():
+            if face in missing_faces:
+                continue
+            q = owner.get(face)
+            if q is None or q > p:
+                cert._fail("shelling_ok", p, "closure face owned later or never", face)
+                break
+
+    cert.census = critical_census_oracle(t)
+
+
+def check_homology_oracle(cert: Certificate, s: RelativeComplex) -> None:
+    """The census against the Euler characteristic of s and, for an
+    absolute s, against its mod-2 Betti numbers."""
+    signed = cert.census.signed_count()
+    if signed != s.euler():
+        cert._fail("euler_ok", None, f"signed census {signed} != Euler {s.euler()}", None)
+    if s.is_absolute and not s.ambient.is_void:
+        for k, b in enumerate(mod2_betti(s.ambient)):
+            n = cert.census.critical.get(k, 0)
+            if n < b:
+                cert._fail("morse_inequalities_ok", None, f"census[{k}] = {n} < betti {b}", None)
+
+
+def strong_condition_oracle(s: RelativeComplex, t: Tiling) -> bool:
+    """Unions of tiles of dimension > d are relative subcomplexes, for all d."""
+    dims = sorted({tile.dim for tile in t.tiles})
+    for d in dims:
+        covered = set()
+        for tile in t.tiles:
+            if tile.dim > d:
+                covered.update(tile.faces())
+        for face in covered:
+            for sub in face.faces():
+                if sub not in covered and sub in s.faces():
+                    return False
+    return True
+
+
+def verify_tiling_oracle(s: RelativeComplex, t: Tiling, strong: bool = False) -> Certificate:
+    """The reference certificate of t against s."""
+    cert = Certificate()
+    check_tiles_oracle(cert, s, t)
+    check_homology_oracle(cert, s)
+    if strong:
+        cert.strong_ok = strong_condition_oracle(s, t)
+    return cert

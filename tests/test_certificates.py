@@ -1,0 +1,252 @@
+"""Certificates of the face-key verifier.
+
+The verifier in ``morseshell.verify`` keys faces by vertex tuples and
+re-derives tile shapes by a rule of its own.  Here it is held against the
+reference verifier in ``oracles`` on honest and mutated tilings, its
+failures are checked to be deterministic, and the ``verify`` command is
+checked to reject each kind of broken tiling by naming the tile.
+"""
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+from random import Random
+
+import pytest
+
+from oracles import all_tiles_on, basic_tiles_on, critical_census_oracle, verify_tiling_oracle
+
+import morseshell.cli as cli
+import morseshell.verify as verify
+from morseshell.catalog import boundary_sphere, cone_over_circle, moebius_torus, two_triangles
+from morseshell.cli import run
+from morseshell.complexes import RelativeComplex, Simplex, make_complex
+from morseshell.engine import Tiling, shell_sd2_from_dmf, shell_sd_join
+from morseshell.morse import greedy_collapse_dmf, trivial_dmf
+from morseshell.serial import dump_complex_text, simplex_from_json
+from morseshell.tiles import MorseTile
+from morseshell.verify import critical_census, verify_tiling
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+# -- agreement with the reference verifier -------------------------------------
+
+
+def _join_pairs():
+    """The criterion-3 pairs: basic T on Δᵃ, Morse T′ on Δᵇ, a + b ≤ 3."""
+    for da in range(4):
+        left = Simplex("wxyz"[: da + 1])
+        for db in range(4 - da):
+            right = Simplex("pqrs"[: db + 1])
+            for t in basic_tiles_on(left):
+                for tp in all_tiles_on(right):
+                    yield t, tp
+
+
+def _mutations(tiling):
+    """The tiling itself and six broken variants of it."""
+    tiles = list(tiling.tiles)
+    k = len(tiles) // 2
+
+    def variant(change):
+        changed = list(tiles)
+        change(changed)
+        return Tiling(tiling.space, tuple(changed))
+
+    def flip(ts):
+        t = ts[k]
+        ridges = set(t.missing_ridges) ^ {t.underlying.ridges()[0]}
+        ts[k] = MorseTile(t.underlying, frozenset(ridges), t.morse_face, t.anchor)
+
+    def swap(ts):
+        ts[0], ts[1] = ts[1], ts[0]
+
+    def drop(ts):
+        del ts[k]
+
+    def claim(ts):
+        ts[-1] = MorseTile(ts[-1].underlying, frozenset())
+
+    def foreign(ts):
+        ts.append(MorseTile(Simplex(["f1", "f2", "f3"]), frozenset()))
+
+    out = {"honest": tiling, "flip": variant(flip), "drop": variant(drop),
+           "claim": variant(claim), "foreign": variant(foreign)}
+    if len(tiles) > 1:
+        out["swap"] = variant(swap)
+    closed = [i for i, t in enumerate(tiles) if t.is_closed and t.dim >= 2]
+    if closed:
+        i = closed[0]
+
+        def incomparable(ts):
+            t = ts[i]
+            a, b = t.underlying.vertices[:2]
+            ts[i] = MorseTile(t.underlying, t.missing_ridges | {Simplex([a]), Simplex([b])})
+
+        out["incomparable"] = variant(incomparable)
+    return out
+
+
+def _summary(cert):
+    return (
+        cert.partition_ok, cert.shelling_ok, cert.tiles_ok, cert.euler_ok,
+        cert.morse_inequalities_ok, cert.strong_ok, cert.census, Counter(cert.failures),
+    )
+
+
+def _sd2(k, f):
+    tiling, _ = shell_sd2_from_dmf(k, f(k))
+    return tiling
+
+
+AGREEMENT_CASES = [
+    (f"join-{i}", lambda p=p: shell_sd_join(*p)[0])
+    for i, p in sorted(Random(8).sample(list(enumerate(_join_pairs())), 24), key=lambda c: c[0])
+] + [
+    ("circle-trivial", lambda: _sd2(boundary_sphere(1), trivial_dmf)),
+    ("cone-greedy", lambda: _sd2(cone_over_circle(), greedy_collapse_dmf)),
+    ("sphere-trivial", lambda: _sd2(boundary_sphere(2), trivial_dmf)),
+    ("two-triangles-greedy", lambda: _sd2(two_triangles(), greedy_collapse_dmf)),
+    ("edge-and-point-trivial", lambda: _sd2(make_complex([["a", "b"], ["c"]]), trivial_dmf)),
+]
+
+
+@pytest.mark.parametrize("build", [c[1] for c in AGREEMENT_CASES], ids=[c[0] for c in AGREEMENT_CASES])
+def test_certificates_agree_with_the_reference_verifier(build):
+    tiling = build()
+    for name, mutated in _mutations(tiling).items():
+        got = verify_tiling(tiling.space, mutated, strong=True)
+        want = verify_tiling_oracle(tiling.space, mutated, strong=True)
+        assert _summary(got) == _summary(want), name
+        assert got.ok == (name == "honest"), name
+        assert critical_census(mutated) == critical_census_oracle(mutated), name
+
+
+# -- the verify command on broken tilings ---------------------------------------------
+
+
+@pytest.fixture
+def sphere_run(tmp_path):
+    """The 2-sphere and its sd² tiling under the trivial function, which
+    has tiles with non-empty Morse faces, as files."""
+    source = tmp_path / "sphere.txt"
+    source.write_text(dump_complex_text(RelativeComplex(boundary_sphere(2))))
+    out = tmp_path / "t.jsonl"
+    assert run(["shell-sd2", str(source), "--morse", "trivial", "-o", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    return source, [json.loads(line) for line in lines[:-1]], lines[-1]
+
+
+def _verify_records(tmp_path, source, records, summary):
+    path = tmp_path / "tiling.jsonl"
+    lines = [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records] + [summary]
+    path.write_text("\n".join(lines) + "\n")
+    cert_path = tmp_path / "cert.json"
+    code = run(["verify", str(source), "--tiling", str(path), "-o", str(cert_path)])
+    return code, cert_path.read_bytes()
+
+
+def _named(cert, reason_start):
+    return {f["tile"] for f in json.loads(cert)["failures"] if f["reason"].startswith(reason_start)}
+
+
+def test_verify_names_a_tile_with_a_flipped_ridge(sphere_run, tmp_path):
+    source, records, summary = sphere_run
+    k = next(i for i, r in enumerate(records) if i > len(records) // 2 and r["ridges"])
+    records[k]["ridges"] = records[k]["ridges"][1:]
+    code, cert = _verify_records(tmp_path, source, records, summary)
+    assert code == 2 and not json.loads(cert)["partition_ok"]
+    assert _named(cert, "face also owned by tile") == {k}
+
+
+def test_verify_names_a_tile_swapped_before_its_dependency(sphere_run, tmp_path):
+    source, records, summary = sphere_run
+    j = next(i for i, r in enumerate(records) if r["ridges"] or r["morse_face"] is not None)
+    records[0], records[j] = records[j], records[0]
+    code, cert = _verify_records(tmp_path, source, records, summary)
+    assert code == 2 and not json.loads(cert)["shelling_ok"]
+    assert 0 in _named(cert, "closure face owned later or never")
+
+
+def test_verify_names_the_tiles_left_open_by_a_dropped_tile(sphere_run, tmp_path):
+    source, records, summary = sphere_run
+    dropped = simplex_from_json(records.pop(0)["facet"])
+    code, cert = _verify_records(tmp_path, source, records, summary)
+    cert = json.loads(cert)
+    assert code == 2 and not cert["partition_ok"] and not cert["shelling_ok"]
+    later = [f for f in cert["failures"] if f["reason"] == "closure face owned later or never"]
+    assert later and all(f["tile"] is not None for f in later)
+    assert all(simplex_from_json(f["witness"]) <= dropped for f in later)
+    uncovered = [f for f in cert["failures"] if f["reason"] == "face not covered by any tile"]
+    assert any(simplex_from_json(f["witness"]) == dropped for f in uncovered)
+
+
+def test_verify_names_a_tile_claiming_a_face_another_owns(sphere_run, tmp_path):
+    source, records, summary = sphere_run
+    k = next(i for i, r in enumerate(records) if r["morse_face"] not in (None, "empty"))
+    records[k]["morse_face"] = None
+    code, cert = _verify_records(tmp_path, source, records, summary)
+    assert code == 2 and not json.loads(cert)["partition_ok"]
+    assert _named(cert, "face also owned by tile") == {k}
+
+
+# -- determinism and the homology check of the verify command ---------------------------
+
+
+def test_verify_certificates_are_byte_identical_across_processes(tmp_path):
+    source = tmp_path / "torus.txt"
+    source.write_text(dump_complex_text(RelativeComplex(moebius_torus())))
+    out = tmp_path / "t.jsonl"
+    assert run(["shell-sd2", str(source), "-o", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    k = len(lines) // 2
+    record = json.loads(lines[k])
+    assert record["ridges"]
+    record["ridges"] = []
+    lines[k] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    command = [sys.executable, "-m", "morseshell", "verify", str(source), "--tiling", str(bad)]
+    first, second = (subprocess.run(command, capture_output=True, env=env, timeout=120) for _ in range(2))
+    assert first.returncode == second.returncode == 2
+    assert first.stdout == second.stdout
+
+    witnesses = {}
+    for failure in json.loads(first.stdout)["failures"]:
+        if failure["witness"] is not None:
+            witnesses.setdefault(failure["tile"], []).append(simplex_from_json(failure["witness"]).key)
+    assert len(witnesses[k]) > 1
+    for keys in witnesses.values():
+        assert keys == sorted(keys)
+
+
+def test_verify_command_checks_homology_on_the_loaded_complex(sphere_run, tmp_path, monkeypatch):
+    """Betti numbers come from K, not sd²(K), and the certificate bytes are
+    those of a check against sd²(K)."""
+    source, records, summary = sphere_run
+    k = boundary_sphere(2)
+    seen = []
+    original = verify.mod2_betti
+
+    def recording(space):
+        seen.append(space)
+        return original(space)
+
+    def against_the_tiled_space(s, t, strong=False, homology_of=None):
+        return verify_tiling(s, t, strong=strong)
+
+    monkeypatch.setattr(verify, "mod2_betti", recording)
+    for variant in (records, records[1:]):
+        seen.clear()
+        code, on_k = _verify_records(tmp_path, source, variant, summary)
+        assert seen == [k]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "verify_tiling", against_the_tiled_space)
+            seen.clear()
+            assert _verify_records(tmp_path, source, variant, summary) == (code, on_k)
+            assert len(seen) == 1 and len(seen[0].facets) == len(records)

@@ -93,12 +93,43 @@ def test_relative_faces_against_brute_force(depth):
     assert absolute.has_empty_face and absolute.faces() == frozenset(ambient)
 
 
-def test_construction_enumerates_no_faces(monkeypatch):
+def _forbid_faces(monkeypatch):
     def forbidden(self):
         raise AssertionError("faces enumerated at construction")
 
-    k = moebius_torus()
     monkeypatch.setattr(Simplex, "faces", forbidden)
+    monkeypatch.setattr(SimplicialComplex, "faces", forbidden)
+    monkeypatch.setattr(RelativeComplex, "faces", forbidden)
+
+
+def test_construction_enumerates_no_faces(monkeypatch):
+    k = moebius_torus()
+    _forbid_faces(monkeypatch)
     sd2 = barycentric(barycentric(RelativeComplex(k)))
     assert len(sd2.ambient.facets) == 14 * 36
     assert sd2 == barycentric(barycentric(RelativeComplex(k)))
+
+
+def test_relative_construction_derives_no_face_set(monkeypatch):
+    """Shared facets are deleted and the subcomplex test made against facets
+    alone, also when the missing part is not void."""
+    ambient = make_complex([["a", "b", "c"], ["b", "c", "d"], ["d", "e"]])
+    missing = make_complex([["b", "c", "d"], ["a", "b"], ["e"]])
+    _forbid_faces(monkeypatch)
+    s = RelativeComplex(ambient, missing)
+    # bcd goes, then its rim edges bd and cd, facets of K lying in L
+    assert s.ambient == make_complex([["a", "b", "c"], ["d", "e"]])
+    assert s.missing == make_complex([["a", "b"], ["b", "c"], ["d"], ["e"]])
+    sd = barycentric(s)
+    assert not sd.is_absolute and sd == barycentric(s)
+    for part in (s.ambient, s.missing, sd.ambient, sd.missing):
+        assert part._faces is None
+    with pytest.raises(ValueError, match="subcomplex"):
+        RelativeComplex(ambient, make_complex([["a", "d"]]))
+    with pytest.raises(ValueError, match="subcomplex"):
+        RelativeComplex(ambient, make_complex([["x"]]))
+
+
+def test_absolute_faces_are_the_ambient_face_set():
+    s = barycentric(RelativeComplex(moebius_torus()))
+    assert s.faces() is s.ambient.faces()
