@@ -134,6 +134,8 @@ def cmd_shell_sd2(args) -> int:
     s = _load_space(args.input)
     if not s.missing.is_void:
         raise UsageError("shell-sd2 expects an absolute complex")
+    if not args.morse:
+        raise UsageError("--morse needs 'trivial', 'greedy' or a Morse file")
     k = s.ambient
     f = _obtain_morse(k, args.morse, args.morse)
     tiling, _ = shell_sd2_from_dmf(k, f)

@@ -15,10 +15,11 @@ Conventions for degenerate complexes matter throughout and are fixed here:
 """
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
+from operator import or_
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
-from .labels import Label, LabelLike, as_label, bary
+from .labels import Label, LabelLike, as_label, bary, label_key
 
 __all__ = [
     "Simplex",
@@ -52,7 +53,7 @@ class Simplex:
     __slots__ = ("vertices", "_vset", "_hash")
 
     def __init__(self, vertices: Iterable[LabelLike] = ()):
-        vs = tuple(sorted({as_label(v) for v in vertices}))
+        vs = tuple(sorted({as_label(v) for v in vertices}, key=label_key))
         self.vertices = vs
         self._vset = frozenset(vs)
         self._hash = hash(vs)
@@ -93,7 +94,7 @@ class Simplex:
         return (len(self.vertices), tuple(v.key for v in self.vertices))
 
     def union(self, other: "Simplex") -> "Simplex":
-        return _simplex(tuple(sorted(self._vset | other._vset)))
+        return _simplex(tuple(sorted(self._vset | other._vset, key=label_key)))
 
     def minus(self, other: "Simplex") -> "Simplex":
         return _simplex(tuple(v for v in self.vertices if v not in other._vset))
@@ -139,10 +140,11 @@ class SimplicialComplex:
     """A finite simplicial complex, stored as its facets.
 
     The face set (the empty face included) is derived from the facets on
-    first use and kept.  Instances are immutable by discipline.
+    first use and kept, and so is the barycentric subdivision.  Instances
+    are immutable by discipline.
     """
 
-    __slots__ = ("facets", "_faces", "_hash")
+    __slots__ = ("facets", "_faces", "_sd", "_hash")
 
     def __init__(self, facets: Iterable[Simplex], _absorb: bool = True):
         fs = sorted(set(facets), key=lambda s: s.key)
@@ -150,6 +152,7 @@ class SimplicialComplex:
             fs = [f for f in fs if not any(f < g for g in fs)]
         self.facets: Tuple[Simplex, ...] = tuple(fs)
         self._faces: Optional[FrozenSet[Simplex]] = None
+        self._sd: Optional[SimplicialComplex] = None
         self._hash = hash(self.facets)
 
     # -- basic queries ---------------------------------------------------
@@ -184,7 +187,7 @@ class SimplicialComplex:
         return max((f.dim for f in self.facets), default=-2)
 
     def vertices(self) -> Tuple[Label, ...]:
-        return tuple(sorted({v for f in self.facets for v in f}))
+        return tuple(sorted({v for f in self.facets for v in f}, key=label_key))
 
     def f_vector(self) -> Tuple[int, ...]:
         """Counts of faces by dimension, starting at dimension 0."""
@@ -375,14 +378,23 @@ def barycentric_complex(k: SimplicialComplex) -> SimplicialComplex:
 
     Vertices are barycenter labels of the non-empty faces; facets are the
     maximal flags, one per ordering of each facet's vertices.  The void
-    complex and the empty complex {∅} are their own subdivisions.
+    complex and the empty complex {∅} are their own subdivisions.  The
+    result is kept on k, so it is built once per complex object.
     """
-    flags = set()
-    for f in k.facets:
-        for perm in permutations(f.vertices):
-            chain = [bary(perm[: i + 1]) for i in range(len(perm))]
-            flags.add(Simplex(chain))
-    return SimplicialComplex(tuple(flags), _absorb=False)
+    if k._sd is None:
+        flags = set()
+        for f in k.facets:
+            vs = f.vertices
+            # the barycenter of each non-empty face of f, by vertex bitmask
+            hat = {
+                mask: bary([v for i, v in enumerate(vs) if mask >> i & 1])
+                for mask in range(1, 1 << len(vs))
+            }
+            for perm in permutations([1 << i for i in range(len(vs))]):
+                chain = [hat[mask] for mask in accumulate(perm, or_)]
+                flags.add(_simplex(tuple(sorted(chain, key=label_key))))
+        k._sd = SimplicialComplex(flags, _absorb=False)
+    return k._sd
 
 
 def barycentric(s: RelativeComplex) -> RelativeComplex:

@@ -359,17 +359,23 @@ def shell_sd_relative(s: RelativeComplex, v: Label) -> Tuple[Tiling, int]:
 def _sd2_transport(sigma: Simplex) -> Callable[[Label], Label]:
     """Label map carrying tiles of sd(sd(∂σ) ∗ sd(lk_K σ)) onto the link of
     the double barycenter of σ: boundary-side barycenters keep their face,
-    link-side ones absorb σ, and every flag gains the barycenter of σ."""
+    link-side ones absorb σ, and every flag gains the barycenter of σ.  Each
+    label's image is computed once per map."""
     sigma_set = set(sigma.vertices)
     sigma_hat = bary(sigma.vertices)
+    images: Dict[Label, Label] = {}
 
     def on_model_vertex(u: Label) -> Label:
-        if set(u.members) <= sigma_set:
+        if sigma_set.issuperset(u.members):
             return u
-        return bary(set(u.members) | sigma_set)
+        return bary(sigma_set.union(u.members))
 
     def on_label(lab: Label) -> Label:
-        return bary([on_model_vertex(u) for u in lab.members] + [sigma_hat])
+        image = images.get(lab)
+        if image is None:
+            image = bary([on_model_vertex(u) for u in lab.members] + [sigma_hat])
+            images[lab] = image
+        return image
 
     return on_label
 

@@ -7,9 +7,14 @@ simplices and complexes built from them have one canonical form.
 """
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Tuple, Union
 
 __all__ = ["Label", "LabelRegistry", "atom", "bary", "as_label"]
+
+# Sort key of labels: sorting with it compares the key tuples in C, in the
+# order ``Label.__lt__`` gives.
+label_key = attrgetter("_key")
 
 
 class Label:
@@ -67,7 +72,7 @@ class LabelRegistry:
         return lab
 
     def bary(self, members: Iterable[Label]) -> Label:
-        ms = tuple(sorted(set(members)))
+        ms = tuple(sorted(set(members), key=label_key))
         if not ms:
             raise ValueError("a barycenter label wraps a non-empty set of labels")
         lab = self._barys.get(ms)

@@ -35,7 +35,6 @@ __all__ = [
     "load_complex",
     "load_morse_json",
     "dump_morse_json",
-    "tile_to_json",
     "tile_from_json",
     "tiling_to_lines",
     "tiling_from_lines",
@@ -148,7 +147,7 @@ def _face_from_key(key) -> Simplex:
 
 def _morse_value(key: str, raw) -> Fraction:
     """A value of a Morse file; a malformed numeral keeps Fraction's message."""
-    if isinstance(raw, (str, int, float)):
+    if isinstance(raw, (str, int, float)) and not isinstance(raw, bool):
         try:
             return Fraction(raw)
         except (ZeroDivisionError, OverflowError):
@@ -189,25 +188,6 @@ def dump_morse_json(f: DiscreteMorseFunction) -> str:
 # -- tiles and tilings ---------------------------------------------------------
 
 
-def tile_to_json(t: MorseTile) -> dict:
-    """Wire record of a tile, as written to tiling files."""
-    if t.morse_face is None:
-        morse = None
-    elif t.morse_face.is_empty:
-        morse = "empty"
-    else:
-        morse = simplex_to_json(t.morse_face)
-    cls = t.tile_class()
-    return {
-        "facet": simplex_to_json(t.underlying),
-        "ridges": sorted(
-            (simplex_to_json(r) for r in t.missing_ridges), key=json.dumps
-        ),
-        "morse_face": morse,
-        "class": {"critical": cls.index} if cls.is_critical else "regular",
-    }
-
-
 def tile_from_json(data: dict) -> MorseTile:
     if "facet" not in data:
         raise ValueError(f'tile record {json.dumps(data)} has no "facet"')
@@ -225,12 +205,48 @@ def tile_from_json(data: dict) -> MorseTile:
     return MorseTile(underlying, ridges, morse)
 
 
+def _label_text(lab: Label, memo: Dict[Label, str]) -> str:
+    """A label's compact JSON text, each label encoded once per ``memo``."""
+    text = memo.get(lab)
+    if text is None:
+        if lab.is_atom:
+            text = json.dumps(lab.name)
+        else:
+            text = "[" + ",".join([_label_text(m, memo) for m in lab.members]) + "]"
+        memo[lab] = text
+    return text
+
+
 def tiling_to_lines(t: Tiling, depth: int, census: Census) -> List[str]:
-    """Tile lines in shelling order plus the trailing summary record."""
-    lines = [
-        json.dumps(tile_to_json(tile), sort_keys=True, separators=(",", ":"))
-        for tile in t.tiles
-    ]
+    """Tile lines in shelling order plus the trailing summary record.
+
+    A tile line is the compact JSON object, keys sorted, of ``class``
+    (``{"critical": index}`` or ``"regular"``), ``facet``, ``morse_face``
+    (null, ``"empty"`` or a simplex) and ``ridges``, assembled from the
+    text of each distinct label, encoded once.  The ridges are in the order
+    of their JSON text with json's default ``", "`` separator, which is the
+    order of their compact text: the default text only adds a space after
+    each separating comma, and two texts first differ at the same point of
+    their structure either way (a comma inside an atom name is escaped
+    context, never a separator).
+    """
+    memo: Dict[Label, str] = {}
+
+    def text(s: Simplex) -> str:
+        return "[" + ",".join([_label_text(v, memo) for v in s.vertices]) + "]"
+
+    lines = []
+    for tile in t.tiles:
+        cls = tile.tile_class()
+        mf = tile.morse_face
+        lines.append(
+            '{"class":%s,"facet":%s,"morse_face":%s,"ridges":[%s]}' % (
+                '{"critical":%d}' % cls.index if cls.is_critical else '"regular"',
+                text(tile.underlying),
+                "null" if mf is None else '"empty"' if mf.is_empty else text(mf),
+                ",".join(sorted(map(text, tile.missing_ridges))),
+            )
+        )
     digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
     summary = {
         "summary": {
@@ -247,14 +263,11 @@ def tiling_to_lines(t: Tiling, depth: int, census: Census) -> List[str]:
 
 def _summary_from_json(data) -> dict:
     """The summary record, checked for the shape of the fields read back."""
-    if not (
-        isinstance(data, dict)
-        and isinstance(data.get("depth", 0), int)
-        and isinstance(data.get("census", {}), dict)
-    ):
-        raise ValueError(
-            f"summary {json.dumps(data)} is not an object with an integer depth and a census object"
-        )
+    if not (isinstance(data, dict) and isinstance(data.get("census", {}), dict)):
+        raise ValueError(f"summary {json.dumps(data)} is not an object with a census object")
+    depth = data.get("depth", 0)
+    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
+        raise ValueError(f"summary depth {json.dumps(depth)} is not a non-negative integer")
     return data
 
 

@@ -28,6 +28,7 @@ from .complexes import (
     RelativeComplex,
     Simplex,
     SimplicialComplex,
+    _simplex,
     closure_complex,
     void_complex,
 )
@@ -111,13 +112,13 @@ class MorseTile:
 
     def restriction_set(self) -> Simplex:
         """Face spanned by the vertices opposite to the missing ridges."""
-        opposite = []
+        opposite = set()
         for r in self.missing_ridges:
             rest = self.underlying.minus(r)
             if len(rest) != 1:
                 raise NotAMorseTileError(f"{r!r} is not a ridge of {self.underlying!r}")
-            opposite.append(rest.vertices[0])
-        return Simplex(opposite)
+            opposite.add(rest.vertices[0])
+        return _simplex(tuple(v for v in self.underlying.vertices if v in opposite))
 
     def tile_class(self) -> TileClass:
         if self.is_basic:
@@ -184,10 +185,23 @@ class MorseTile:
 
         The simplex, the missing ridges, the Morse face and the anchor are
         mapped; the empty simplex and an absent anchor stay as they are.
+        ``label_map`` is called once per vertex of the simplex and the
+        anchor, and must be injective on them; a ridge or Morse face with a
+        vertex off the simplex is a ``ValueError`` too.
         """
+        image = {v: label_map(v) for v in self.underlying.vertices}
+        if self.anchor is not None:
+            image.update((v, label_map(v)) for v in self.anchor.vertices if v not in image)
+        if len(set(image.values())) != len(image):
+            raise ValueError(f"label map is not injective on the tile on {self.underlying!r}")
+        # the vertices in the order of their images
+        order = sorted(image, key=lambda v: image[v]._key)
 
         def on(s: Simplex) -> Simplex:
-            return Simplex(label_map(v) for v in s)
+            vs = tuple(image[v] for v in order if v in s._vset)
+            if len(vs) != len(s.vertices):
+                raise ValueError(f"{s!r} is not a face of {self.underlying!r}")
+            return _simplex(vs)
 
         return MorseTile(
             on(self.underlying),

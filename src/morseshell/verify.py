@@ -353,8 +353,9 @@ def audit(
 ) -> Certificate:
     """Extended certificate for a tiling of sd²(K) built from f.
 
-    The space the tiling names must equal sd²(K), rebuilt here from K; the
-    tiles are checked against it face by face, and the Euler count and the
+    The space the tiling names must equal sd²(K) as ``barycentric`` gives
+    it from K (built once per complex object and kept); the tiles are
+    checked against it face by face, and the Euler count and the
     weak Morse inequalities against K itself.  On top of that, the
     critical-tile census must match the critical-face census of f index by
     index.

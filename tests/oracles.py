@@ -11,8 +11,12 @@ oracles are the all-pairs scans the face-incidence table in
 of a dense 0/1 matrix.  The reference verifier at the end is the certifier
 on ``Simplex`` face sets and the engine's tile calculus (``classify``,
 ``MorseTile.faces``, ``tile_class``) that ``morseshell.verify`` replaced.
+The reference encoder last is the dict-building ``tile_to_json`` plus
+``json.dumps`` that ``serial.tiling_to_lines`` replaced with per-label
+texts.
 """
 import heapq
+import json
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -32,6 +36,7 @@ from morseshell.complexes import (
 from morseshell.engine import Census, Tiling
 from morseshell.labels import Label, bary
 from morseshell.morse import DiscreteMorseFunction, ValidationReport
+from morseshell.serial import simplex_to_json
 from morseshell.tiles import MorseTile, NotAMorseTileError, classify
 from morseshell.verify import Certificate, mod2_betti
 
@@ -524,3 +529,34 @@ def verify_tiling_oracle(s: RelativeComplex, t: Tiling, strong: bool = False) ->
     if strong:
         cert.strong_ok = strong_condition_oracle(s, t)
     return cert
+
+
+# -- reference encoder ----------------------------------------------------------
+
+
+def tile_to_json(t: MorseTile) -> dict:
+    """Wire record of a tile, as written to tiling files."""
+    if t.morse_face is None:
+        morse = None
+    elif t.morse_face.is_empty:
+        morse = "empty"
+    else:
+        morse = simplex_to_json(t.morse_face)
+    cls = t.tile_class()
+    return {
+        "facet": simplex_to_json(t.underlying),
+        "ridges": sorted(
+            (simplex_to_json(r) for r in t.missing_ridges), key=json.dumps
+        ),
+        "morse_face": morse,
+        "class": {"critical": cls.index} if cls.is_critical else "regular",
+    }
+
+
+def tile_lines_oracle(t: Tiling) -> List[str]:
+    """The tile lines of ``serial.tiling_to_lines``, one ``json.dumps`` of
+    each tile's record."""
+    return [
+        json.dumps(tile_to_json(tile), sort_keys=True, separators=(",", ":"))
+        for tile in t.tiles
+    ]

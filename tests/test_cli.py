@@ -51,6 +51,11 @@ def test_morse_load_requires_function(circle_file):
     assert run(["morse", str(circle_file), "load"]) == 1
 
 
+def test_shell_sd2_with_an_empty_morse_option_names_it(circle_file, capsys):
+    assert run(["shell-sd2", str(circle_file), "--morse", "", "-o", "/dev/null"]) == 1
+    assert capsys.readouterr().err == "error: --morse needs 'trivial', 'greedy' or a Morse file\n"
+
+
 @pytest.mark.parametrize(
     "key, error",
     [
@@ -168,13 +173,14 @@ MALFORMED_MORSE = [
     ('{"pairs": [["a"]]}', 'Morse pair ["a"] is not'),
     ('{"values": []}', 'Morse "values" must be an object'),
     ('{"values": {"a": null}}', "Morse value null on 'a'"),
+    ('{"values": {"a": true}}', "Morse value true on 'a'"),
 ]
 
 
 @pytest.mark.parametrize("command", ["morse", "shell-sd2"])
 @pytest.mark.parametrize(
     "content, fragment", MALFORMED_MORSE,
-    ids=["string", "pairs-number", "short-pair", "values-array", "null-value"],
+    ids=["string", "pairs-number", "short-pair", "values-array", "null-value", "bool-value"],
 )
 def test_malformed_morse_file_exits_one(circle_file, tmp_path, capsys, command, content, fragment):
     fpath = tmp_path / "f.json"
@@ -197,8 +203,10 @@ def test_malformed_morse_file_exits_one(circle_file, tmp_path, capsys, command, 
         ('"x"', "tiling line '\"x\"' is not a JSON object"),
         ('{"facet": ["a"], "ridges": 5}', '"ridges" that are not an array'),
         ('{"summary": 5}', "summary 5 is not an object"),
+        ('{"summary": {"depth": true}}', "summary depth true is not a non-negative integer"),
+        ('{"summary": {"depth": -1}}', "summary depth -1 is not a non-negative integer"),
     ],
-    ids=["no-facet", "array", "string", "ridges-number", "summary-number"],
+    ids=["no-facet", "array", "string", "ridges-number", "summary-number", "bool-depth", "negative-depth"],
 )
 def test_malformed_tiling_line_exits_one(circle_file, tmp_path, capsys, line, fragment):
     out = tmp_path / "t.jsonl"

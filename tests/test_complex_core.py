@@ -190,6 +190,15 @@ def test_sd_facet_counts_match_permutation_oracle():
     assert len(twice.facets) == oracle * oracle
 
 
+def test_sd_of_equal_complexes_is_equal_and_kept_per_object():
+    one, two = triangle(), triangle()
+    assert one == two and one is not two
+    sd_one = barycentric_complex(one)
+    assert barycentric_complex(two) == sd_one
+    assert barycentric_complex(one) is sd_one
+    assert barycentric_complex(barycentric_complex(two)) == barycentric_complex(sd_one)
+
+
 def _fubini(n, _cache={0: 1}):
     # ordered set partitions: number of flags topped by an n-set
     if n not in _cache:

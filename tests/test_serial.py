@@ -1,0 +1,45 @@
+"""The tiling line encoder against the reference encoder in ``oracles``.
+
+``tiling_to_lines`` assembles each tile line from per-label texts and sorts
+the ridges by their compact text; the reference builds each tile's record
+as a dict and sorts the ridges by ``json.dumps`` with its default ``", "``
+separator.  Atom names holding commas, quotes, backslashes, spaces and
+non-ASCII characters put escapes and in-name commas where separators sit
+in other labels, so a wrong ridge order or escape shows here.
+"""
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from morseshell.engine import shell_sd2_from_dmf
+from morseshell.morse import greedy_collapse_dmf, trivial_dmf
+from morseshell.serial import load_complex_json, tiling_to_lines
+
+from oracles import tile_lines_oracle
+
+ODD_NAMES = ["a,b", "a, b", '", "', 'q"x', "back\\slash", "sp ace", "ü", "日本", "a,!", "a"]
+
+
+def assert_lines_match_the_reference(facets, dmf):
+    k = load_complex_json(json.dumps({"facets": facets})).ambient
+    tiling, census = shell_sd2_from_dmf(k, dmf(k))
+    lines = tiling_to_lines(tiling, 2, census)
+    assert lines[:-1] == tile_lines_oracle(tiling)
+    assert len(lines) == len(tiling.tiles) + 1
+
+
+def test_lines_match_the_reference_on_odd_atom_names():
+    n = ODD_NAMES
+    sphere = [[n[i], n[j], n[k]] for i, j, k in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))]
+    fan = [[n[4], n[5], n[6]], [n[4], n[6], n[7]], [n[7], n[8]], [n[8], n[9]]]
+    for facets in (sphere, fan):
+        for dmf in (trivial_dmf, greedy_collapse_dmf):
+            assert_lines_match_the_reference(facets, dmf)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.text(alphabet=',"\\ !abé\x1f[]', min_size=1, max_size=4),
+                min_size=3, max_size=3, unique=True))
+def test_lines_match_the_reference_on_generated_atom_names(names):
+    assert_lines_match_the_reference([names, names[:2] + ["c"]], trivial_dmf)

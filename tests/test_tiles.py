@@ -1,6 +1,12 @@
 import pytest
 
-from oracles import all_subcomplex_missing_sets, all_tiles_on, covered_faces, missing_closure
+from oracles import (
+    all_subcomplex_missing_sets,
+    all_tiles_on,
+    covered_faces,
+    missing_closure,
+    tile_to_json,
+)
 
 from morseshell.complexes import EMPTY, Simplex, barycentric_complex, make_complex, star_link
 from morseshell.labels import atom
@@ -29,6 +35,21 @@ def s(*labels):
 
 def simplex_of_dim(n, offset=0):
     return Simplex(LABELS[offset : offset + n + 1])
+
+
+# -- relabel --------------------------------------------------------------------
+
+
+def test_relabel_reorders_by_the_images_and_rejects_a_bad_map_or_tile():
+    tile = MorseTile(s(a, b, c, d), frozenset([s(b, c, d)]), s(a, b), s(a, b, c, d, e))
+    flip = {a: e, b: d, c: c, d: b, e: a}
+    moved = tile.relabel(flip.__getitem__)
+    assert moved == MorseTile(s(e, d, c, b), frozenset([s(d, c, b)]), s(e, d), s(e, d, c, b, a))
+    assert all(list(x.vertices) == sorted(x.vertices) for x in (moved.underlying, moved.anchor))
+    with pytest.raises(ValueError, match="not injective"):
+        tile.relabel({a: a, b: b, c: c, d: a, e: e}.__getitem__)
+    with pytest.raises(ValueError, match="not a face"):
+        MorseTile(s(a, b), frozenset([s(c)])).relabel(flip.__getitem__)
 
 
 # -- classify -------------------------------------------------------------------
@@ -281,7 +302,7 @@ def test_euler_signature_up_to_dim_4():
 def test_tile_json_round_trip():
     import json
 
-    from morseshell.serial import tile_from_json, tile_to_json
+    from morseshell.serial import tile_from_json
 
     for tile in all_tiles_on(s(a, b, c)):
         data = json.loads(json.dumps(tile_to_json(tile), sort_keys=True))
