@@ -23,7 +23,6 @@ from .tiles import (
     cone,
     recompose,
     tile_join,
-    tile_vertex_link,
 )
 from .morse import (
     DiscreteMorseFunction,
@@ -37,7 +36,6 @@ from .morse import (
 )
 from .engine import (
     BoundaryShelling,
-    Census,
     Tiling,
     cone_shelling,
     shell_boundary_sd,
@@ -46,6 +44,6 @@ from .engine import (
     shell_sd_relative,
     shell_sd_tile,
 )
-from .verify import Certificate, audit, critical_census, mod2_betti, verify_tiling
+from .verify import Census, Certificate, audit, critical_census, mod2_betti, verify_tiling
 
 __version__ = "0.1.0"

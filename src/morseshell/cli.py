@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .complexes import RelativeComplex, SimplicialComplex, barycentric
-from .engine import Census, Tiling, shell_sd_relative, shell_sd2_from_dmf
+from .engine import Tiling, shell_sd_relative, shell_sd2_from_dmf
 from .labels import atom
 from .morse import canonicalize, greedy_collapse_dmf, trivial_dmf
 from .serial import (
@@ -35,9 +35,11 @@ from .serial import (
     tiling_from_lines,
     tiling_to_lines,
 )
-from .verify import audit, mod2_betti, verify_tiling
+from .verify import Certificate, audit, mod2_betti, verify_tiling
 
 log = logging.getLogger("morseshell")
+
+MAX_DEPTH = 2  # the deepest subdivision morseshell builds, shells or verifies
 
 
 class UsageError(Exception):
@@ -112,9 +114,15 @@ def cmd_morse(args) -> int:
     return 0
 
 
-def _emit_tiling(args, tiling: Tiling, depth: int, census: Census) -> None:
-    lines = tiling_to_lines(tiling, depth, census)
+def _emit_tiling(args, tiling: Tiling, depth: int, cert: Certificate) -> int:
+    """Write the tiling lines with the certificate's census; a failed
+    certificate also goes to stderr, with exit code 2."""
+    lines = tiling_to_lines(tiling, depth, cert.census)
     _write(args.output, "\n".join(lines) + "\n")
+    if not cert.ok:
+        sys.stderr.write(certificate_to_json(cert))
+        return 2
+    return 0
 
 
 def cmd_shell_sd(args) -> int:
@@ -123,11 +131,7 @@ def cmd_shell_sd(args) -> int:
     tiling, prefix = shell_sd_relative(s, v)
     cert = verify_tiling(tiling.space, tiling, strong=args.strong)
     log.info("star segment: %d of %d tiles", prefix, len(tiling.tiles))
-    _emit_tiling(args, tiling, 1, cert.census)
-    if not cert.ok:
-        sys.stderr.write(certificate_to_json(cert))
-        return 2
-    return 0
+    return _emit_tiling(args, tiling, 1, cert)
 
 
 def cmd_shell_sd2(args) -> int:
@@ -140,17 +144,15 @@ def cmd_shell_sd2(args) -> int:
     f = _obtain_morse(k, args.morse, args.morse)
     tiling, _ = shell_sd2_from_dmf(k, f)
     cert = audit(k, f, tiling, strong=args.strong)
-    _emit_tiling(args, tiling, 2, cert.census)
-    if not cert.ok:
-        sys.stderr.write(certificate_to_json(cert))
-        return 2
-    return 0
+    return _emit_tiling(args, tiling, 2, cert)
 
 
 def cmd_verify(args) -> int:
     s = _load_space(args.input)
     tiles, summary, checksum_ok = tiling_from_lines(_read(args.tiling).splitlines())
     depth = int(summary.get("depth", 0))
+    if depth > MAX_DEPTH:
+        raise UsageError(f"summary depth {depth} is above {MAX_DEPTH}, the deepest tiling morseshell writes")
     space = _subdivide(s, depth)
     tiling = Tiling(space, tuple(tiles))
     cert = verify_tiling(space, tiling, strong=args.strong, homology_of=s)
@@ -181,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sd", help="emit a barycentric subdivision")
     common(p)
-    p.add_argument("--depth", type=int, default=1, choices=(0, 1, 2))
+    p.add_argument("--depth", type=int, default=1, choices=range(MAX_DEPTH + 1))
     p.set_defaults(fn=cmd_sd)
 
     p = sub.add_parser("morse", help="produce or canonicalize a Morse function")

@@ -20,7 +20,7 @@ step none.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .complexes import (
@@ -35,7 +35,7 @@ from .complexes import (
     void_complex,
 )
 from .labels import Label, bary
-from .morse import DiscreteMorseFunction, canonicalize, critical_census, filtration, validate
+from .morse import DiscreteMorseFunction, canonicalize, filtration, validate
 from .tiles import (
     MorseTile,
     canonical_triple,
@@ -44,10 +44,10 @@ from .tiles import (
     tile_to_relative,
     vertex_tile,
 )
+from .verify import Census, critical_census
 
 __all__ = [
     "Tiling",
-    "Census",
     "BoundaryShelling",
     "shell_sd_join",
     "shell_sd_tile",
@@ -71,15 +71,6 @@ class Tiling:
 
     def __len__(self) -> int:
         return len(self.tiles)
-
-
-@dataclass
-class Census:
-    critical: Dict[int, int] = field(default_factory=dict)
-    regular: int = 0
-
-    def signed_count(self) -> int:
-        return sum((-1) ** k * n for k, n in self.critical.items())
 
 
 # -- join forms --------------------------------------------------------------
@@ -486,7 +477,8 @@ def shell_sd2_from_dmf(
     k: SimplicialComplex, f: DiscreteMorseFunction
 ) -> Tuple[Tiling, Census]:
     """Morse shelling of sd²(K) whose critical tiles match the critical
-    faces of f index by index.
+    faces of f index by index, with its census as the verifier counts it
+    (``verify.critical_census``); ``verify.audit`` certifies that census.
 
     The function is canonicalized if needed.  Steps of the induced
     filtration are processed in order; a critical face of dimension d adds
@@ -504,7 +496,5 @@ def shell_sd2_from_dmf(
         else:
             theta, tau = step.collapse
             tiles.extend(_collapse_step(k, theta, tau))
-    critical = critical_census(k, f)
-    census = Census(critical, len(tiles) - sum(critical.values()))
-    space = barycentric(barycentric(RelativeComplex(k)))
-    return Tiling(space, tuple(tiles)), census
+    tiling = Tiling(barycentric(barycentric(RelativeComplex(k))), tuple(tiles))
+    return tiling, critical_census(tiling)

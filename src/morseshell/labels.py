@@ -36,13 +36,6 @@ class Label:
     def key(self):
         return self._key
 
-    @property
-    def depth(self) -> int:
-        """Number of subdivision levels wrapped by this label."""
-        if self.is_atom:
-            return 0
-        return 1 + max(m.depth for m in self.members)
-
     def __lt__(self, other: "Label") -> bool:
         return self._key < other._key
 

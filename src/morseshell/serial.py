@@ -17,11 +17,11 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import EMPTY, RelativeComplex, Simplex, SimplicialComplex, make_complex, void_complex
-from .engine import Census, Tiling
+from .engine import Tiling
 from .labels import Label, atom, bary
 from .morse import DiscreteMorseFunction, dmf_from_matching
 from .tiles import MorseTile
-from .verify import Certificate
+from .verify import Census, Certificate
 
 __all__ = [
     "label_to_json",

@@ -45,7 +45,6 @@ __all__ = [
     "recompose",
     "tile_join",
     "cone",
-    "tile_vertex_link",
     "tile_to_relative",
 ]
 
@@ -131,29 +130,8 @@ class MorseTile:
             return TileClass.critical(self.order)
         return TileClass.regular()
 
-    def _is_missing(self) -> Optional[Callable[[Simplex], bool]]:
-        """Membership test for the missing closure, on faces of the simplex.
-
-        A face lies in a missing ridge exactly when it omits a vertex of the
-        restriction set, and in the Morse face's closure when it is a subset
-        of it, so no closure needs building.  None when some generator is not
-        a ridge or a face of the simplex (a malformed tile).
-        """
-        u, mf = self.underlying, self.morse_face
-        if any(len(r) != len(u) - 1 or not r <= u for r in self.missing_ridges):
-            return None
-        restriction = self.restriction_set()
-        if mf is None:
-            return lambda f: not restriction <= f
-        if not mf <= u:
-            return None
-        return lambda f: not restriction <= f or f <= mf
-
     def missing_faces(self) -> FrozenSet[Simplex]:
         """Downward closure of the missing set."""
-        is_missing = self._is_missing()
-        if is_missing is not None:
-            return frozenset(f for f in self.underlying.faces() if is_missing(f))
         out = set()
         for r in self.missing_ridges:
             out.update(r.faces())
@@ -162,11 +140,8 @@ class MorseTile:
         return frozenset(out)
 
     def faces(self) -> FrozenSet[Simplex]:
-        is_missing = self._is_missing()
-        if is_missing is None:
-            missing = self.missing_faces()
-            is_missing = missing.__contains__
-        return frozenset(f for f in self.underlying.faces() if not is_missing(f))
+        missing = self.missing_faces()
+        return frozenset(f for f in self.underlying.faces() if f not in missing)
 
     def euler_signature(self) -> int:
         """Alternating face count over non-empty faces."""
@@ -348,7 +323,7 @@ def tile_join(t: MorseTile, tp: MorseTile, anchor: Optional[Simplex] = None) -> 
 
 def vertex_tile(v: Label, open_: bool = False) -> MorseTile:
     """A closed vertex, or the open (= dotted) vertex when open_ is set."""
-    s = Simplex([v])
+    s = _simplex((v,))
     if open_:
         return MorseTile(s, frozenset([EMPTY]))
     return MorseTile(s, frozenset())
@@ -363,30 +338,13 @@ def cone(v: Label, t: MorseTile, dotted: bool = False) -> MorseTile:
     """
     if v in t.underlying:
         raise ValueError(f"apex {v!r} already a vertex of the tile")
-    apex = Simplex([v])
+    apex = _simplex((v,))
     underlying = t.underlying.union(apex)
     ridges = {r.union(apex) for r in t.missing_ridges}
     morse = None if t.morse_face is None else t.morse_face.union(apex)
     if dotted:
         ridges.add(t.underlying)
     return _normalize(MorseTile(underlying, frozenset(ridges), morse, t.anchor))
-
-
-def tile_vertex_link(t: MorseTile, v: Label) -> MorseTile:
-    """Link of a vertex inside a tile, by cases on the canonical triple.
-
-    Removing a vertex of the closed or open part leaves the other parts as
-    they are; removing a vertex of the dotted part closes the rest of it.
-    """
-    if v not in t.underlying:
-        raise ValueError(f"{v!r} is not a vertex of the tile")
-    trip = canonical_triple(t)
-    if v in trip.sigma:
-        return recompose(CanonicalTriple(trip.sigma.without(v), trip.theta, trip.tau))
-    if v in trip.theta:
-        return recompose(CanonicalTriple(trip.sigma, trip.theta.without(v), trip.tau))
-    closed = trip.sigma.union(trip.tau.without(v))
-    return recompose(CanonicalTriple(closed, trip.theta, EMPTY))
 
 
 def tile_to_relative(t: MorseTile) -> RelativeComplex:

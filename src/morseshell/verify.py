@@ -30,22 +30,36 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations, compress, repeat
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .complexes import RelativeComplex, Simplex, SimplicialComplex, barycentric
-from .engine import Census, Tiling
 from .morse import DiscreteMorseFunction, critical_census as dmf_census
 from .tiles import MorseTile
+
+if TYPE_CHECKING:
+    from .engine import Tiling
 
 Key = Tuple  # a face as its sorted tuple of vertex labels
 
 __all__ = [
+    "Census",
     "Certificate",
     "verify_tiling",
     "critical_census",
     "mod2_betti",
     "audit",
 ]
+
+
+@dataclass
+class Census:
+    """Critical tiles counted by index, and the number of regular tiles."""
+
+    critical: Dict[int, int] = field(default_factory=dict)
+    regular: int = 0
+
+    def signed_count(self) -> int:
+        return sum((-1) ** k * n for k, n in self.critical.items())
 
 
 @dataclass
@@ -353,20 +367,17 @@ def audit(
 ) -> Certificate:
     """Extended certificate for a tiling of sd²(K) built from f.
 
-    The space the tiling names must equal sd²(K) as ``barycentric`` gives
-    it from K (built once per complex object and kept); the tiles are
-    checked against it face by face, and the Euler count and the
-    weak Morse inequalities against K itself.  On top of that, the
-    critical-tile census must match the critical-face census of f index by
-    index.
+    ``verify_tiling`` checks the tiles against the space the tiling names
+    and the census against the homology of K.  On top of that, the space
+    must equal sd²(K) as ``barycentric`` gives it from K (built once per
+    complex object and kept), and the critical-tile census must match the
+    critical-face census of f index by index.
     """
-    cert = Certificate()
-    if t.space != barycentric(barycentric(RelativeComplex(k))):
-        cert._fail("partition_ok", None, "tiling names a space other than sd²(K)", None)
-    space, owner = _check_tiles(cert, t.space, t)
-    _check_homology(cert, _euler(_face_keys(k.facets)), RelativeComplex(k))
-    if strong:
-        cert.strong_ok = _strong_condition(space, owner, t)
+    s = RelativeComplex(k)
+    cert = verify_tiling(t.space, t, strong, homology_of=s)
+    if t.space != barycentric(barycentric(s)):
+        cert.partition_ok = False
+        cert.failures.insert(0, (None, "tiling names a space other than sd²(K)", None))
     expected = dmf_census(k, f)
     got = {i: n for i, n in cert.census.critical.items() if n}
     cert.census_matches_function = got == {i: n for i, n in expected.items() if n}

@@ -33,12 +33,12 @@ from morseshell.complexes import (
     star_complex,
     void_complex,
 )
-from morseshell.engine import Census, Tiling
+from morseshell.engine import Tiling
 from morseshell.labels import Label, bary
 from morseshell.morse import DiscreteMorseFunction, ValidationReport
 from morseshell.serial import simplex_to_json
 from morseshell.tiles import MorseTile, NotAMorseTileError, classify
-from morseshell.verify import Certificate, mod2_betti
+from morseshell.verify import Census, Certificate, mod2_betti
 
 
 def faces_of(simplex):

@@ -205,8 +205,9 @@ def test_malformed_morse_file_exits_one(circle_file, tmp_path, capsys, command, 
         ('{"summary": 5}', "summary 5 is not an object"),
         ('{"summary": {"depth": true}}', "summary depth true is not a non-negative integer"),
         ('{"summary": {"depth": -1}}', "summary depth -1 is not a non-negative integer"),
+        ('{"summary": {"depth": 3}}', "summary depth 3 is above 2, the deepest tiling morseshell writes"),
     ],
-    ids=["no-facet", "array", "string", "ridges-number", "summary-number", "bool-depth", "negative-depth"],
+    ids=["no-facet", "array", "string", "ridges-number", "summary-number", "bool-depth", "negative-depth", "deep-depth"],
 )
 def test_malformed_tiling_line_exits_one(circle_file, tmp_path, capsys, line, fragment):
     out = tmp_path / "t.jsonl"

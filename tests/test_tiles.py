@@ -9,6 +9,7 @@ from oracles import (
 )
 
 from morseshell.complexes import EMPTY, Simplex, barycentric_complex, make_complex, star_link
+from morseshell.engine import CLOSED, DOTTED, OPEN, _entries, _slice
 from morseshell.labels import atom
 from morseshell.tiles import (
     CanonicalTriple,
@@ -21,7 +22,6 @@ from morseshell.tiles import (
     recompose,
     tile_join,
     tile_to_relative,
-    tile_vertex_link,
     vertex_tile,
 )
 
@@ -237,22 +237,33 @@ def test_cone_criticality_law_exhaustive_up_to_dim_3():
 # -- vertex links -------------------------------------------------------------------
 
 
+def vertex_link(t, v):
+    """The link of v in t by the engine's rule: ``_slice`` at v's entry,
+    the rest regrouped into closed, open and dotted parts."""
+    entries = _entries(t)
+    j = next(i for i, (u, _) in enumerate(entries) if u is v)
+    before, after = _slice(entries, j)
+    rest = before + after
+    sigma, theta, tau = (Simplex([u for u, r in rest if r == role]) for role in (CLOSED, OPEN, DOTTED))
+    return recompose(CanonicalTriple(sigma, theta, tau))
+
+
 def test_vertex_link_in_closed_part():
     # a tile sigma * theta-open * tau-dotted, linked at a sigma-vertex
     t = recompose(CanonicalTriple(s(a, b), s(c), s(d, e)))
-    lk = tile_vertex_link(t, a)
+    lk = vertex_link(t, a)
     assert canonical_triple(lk) == CanonicalTriple(s(b), s(c), s(d, e))
 
 
 def test_vertex_link_in_open_part_of_dim_zero():
     t = recompose(CanonicalTriple(s(a, b), s(c), s(d, e)))
-    lk = tile_vertex_link(t, c)
+    lk = vertex_link(t, c)
     assert canonical_triple(lk) == CanonicalTriple(s(a, b), EMPTY, s(d, e))
 
 
 def test_vertex_link_in_dotted_part_closes_the_rest():
     t = recompose(CanonicalTriple(s(a, b), s(c), s(d, e)))
-    lk = tile_vertex_link(t, d)
+    lk = vertex_link(t, d)
     assert canonical_triple(lk) == CanonicalTriple(s(a, b, e), s(c), EMPTY)
 
 
@@ -262,7 +273,7 @@ def test_vertex_link_agrees_with_star_link_up_to_dim_4():
             rel = tile_to_relative(tile)
             for vert in tile.underlying:
                 _, lk = star_link(rel, Simplex([vert]))
-                assert tile_vertex_link(tile, vert).faces() == lk.faces()
+                assert vertex_link(tile, vert).faces() == lk.faces()
 
 
 # -- faces and Euler signatures --------------------------------------------------

@@ -1,3 +1,5 @@
+import ast
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -20,6 +22,7 @@ from morseshell.engine import Tiling, shell_sd2_from_dmf
 from morseshell.labels import atom
 from morseshell.morse import greedy_collapse_dmf, trivial_dmf
 from morseshell.tiles import MorseTile, TileClass
+from morseshell import verify
 from morseshell.verify import _gf2_rank, audit, critical_census, mod2_betti, verify_tiling
 
 from oracles import gf2_rank
@@ -252,6 +255,16 @@ def test_audit_rejects_a_tiling_of_a_relabelled_copy(circle_tiling):
     assert (None, "tiling names a space other than sd²(K)", None) in cert.failures
 
 
+def test_audit_lists_the_space_failure_first(circle_tiling):
+    k, f, _ = circle_tiling
+    copy = make_complex([["x" + v.name for v in facet] for facet in k.facets])
+    honest, _ = shell_sd2_from_dmf(copy, trivial_dmf(copy))
+    tiling = Tiling(honest.space, honest.tiles[1:])
+    cert = audit(k, f, tiling)
+    assert len(cert.failures) > 1
+    assert cert.failures[0] == (None, "tiling names a space other than sd²(K)", None)
+
+
 def test_audit_reports_each_homology_failure_once():
     k = moebius_torus()
     f = greedy_collapse_dmf(k)
@@ -264,3 +277,50 @@ def test_audit_reports_each_homology_failure_once():
     reasons = [reason for _, reason, _ in cert.failures]
     assert sum(r.startswith("signed census") for r in reasons) == 1
     assert sum("betti" in r for r in reasons) == 1
+
+
+def _run_time_engine_imports(source):
+    """Line numbers of the imports of ``morseshell.engine`` in a module of the
+    package, leaving out those under ``if TYPE_CHECKING``."""
+    tree = ast.parse(source)
+    type_only = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and ast.unparse(node.test) in ("TYPE_CHECKING", "typing.TYPE_CHECKING"):
+            type_only.update(id(sub) for stmt in node.body for sub in ast.walk(stmt))
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in type_only:
+            continue
+        if isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["morseshell" if node.level else "", node.module]))
+            targets = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        else:
+            continue
+        if "morseshell.engine" in targets:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_verify_imports_nothing_from_the_engine_at_run_time():
+    """The verifier certifies the engine's tilings, so it must not run on
+    the engine's code: only annotations under ``TYPE_CHECKING`` may name it."""
+    lines = _run_time_engine_imports(Path(verify.__file__).read_text())
+    assert lines == [], f"run-time imports from the engine on lines {lines}"
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "from .engine import Tiling",
+        "from . import engine",
+        "from morseshell.engine import Tiling",
+        "from morseshell import engine",
+        "import morseshell.engine",
+    ],
+)
+def test_engine_import_guard_sees_every_import_form(statement):
+    assert _run_time_engine_imports(f"import os\n{statement}\n") == [2]
+    guarded = f"from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    {statement}\n"
+    assert _run_time_engine_imports(guarded) == []
