@@ -37,7 +37,6 @@ from .morse import (
 from .engine import (
     BoundaryShelling,
     Tiling,
-    cone_shelling,
     shell_boundary_sd,
     shell_sd2_from_dmf,
     shell_sd_join,

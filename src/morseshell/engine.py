@@ -17,33 +17,39 @@ The second-subdivision pipeline walks a discrete Morse function's step
 filtration and extends the shelling one double star at a time; each critical
 step contributes exactly one critical tile of the same index, each collapse
 step none.
+
+Inside the engine every tile is a compact triple ``(labels, omitted,
+morse)``: the vertex labels in flag order (the outermost apex first, each
+later label one barycenter deeper), an int mask of positions whose ridge is
+missing (bit i stands for the ridge omitting ``labels[i]``; the open
+vertex's ridge ∅ is bit 0), and an int mask of the positions of the Morse
+face, -1 for a basic tile.  Coning prepends the apex and shifts both masks,
+setting bit 0 of ``omitted`` for a base-deprived cone; the only other tile
+operations are reading the (vertex, role) entries off the masks, setting the
+Morse face to a bottom segment of the flag (``_subtract``), splitting off a
+cone apex and dotting the closed tile.  ``MorseTile``s are built from the
+triples in one place, ``_tile``: once per output tile in ``_double_star``,
+and at the return of each public function.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import combinations
+from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 from .complexes import (
-    EMPTY,
     RelativeComplex,
     Simplex,
     SimplicialComplex,
+    _simplex,
     barycentric,
     barycentric_complex,
     join,
     link_complex,
-    void_complex,
 )
 from .labels import Label, bary
 from .morse import DiscreteMorseFunction, canonicalize, filtration, validate
-from .tiles import (
-    MorseTile,
-    canonical_triple,
-    cone as cone_tile,
-    tile_join,
-    tile_to_relative,
-    vertex_tile,
-)
+from .tiles import MorseTile, tile_to_relative
 from .verify import Census, critical_census
 
 __all__ = [
@@ -53,13 +59,14 @@ __all__ = [
     "shell_sd_tile",
     "shell_sd_relative",
     "shell_boundary_sd",
-    "cone_shelling",
     "shell_sd2_from_dmf",
 ]
 
 CLOSED, OPEN, DOTTED = "closed", "open", "dotted"
+_ROLE_ORDER = {CLOSED: 0, OPEN: 1, DOTTED: 2}
 Entry = Tuple[Label, str]
-Block = Tuple[Sequence[MorseTile], int]  # shelled tiles and their segment length
+Compact = Tuple[Tuple[Label, ...], int, int]  # labels, omitted-ridge mask, Morse mask
+Block = Tuple[Sequence[Compact], int]  # shelled tiles and their segment length
 
 
 @dataclass(frozen=True)
@@ -73,24 +80,95 @@ class Tiling:
         return len(self.tiles)
 
 
+# -- compact tiles -------------------------------------------------------------
+
+
+def _compact(t: MorseTile) -> Compact:
+    """A MorseTile as a compact triple over its sorted vertices."""
+    vs = t.underlying.vertices
+    theta = t.restriction_set()._vset
+    omitted = sum(1 << i for i, v in enumerate(vs) if v in theta)
+    if t.morse_face is None:
+        return vs, omitted, -1
+    mf = t.morse_face._vset
+    return vs, omitted, sum(1 << i for i, v in enumerate(vs) if v in mf)
+
+
+def _tile(t: Compact) -> MorseTile:
+    """The MorseTile of a compact triple; the only place the engine makes one."""
+    labels, omitted, morse = t
+    keys = [lab._key for lab in labels]
+    order = sorted(range(len(labels)), key=keys.__getitem__)
+    vs = tuple(labels[i] for i in order)
+    ridges = frozenset(
+        _simplex(vs[:r] + vs[r + 1:]) for r, i in enumerate(order) if omitted >> i & 1
+    )
+    if morse < 0:
+        return MorseTile(_simplex(vs), ridges)
+    morse_face = _simplex(tuple(labels[i] for i in order if morse >> i & 1))
+    return MorseTile(_simplex(vs), ridges, morse_face)
+
+
+def _cone(apex: Label, t: Compact, dotted: bool = False) -> Compact:
+    """Cone with the given apex over a tile, deprived of its base when
+    ``dotted``; a Morse face of codimension one folds into the ridges."""
+    labels, omitted, morse = t
+    if apex in labels:
+        raise ValueError(f"apex {apex!r} already a vertex of the tile")
+    omitted = omitted << 1 | dotted
+    if morse >= 0:
+        morse = morse << 1 | 1
+        if morse.bit_count() == len(labels):
+            omitted |= ((2 << len(labels)) - 1) ^ morse
+            morse = -1
+    return (apex,) + labels, omitted, morse
+
+
+def _cone_block(apex: Label, tiles: Sequence[Compact], deprive: int) -> List[Compact]:
+    return [_cone(apex, t, i < deprive) for i, t in enumerate(tiles)]
+
+
+def _is_closed(t: Compact) -> bool:
+    return t[1] == 0 and t[2] < 0
+
+
+def _dotted(t: Compact) -> Compact:
+    """A closed tile deprived of its empty face: the open vertex for a
+    vertex, the empty Morse face otherwise."""
+    labels = t[0]
+    return (labels, 1, -1) if len(labels) == 1 else (labels, 0, 0)
+
+
+def _strip_empty(tiles: List[Compact]) -> List[Compact]:
+    """Deprive the unique closed tile, if any, of its empty face."""
+    closed = [i for i, t in enumerate(tiles) if _is_closed(t)]
+    if not closed:
+        return list(tiles)
+    assert len(closed) == 1, "several tiles own the empty face"
+    out = list(tiles)
+    out[closed[0]] = _dotted(out[closed[0]])
+    return out
+
+
 # -- join forms --------------------------------------------------------------
 
 
-def _entries(t: Optional[MorseTile]) -> Tuple[Entry, ...]:
-    """The (vertex, role) pairs of a tile's canonical triple; none for None."""
+def _regroup(entries: Sequence[Entry]) -> Tuple[Entry, ...]:
+    return tuple(sorted(entries, key=lambda e: (_ROLE_ORDER[e[1]], e[0].key)))
+
+
+def _entries(t: Optional[Compact]) -> Tuple[Entry, ...]:
+    """The (vertex, role) pairs of a tile's canonical triple, grouped closed,
+    open, dotted; none for None.  The open part is the omitted positions,
+    the closed part the rest of the Morse face (all the rest for a basic
+    tile), the dotted part the positions off the Morse face."""
     if t is None:
         return ()
-    trip = canonical_triple(t)
-    return (
-        tuple((v, CLOSED) for v in trip.sigma)
-        + tuple((v, OPEN) for v in trip.theta)
-        + tuple((v, DOTTED) for v in trip.tau)
-    )
-
-
-def _regroup(entries: Sequence[Entry]) -> Tuple[Entry, ...]:
-    order = {CLOSED: 0, OPEN: 1, DOTTED: 2}
-    return tuple(sorted(entries, key=lambda e: (order[e[1]], e[0].key)))
+    labels, omitted, morse = t
+    return _regroup([
+        (lab, OPEN if omitted >> i & 1 else CLOSED if morse < 0 or morse >> i & 1 else DOTTED)
+        for i, lab in enumerate(labels)
+    ])
 
 
 def _slice(entries: Sequence[Entry], j: int) -> Tuple[Tuple[Entry, ...], Tuple[Entry, ...]]:
@@ -103,38 +181,23 @@ def _slice(entries: Sequence[Entry], j: int) -> Tuple[Tuple[Entry, ...], Tuple[E
     return rest[:j], rest[j:]
 
 
-def _cone_block(apex: Label, tiles: Sequence[MorseTile], deprive: int) -> List[MorseTile]:
-    return [cone_tile(apex, t, dotted=i < deprive) for i, t in enumerate(tiles)]
-
-
-def _concat(blocks: Sequence[Block]) -> Tuple[List[MorseTile], int]:
+def _concat(blocks: Sequence[Block]) -> Tuple[List[Compact], int]:
     """Chain shelled blocks: the segments of all blocks first, then the
     rest; returns the tiles and the length of their segment."""
     head = [t for block, pre in blocks for t in block[:pre]]
     return head + [t for block, pre in blocks for t in block[pre:]], len(head)
 
 
-def _strip_empty(tiles: List[MorseTile]) -> List[MorseTile]:
-    """Deprive the unique closed tile, if any, of its empty face."""
-    closed = [i for i, t in enumerate(tiles) if t.is_closed]
-    if not closed:
-        return list(tiles)
-    assert len(closed) == 1, "several tiles own the empty face"
-    out = list(tiles)
-    out[closed[0]] = out[closed[0]].dotted()
-    return out
-
-
 def _shell_entries_tile(
     entries: Sequence[Entry], walked: Tuple[Label, ...] = ()
-) -> List[MorseTile]:
+) -> List[Compact]:
     """Shell the subdivision of a single tile given as (vertex, role) pairs;
     every barycenter also absorbs the vertices already ``walked``."""
     if not entries:
         return []
     if len(entries) == 1:
         v, role = entries[0]
-        return [vertex_tile(bary((v,) + walked), open_=role != CLOSED)]
+        return [((bary((v,) + walked),), int(role != CLOSED), -1)]
     heads = [e for e in entries if e[1] == CLOSED] or [e for e in entries if e[1] == OPEN]
     if heads:
         rest = tuple(e for e in entries if e != heads[0])
@@ -145,7 +208,7 @@ def _shell_entries_tile(
 
 def _shell_entries_join(
     left: Sequence[Entry], right: Sequence[Entry], walked: Tuple[Label, ...] = ()
-) -> Tuple[List[MorseTile], int]:
+) -> Tuple[List[Compact], int]:
     """Shell sd(T ∗ T′) walking the vertices of T first.
 
     Returns the tiles and the number of leading tiles covering the union of
@@ -163,7 +226,7 @@ def _shell_entries_join(
         return _shell_entries_tile(right, walked), 0
     left = _regroup(left)
     entries = left + _regroup(right)
-    tiles: List[MorseTile] = []
+    tiles: List[Compact] = []
     prefix = 0
     for j, (vj, _) in enumerate(entries):
         block, bpre = _shell_entries_join(*_slice(entries, j), walked + (vj,))
@@ -186,8 +249,8 @@ def shell_sd_tile(t: MorseTile) -> Tiling:
     """
     if t.underlying.is_empty:
         raise ValueError("cannot shell the empty tile")
-    tiles = _shell_entries_tile(_entries(t))
-    return Tiling(barycentric(tile_to_relative(t)), tuple(tiles))
+    tiles = _shell_entries_tile(_entries(_compact(t)))
+    return Tiling(barycentric(tile_to_relative(t)), tuple(map(_tile, tiles)))
 
 
 def shell_sd_join(t: MorseTile, tp: MorseTile) -> Tuple[Tiling, int]:
@@ -206,9 +269,9 @@ def shell_sd_join(t: MorseTile, tp: MorseTile) -> Tuple[Tiling, int]:
         raise ValueError("join factors must be non-empty")
     if set(t.underlying) & set(tp.underlying):
         raise ValueError("join factors share vertex labels")
-    tiles, prefix = _shell_entries_join(_entries(t), _entries(tp))
+    tiles, prefix = _shell_entries_join(_entries(_compact(t)), _entries(_compact(tp)))
     space = barycentric(join(tile_to_relative(t), tile_to_relative(tp)))
-    return Tiling(space, tuple(tiles)), prefix
+    return Tiling(space, tuple(map(_tile, tiles))), prefix
 
 
 @dataclass(frozen=True)
@@ -229,8 +292,12 @@ class BoundaryShelling:
     base_tiles: Tuple[MorseTile, ...]
 
 
-def shell_boundary_sd(sigma: Simplex, last: Optional[Simplex] = None) -> BoundaryShelling:
-    """Shell sd(∂σ) from a facet order of ∂σ ending at ``last``."""
+def _boundary_sd(
+    sigma: Simplex, last: Optional[Simplex] = None
+) -> Tuple[List[Compact], int, Label, List[Compact]]:
+    """Tiles, segment length, last apex and base tiles of
+    ``shell_boundary_sd``; ridge j is the closed ridge minus the ridges it
+    shares with ridges 0..j-1, that is, open at the vertices they omit."""
     if sigma.dim < 1:
         raise ValueError("the boundary of a vertex cannot be shelled")
     ridges = sorted(sigma.ridges(), key=lambda s: s.key)
@@ -239,76 +306,87 @@ def shell_boundary_sd(sigma: Simplex, last: Optional[Simplex] = None) -> Boundar
     if last not in ridges:
         raise ValueError(f"{last!r} is not a ridge of {sigma!r}")
     ridges = [r for r in ridges if r != last] + [last]
-    tiles: List[MorseTile] = []
+    omits = [sigma.minus(r).vertices[0] for r in ridges]
+    tiles: List[Compact] = []
     for j, rho in enumerate(ridges[:-1]):
-        shared = [Simplex(set(rho.vertices) & set(ridges[i].vertices)) for i in range(j)]
-        block_tile = MorseTile(rho, frozenset(shared))
-        tiles.extend(_shell_entries_tile(_entries(block_tile)))
+        earlier = omits[:j]
+        entries = _regroup([(w, OPEN if w in earlier else CLOSED) for w in rho])
+        tiles.extend(_shell_entries_tile(entries))
     prefix = len(tiles)
     apex = bary(last.vertices)
     if last.dim == 0:
-        base: Tuple[MorseTile, ...] = ()
-        tiles.append(vertex_tile(apex, open_=True))
+        base: List[Compact] = []
+        tiles.append(((apex,), 1, -1))
     else:
-        inner = shell_boundary_sd(last)
-        base = inner.tiles
-        tiles.extend(_cone_block(apex, list(base), deprive=len(base)))
+        base = _boundary_sd(last)[0]
+        tiles.extend(_cone_block(apex, base, deprive=len(base)))
+    return tiles, prefix, apex, base
+
+
+def shell_boundary_sd(sigma: Simplex, last: Optional[Simplex] = None) -> BoundaryShelling:
+    """Shell sd(∂σ) from a facet order of ∂σ ending at ``last``."""
+    tiles, prefix, apex, base = _boundary_sd(sigma, last)
     space = RelativeComplex(barycentric_complex(SimplicialComplex(sigma.ridges())))
-    return BoundaryShelling(space, tuple(tiles), prefix, apex, base)
-
-
-def cone_shelling(apex: Label, t: Tiling, deprive_prefix: int) -> Tiling:
-    """Cone a shelled tiling, depriving the first tiles of their bases.
-
-    Tile i becomes apex ∗ tile for i ≥ deprive_prefix and the base-deprived
-    cone otherwise; criticality transforms accordingly (a deprived cone over
-    a critical non-closed tile is critical one index higher, every other
-    cone of a non-closed tile is regular).
-    """
-    if deprive_prefix < 0 or deprive_prefix > len(t.tiles):
-        raise ValueError("deprive_prefix out of range")
-    if any(apex in tile.underlying for tile in t.tiles):
-        raise ValueError("apex label already occurs in the tiling")
-    tiles = _cone_block(apex, list(t.tiles), deprive_prefix)
-    k, l = t.space.ambient, t.space.missing
-    apex_simplex = Simplex([apex])
-    ambient = SimplicialComplex([f.union(apex_simplex) for f in k.facets], _absorb=False)
-    gens = [f.union(apex_simplex) for f in l.facets]
-    gens += [tile.underlying for tile in t.tiles[:deprive_prefix]]
-    missing = SimplicialComplex(gens) if gens else void_complex()
-    return Tiling(RelativeComplex(ambient, missing), tuple(tiles))
+    return BoundaryShelling(space, tuple(map(_tile, tiles)), prefix, apex, tuple(map(_tile, base)))
 
 
 # -- vertex-star-first shellings of sd(S) ------------------------------------
 
 
-def _subtract(tile: MorseTile, m_faces: frozenset) -> MorseTile:
-    """Remove the faces of a missing subcomplex from a flag tile.
+def _subtract(t: Compact, m_faces: Collection[Tuple[Label, ...]]) -> Compact:
+    """Remove the faces of a missing subcomplex, given by vertex tuples,
+    from a flag tile.
 
     The removable part of a tile is the closure of the longest bottom
     segment of its flag lying in the subcomplex; that segment becomes the
-    Morse face (it always nests with an existing one).
+    Morse face (it always nests with an existing one).  The labels are in
+    flag order, so the segment is a run of leading positions.
     """
     if not m_faces:
-        return tile
-    positions = sorted(tile.underlying.vertices, key=lambda lab: len(lab.members))
-    i_m = -1
-    for i, lab in enumerate(positions):
-        if Simplex(lab.members) in m_faces:
-            i_m = i
-        else:
+        return t
+    labels, omitted, morse = t
+    seg = 0
+    for lab in labels:
+        if lab.members not in m_faces:
             break
-    if i_m < 0:
-        if tile.is_closed and EMPTY in m_faces:
-            return tile.dotted()
-        return tile
-    seg = Simplex(positions[: i_m + 1])
-    if any(seg <= r for r in tile.missing_ridges):
-        return tile
-    if tile.morse_face is not None and seg <= tile.morse_face:
-        return tile
-    assert tile.morse_face is None or tile.morse_face < seg
-    return MorseTile(tile.underlying, tile.missing_ridges, seg, tile.anchor)
+        seg += 1
+    if not seg:
+        if _is_closed(t) and () in m_faces:
+            return _dotted(t)
+        return t
+    if omitted >> seg:  # a missing ridge omits a later position
+        return t
+    seg_mask = (1 << seg) - 1
+    if morse >= 0 and not seg_mask & ~morse:
+        return t
+    assert morse < 0 or not morse & ~seg_mask
+    return labels, omitted, seg_mask
+
+
+def _shell_relative(s: RelativeComplex, v: Label) -> Tuple[List[Compact], int]:
+    """Tiles and star-segment length of ``shell_sd_relative``."""
+    k, l = s.ambient, s.missing
+    if not any(v in f for f in k.facets):
+        raise ValueError(f"{v!r} is not a vertex of the ambient complex")
+    star = sorted((f for f in k.facets if v in f), key=lambda f: f.key)
+    rest = sorted((f for f in k.facets if v not in f), key=lambda f: f.key)
+    seen = {f.vertices for f in l.faces()}
+    blocks: List[Block] = []
+    for facet in star + rest:
+        vs = facet.vertices
+        faces = [c for r in range(len(vs) + 1) for c in combinations(vs, r)]
+        m_faces = {c for c in faces if c in seen}
+
+        def role(w: Label) -> str:
+            """Open at w when the ridge omitting w is missing."""
+            return OPEN if tuple(x for x in vs if x is not w) in m_faces else CLOSED
+
+        head = ((v, role(v)),) if v in facet else ()
+        side = _regroup([(w, role(w)) for w in vs if w is not v])
+        block, bpre = _shell_entries_join(head, side)
+        blocks.append(([_subtract(t, m_faces) for t in block], bpre))
+        seen.update(faces)
+    return _concat(blocks)
 
 
 def shell_sd_relative(s: RelativeComplex, v: Label) -> Tuple[Tiling, int]:
@@ -320,28 +398,8 @@ def shell_sd_relative(s: RelativeComplex, v: Label) -> Tuple[Tiling, int]:
     facets) and the leftover faces of codimension two and more are removed
     by ``_subtract``.  Returns the tiling and the size of the star segment.
     """
-    k, l = s.ambient, s.missing
-    if not any(v in f for f in k.facets):
-        raise ValueError(f"{v!r} is not a vertex of the ambient complex")
-    l_faces = l.faces()
-    star = sorted((f for f in k.facets if v in f), key=lambda f: f.key)
-    rest = sorted((f for f in k.facets if v not in f), key=lambda f: f.key)
-    seen: set = set(l_faces)
-    blocks: List[Block] = []
-    for facet in star + rest:
-        m_faces = frozenset(f for f in facet.faces() if f in seen)
-        missing_ridges = frozenset(r for r in facet.ridges() if r in m_faces)
-        if v in facet:
-            opp = facet.without(v)
-            head: Tuple[Entry, ...] = ((v, OPEN if opp in missing_ridges else CLOSED),)
-            side = MorseTile(opp, frozenset(r.without(v) for r in missing_ridges if v in r))
-        else:
-            head, side = (), MorseTile(facet, missing_ridges)
-        block, bpre = _shell_entries_join(head, _entries(side))
-        blocks.append(([_subtract(t, m_faces) for t in block], bpre))
-        seen.update(facet.faces())
-    tiles, prefix = _concat(blocks)
-    return Tiling(barycentric(s), tuple(tiles)), prefix
+    tiles, prefix = _shell_relative(s, v)
+    return Tiling(barycentric(s), tuple(map(_tile, tiles))), prefix
 
 
 # -- the second-subdivision pipeline -----------------------------------------
@@ -373,48 +431,57 @@ def _sd2_transport(sigma: Simplex) -> Callable[[Label], Label]:
 
 def _link_shelling(
     k: SimplicialComplex, sigma: Simplex, start: Optional[Label] = None
-) -> Tuple[Tuple[Optional[MorseTile], ...], int]:
+) -> Tuple[List[Optional[Compact]], int]:
     """Tiles of a Morse shelling of sd(lk_K σ), its unique closed tile
     first, plus the star-segment length for the chosen start vertex; a
     single None stands for the tiles of an empty link."""
     lk = link_complex(k, sigma)
     if lk.dim < 0:
-        return (None,), 0
+        return [None], 0
     if start is None:
         start = min(lk.vertices())
-    tiling, prefix = shell_sd_relative(RelativeComplex(lk), start)
-    return tiling.tiles, prefix
+    return _shell_relative(RelativeComplex(lk), start)
 
 
-def _split_cone_tile(t: MorseTile, apex: Label) -> Optional[MorseTile]:
+def _split_cone_tile(t: Compact, apex: Label) -> Optional[Compact]:
     """Write a tile as apex ∗ T and return T (None when T is empty)."""
-    assert apex in t.underlying
-    base = t.underlying.without(apex)
-    ridges = set()
-    for r in t.missing_ridges:
-        assert apex in r, "tile is not a cone with the given apex"
-        ridges.add(r.without(apex))
-    morse: Optional[Simplex] = None
-    if t.morse_face is not None:
-        assert apex in t.morse_face, "Morse face does not contain the apex"
-        morse = t.morse_face.without(apex)
-        if morse.is_empty and base.dim == 0:
-            return vertex_tile(base.vertices[0], open_=True)
-        if morse.is_empty:
-            return MorseTile(base, frozenset(ridges), EMPTY)
-    if base.is_empty:
+    labels, omitted, morse = t
+    assert apex in labels
+    p = labels.index(apex)
+    assert not omitted >> p & 1, "tile is not a cone with the given apex"
+    low = (1 << p) - 1
+    base = labels[:p] + labels[p + 1:]
+    omitted = omitted & low | omitted >> (p + 1) << p
+    if morse >= 0:
+        assert morse >> p & 1, "Morse face does not contain the apex"
+        morse = morse & low | morse >> (p + 1) << p
+        if not morse and len(base) == 1:
+            return base, 1, -1
+        if not morse:
+            return base, omitted, 0
+    if not base:
         return None
-    return MorseTile(base, frozenset(ridges), morse)
+    return base, omitted, morse
 
 
-def _double_star(sigma: Simplex, blocks: Sequence[Block]) -> List[MorseTile]:
+def _double_star(sigma: Simplex, blocks: Sequence[Block], strip: bool = False) -> List[MorseTile]:
     """Tiles of the star of the double barycenter of σ from shelled blocks
     of its link: the chained blocks are carried onto the link by
-    ``_sd2_transport`` and coned, their segment deprived of its base."""
+    ``_sd2_transport`` and coned, their segment deprived of its base, and
+    the closed tile is dotted when ``strip`` is set.  Each tile becomes a
+    MorseTile here, once."""
     tiles, prefix = _concat(blocks)
     lift = _sd2_transport(sigma)
     apex = bary([bary(sigma.vertices)])
-    return _cone_block(apex, [t.relabel(lift) for t in tiles], deprive=prefix)
+    coned = []
+    for i, (labels, omitted, morse) in enumerate(tiles):
+        image = tuple(map(lift, labels))
+        if len(set(image)) != len(image):
+            raise ValueError(f"label map is not injective on the tile on {labels!r}")
+        coned.append(_cone(apex, (image, omitted, morse), i < prefix))
+    if strip:
+        coned = _strip_empty(coned)
+    return [_tile(t) for t in coned]
 
 
 def _critical_step(k: SimplicialComplex, sigma: Simplex, first: bool) -> List[MorseTile]:
@@ -423,17 +490,15 @@ def _critical_step(k: SimplicialComplex, sigma: Simplex, first: bool) -> List[Mo
     if sigma.dim == 0:
         lk = link_complex(k, sigma)
         if lk.dim < 0:
-            tiles = [vertex_tile(bary([bary(sigma.vertices)]))]
-        else:
-            sd_lk = barycentric_complex(lk)
-            model, _ = shell_sd_relative(RelativeComplex(sd_lk), min(sd_lk.vertices()))
-            tiles = _double_star(sigma, [(model.tiles, 0)])
-        return tiles if first else _strip_empty(tiles)
-    link_tiles, _ = _link_shelling(k, sigma)
+            return [_tile(((bary([bary(sigma.vertices)]),), int(not first), -1))]
+        sd_lk = barycentric_complex(lk)
+        model, _ = _shell_relative(RelativeComplex(sd_lk), min(sd_lk.vertices()))
+        return _double_star(sigma, [(model, 0)], strip=not first)
+    link_entries = [_entries(t) for t in _link_shelling(k, sigma)[0]]
     return _double_star(sigma, [
-        _shell_entries_join(_entries(t_l), _entries(t_m))
-        for t_l in shell_boundary_sd(sigma).tiles
-        for t_m in link_tiles
+        _shell_entries_join(_entries(t_l), e_m)
+        for t_l in _boundary_sd(sigma)[0]
+        for e_m in link_entries
     ])
 
 
@@ -441,19 +506,23 @@ def _collapse_step(k: SimplicialComplex, theta: Simplex, tau: Simplex) -> List[M
     """Tiles extending the shelling over the double stars of a collapse pair
     (first the coface, then the free ridge); no critical tiles arise."""
     # stage one: the star of the double barycenter of tau
-    boundary = shell_boundary_sd(tau, last=theta)
-    base_tiles = boundary.base_tiles or (None,)
+    boundary, b_prefix, b_apex, b_base = _boundary_sd(tau, last=theta)
+    base_entries = [_entries(t) for t in b_base] or [()]
     link_tiles, _ = _link_shelling(k, tau)
-    open_apex = vertex_tile(boundary.apex, open_=True)
+    link_entries = [_entries(t_m) for t_m in link_tiles]
+    # the open apex joined with each link tile: a deprived cone over it
+    open_entries = [
+        _entries(((b_apex,), 1, -1) if t_m is None else _cone(b_apex, t_m, dotted=True))
+        for t_m in link_tiles
+    ]
     blocks = []
-    for l, t_l in enumerate(boundary.tiles):
-        for t_m in link_tiles:
-            if l < boundary.prefix:
-                blocks.append(_shell_entries_join(_entries(t_l), _entries(t_m)))
-            else:
-                second = open_apex if t_m is None else tile_join(open_apex, t_m)
-                base_tile = base_tiles[l - boundary.prefix]
-                blocks.append(_shell_entries_join(_entries(base_tile), _entries(second)))
+    for l, t_l in enumerate(boundary):
+        if l < b_prefix:
+            e_l = _entries(t_l)
+            blocks.extend(_shell_entries_join(e_l, e_m) for e_m in link_entries)
+        else:
+            e_b = base_entries[l - b_prefix]
+            blocks.extend(_shell_entries_join(e_b, e_o) for e_o in open_entries)
     tiles = _double_star(tau, blocks)
 
     # stage two: the star of the double barycenter of theta
@@ -461,15 +530,13 @@ def _collapse_step(k: SimplicialComplex, theta: Simplex, tau: Simplex) -> List[M
     link2, star_split = _link_shelling(k, theta, start=u)
     assert link2[0] is not None, "a free ridge always has a coface"
     u_hat = bary([u])
+    inner_entries = [_entries(_split_cone_tile(t_m, u_hat)) for t_m in link2[:star_split]]
+    rest_entries = [_entries(t_m) for t_m in link2[star_split:]]
     blocks_a, blocks_b = [], []
-    for t_l in base_tiles:
-        for m, t_m in enumerate(link2):
-            if m < star_split:
-                head = _entries(t_l) + ((u_hat, CLOSED),)
-                inner = _split_cone_tile(t_m, u_hat)
-                blocks_a.append(_shell_entries_join(head, _entries(inner)))
-            else:
-                blocks_b.append(_shell_entries_join(_entries(t_l), _entries(t_m)))
+    for e_l in base_entries:
+        head = e_l + ((u_hat, CLOSED),)
+        blocks_a.extend(_shell_entries_join(head, e_i) for e_i in inner_entries)
+        blocks_b.extend(_shell_entries_join(e_l, e_m) for e_m in rest_entries)
     return tiles + _double_star(theta, blocks_a + blocks_b)
 
 

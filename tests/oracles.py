@@ -11,9 +11,11 @@ oracles are the all-pairs scans the face-incidence table in
 of a dense 0/1 matrix.  The reference verifier at the end is the certifier
 on ``Simplex`` face sets and the engine's tile calculus (``classify``,
 ``MorseTile.faces``, ``tile_class``) that ``morseshell.verify`` replaced.
-The reference encoder last is the dict-building ``tile_to_json`` plus
+The reference encoder is the dict-building ``tile_to_json`` plus
 ``json.dumps`` that ``serial.tiling_to_lines`` replaced with per-label
-texts.
+texts.  The reference shelling recursion last is the engine's walk on
+``MorseTile``s (``tiles.cone``, ``MorseTile.relabel``) that its kernel on
+compact (labels, omitted-mask, Morse-mask) triples replaced.
 """
 import heapq
 import json
@@ -33,11 +35,34 @@ from morseshell.complexes import (
     star_complex,
     void_complex,
 )
-from morseshell.engine import Tiling
+from morseshell.engine import (
+    CLOSED,
+    DOTTED,
+    OPEN,
+    Tiling,
+    _concat,
+    _regroup,
+    _sd2_transport,
+    _slice,
+)
 from morseshell.labels import Label, bary
-from morseshell.morse import DiscreteMorseFunction, ValidationReport
+from morseshell.morse import (
+    DiscreteMorseFunction,
+    ValidationReport,
+    canonicalize,
+    filtration,
+    validate,
+)
 from morseshell.serial import simplex_to_json
-from morseshell.tiles import MorseTile, NotAMorseTileError, classify
+from morseshell.tiles import (
+    MorseTile,
+    NotAMorseTileError,
+    canonical_triple,
+    classify,
+    cone,
+    tile_join,
+    vertex_tile,
+)
 from morseshell.verify import Census, Certificate, mod2_betti
 
 
@@ -560,3 +585,250 @@ def tile_lines_oracle(t: Tiling) -> List[str]:
         json.dumps(tile_to_json(tile), sort_keys=True, separators=(",", ":"))
         for tile in t.tiles
     ]
+
+
+# -- reference shelling recursion ------------------------------------------------
+#
+# The engine's walk on MorseTiles, before its kernel moved to compact
+# (labels, omitted-mask, Morse-mask) triples: every cone is ``tiles.cone``,
+# every transport ``MorseTile.relabel``, and every face a ``Simplex``.  The
+# shared rules on (vertex, role) entries (``_regroup``, ``_slice``), the
+# block chaining and the sd² label transport are the engine's own.
+
+
+def entries_oracle(t: Optional[MorseTile]) -> Tuple[Tuple[Label, str], ...]:
+    """The (vertex, role) pairs of a tile's canonical triple; none for None."""
+    if t is None:
+        return ()
+    trip = canonical_triple(t)
+    return (
+        tuple((v, CLOSED) for v in trip.sigma)
+        + tuple((v, OPEN) for v in trip.theta)
+        + tuple((v, DOTTED) for v in trip.tau)
+    )
+
+
+def strip_empty_oracle(tiles: List[MorseTile]) -> List[MorseTile]:
+    """Deprive the unique closed tile, if any, of its empty face."""
+    closed = [i for i, t in enumerate(tiles) if t.is_closed]
+    if not closed:
+        return list(tiles)
+    assert len(closed) == 1, "several tiles own the empty face"
+    out = list(tiles)
+    out[closed[0]] = out[closed[0]].dotted()
+    return out
+
+
+def _cone_block_oracle(apex: Label, tiles: Sequence[MorseTile], deprive: int) -> List[MorseTile]:
+    return [cone(apex, t, dotted=i < deprive) for i, t in enumerate(tiles)]
+
+
+def shell_entries_tile_oracle(entries, walked=()) -> List[MorseTile]:
+    if not entries:
+        return []
+    if len(entries) == 1:
+        v, role = entries[0]
+        return [vertex_tile(bary((v,) + walked), open_=role != CLOSED)]
+    heads = [e for e in entries if e[1] == CLOSED] or [e for e in entries if e[1] == OPEN]
+    if heads:
+        rest = tuple(e for e in entries if e != heads[0])
+        return shell_entries_join_oracle(heads[:1], rest, walked)[0]
+    closed = tuple((v, CLOSED) for v, _ in entries)
+    return strip_empty_oracle(shell_entries_tile_oracle(closed, walked))
+
+
+def shell_entries_join_oracle(left, right, walked=()) -> Tuple[List[MorseTile], int]:
+    """Shell sd(T ∗ T′) walking T's vertices first; tiles and the length of
+    the segment covering the stars of T's vertices."""
+    if not right:
+        tiles = shell_entries_tile_oracle(left, walked)
+        return tiles, len(tiles)
+    if not left:
+        return shell_entries_tile_oracle(right, walked), 0
+    left = _regroup(left)
+    entries = left + _regroup(right)
+    tiles: List[MorseTile] = []
+    prefix = 0
+    for j, (vj, _) in enumerate(entries):
+        block, bpre = shell_entries_join_oracle(*_slice(entries, j), walked + (vj,))
+        tiles.extend(_cone_block_oracle(bary((vj,) + walked), block, bpre))
+        if j < len(left):
+            prefix = len(tiles)
+    if any(role != CLOSED for _, role in entries):
+        tiles = strip_empty_oracle(tiles)
+    return tiles, prefix
+
+
+def shell_sd_join_oracle(t: MorseTile, tp: MorseTile) -> Tuple[List[MorseTile], int]:
+    return shell_entries_join_oracle(entries_oracle(t), entries_oracle(tp))
+
+
+def subtract_oracle(tile: MorseTile, m_faces: frozenset) -> MorseTile:
+    """Remove the faces of a missing subcomplex from a flag tile: the
+    longest bottom segment of the flag lying in it becomes the Morse face."""
+    if not m_faces:
+        return tile
+    positions = sorted(tile.underlying.vertices, key=lambda lab: len(lab.members))
+    i_m = -1
+    for i, lab in enumerate(positions):
+        if Simplex(lab.members) in m_faces:
+            i_m = i
+        else:
+            break
+    if i_m < 0:
+        if tile.is_closed and EMPTY in m_faces:
+            return tile.dotted()
+        return tile
+    seg = Simplex(positions[: i_m + 1])
+    if any(seg <= r for r in tile.missing_ridges):
+        return tile
+    if tile.morse_face is not None and seg <= tile.morse_face:
+        return tile
+    assert tile.morse_face is None or tile.morse_face < seg
+    return MorseTile(tile.underlying, tile.missing_ridges, seg, tile.anchor)
+
+
+def shell_sd_relative_oracle(s: RelativeComplex, v: Label) -> Tuple[List[MorseTile], int]:
+    """Tiles and star-segment length of a shelling of sd(S) from v̂."""
+    k, l = s.ambient, s.missing
+    star = sorted((f for f in k.facets if v in f), key=lambda f: f.key)
+    rest = sorted((f for f in k.facets if v not in f), key=lambda f: f.key)
+    seen = set(l.faces())
+    blocks = []
+    for facet in star + rest:
+        m_faces = frozenset(f for f in facet.faces() if f in seen)
+        missing_ridges = frozenset(r for r in facet.ridges() if r in m_faces)
+        if v in facet:
+            opp = facet.without(v)
+            head = ((v, OPEN if opp in missing_ridges else CLOSED),)
+            side = MorseTile(opp, frozenset(r.without(v) for r in missing_ridges if v in r))
+        else:
+            head, side = (), MorseTile(facet, missing_ridges)
+        block, bpre = shell_entries_join_oracle(head, entries_oracle(side))
+        blocks.append(([subtract_oracle(t, m_faces) for t in block], bpre))
+        seen.update(facet.faces())
+    return _concat(blocks)
+
+
+def boundary_sd_oracle(sigma: Simplex, last: Optional[Simplex] = None):
+    """Tiles, segment length, last apex and base tiles of a shelling of
+    sd(∂σ) ending at the ridge ``last``."""
+    ridges = sorted(sigma.ridges(), key=lambda s: s.key)
+    if last is None:
+        last = ridges[-1]
+    ridges = [r for r in ridges if r != last] + [last]
+    tiles: List[MorseTile] = []
+    for j, rho in enumerate(ridges[:-1]):
+        shared = [Simplex(set(rho.vertices) & set(ridges[i].vertices)) for i in range(j)]
+        tiles.extend(shell_entries_tile_oracle(entries_oracle(MorseTile(rho, frozenset(shared)))))
+    prefix = len(tiles)
+    apex = bary(last.vertices)
+    if last.dim == 0:
+        base: List[MorseTile] = []
+        tiles.append(vertex_tile(apex, open_=True))
+    else:
+        base = boundary_sd_oracle(last)[0]
+        tiles.extend(_cone_block_oracle(apex, base, deprive=len(base)))
+    return tiles, prefix, apex, base
+
+
+def _link_shelling_oracle(k: SimplicialComplex, sigma: Simplex, start: Optional[Label] = None):
+    lk = link_complex(k, sigma)
+    if lk.dim < 0:
+        return [None], 0
+    if start is None:
+        start = min(lk.vertices())
+    return shell_sd_relative_oracle(RelativeComplex(lk), start)
+
+
+def split_cone_tile_oracle(t: MorseTile, apex: Label) -> Optional[MorseTile]:
+    """Write a tile as apex ∗ T and return T (None when T is empty)."""
+    assert apex in t.underlying
+    base = t.underlying.without(apex)
+    ridges = set()
+    for r in t.missing_ridges:
+        assert apex in r, "tile is not a cone with the given apex"
+        ridges.add(r.without(apex))
+    morse: Optional[Simplex] = None
+    if t.morse_face is not None:
+        assert apex in t.morse_face, "Morse face does not contain the apex"
+        morse = t.morse_face.without(apex)
+        if morse.is_empty and base.dim == 0:
+            return vertex_tile(base.vertices[0], open_=True)
+        if morse.is_empty:
+            return MorseTile(base, frozenset(ridges), EMPTY)
+    if base.is_empty:
+        return None
+    return MorseTile(base, frozenset(ridges), morse)
+
+
+def double_star_oracle(sigma: Simplex, blocks) -> List[MorseTile]:
+    """Chained blocks relabeled onto the link of σ's double barycenter and
+    coned over it, their segment deprived of its base."""
+    tiles, prefix = _concat(blocks)
+    lift = _sd2_transport(sigma)
+    apex = bary([bary(sigma.vertices)])
+    return _cone_block_oracle(apex, [t.relabel(lift) for t in tiles], deprive=prefix)
+
+
+def _critical_step_oracle(k: SimplicialComplex, sigma: Simplex, first: bool) -> List[MorseTile]:
+    if sigma.dim == 0:
+        lk = link_complex(k, sigma)
+        if lk.dim < 0:
+            tiles = [vertex_tile(bary([bary(sigma.vertices)]))]
+        else:
+            sd_lk = barycentric_complex(lk)
+            model, _ = shell_sd_relative_oracle(RelativeComplex(sd_lk), min(sd_lk.vertices()))
+            tiles = double_star_oracle(sigma, [(model, 0)])
+        return tiles if first else strip_empty_oracle(tiles)
+    link_tiles, _ = _link_shelling_oracle(k, sigma)
+    return double_star_oracle(sigma, [
+        shell_entries_join_oracle(entries_oracle(t_l), entries_oracle(t_m))
+        for t_l in boundary_sd_oracle(sigma)[0]
+        for t_m in link_tiles
+    ])
+
+
+def _collapse_step_oracle(k: SimplicialComplex, theta: Simplex, tau: Simplex) -> List[MorseTile]:
+    b_tiles, b_prefix, b_apex, b_base = boundary_sd_oracle(tau, last=theta)
+    base_tiles = b_base or [None]
+    link_tiles, _ = _link_shelling_oracle(k, tau)
+    open_apex = vertex_tile(b_apex, open_=True)
+    blocks = []
+    for l, t_l in enumerate(b_tiles):
+        for t_m in link_tiles:
+            if l < b_prefix:
+                blocks.append(shell_entries_join_oracle(entries_oracle(t_l), entries_oracle(t_m)))
+            else:
+                second = open_apex if t_m is None else tile_join(open_apex, t_m)
+                base_tile = base_tiles[l - b_prefix]
+                blocks.append(
+                    shell_entries_join_oracle(entries_oracle(base_tile), entries_oracle(second))
+                )
+    tiles = double_star_oracle(tau, blocks)
+    u = tau.minus(theta).vertices[0]
+    link2, star_split = _link_shelling_oracle(k, theta, start=u)
+    u_hat = bary([u])
+    blocks_a, blocks_b = [], []
+    for t_l in base_tiles:
+        for m, t_m in enumerate(link2):
+            if m < star_split:
+                head = entries_oracle(t_l) + ((u_hat, CLOSED),)
+                inner = split_cone_tile_oracle(t_m, u_hat)
+                blocks_a.append(shell_entries_join_oracle(head, entries_oracle(inner)))
+            else:
+                blocks_b.append(shell_entries_join_oracle(entries_oracle(t_l), entries_oracle(t_m)))
+    return tiles + double_star_oracle(theta, blocks_a + blocks_b)
+
+
+def shell_sd2_oracle(k: SimplicialComplex, f: DiscreteMorseFunction) -> List[MorseTile]:
+    """The tiles of the Morse shelling of sd²(K) along f's filtration."""
+    if not validate(k, f).is_canonical:
+        f = canonicalize(k, f)
+    tiles: List[MorseTile] = []
+    for i, step in enumerate(filtration(k, f).steps):
+        if step.is_critical:
+            tiles.extend(_critical_step_oracle(k, step.critical, first=i == 0))
+        else:
+            tiles.extend(_collapse_step_oracle(k, *step.collapse))
+    return tiles

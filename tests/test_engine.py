@@ -13,6 +13,7 @@ from morseshell.complexes import (
     EMPTY,
     RelativeComplex,
     Simplex,
+    SimplicialComplex,
     barycentric,
     barycentric_complex,
     boundary_complex,
@@ -20,11 +21,14 @@ from morseshell.complexes import (
     link_complex,
     make_complex,
     star_complex,
+    void_complex,
 )
 from morseshell.engine import (
     Tiling,
+    _compact,
+    _cone_block,
     _sd2_transport,
-    cone_shelling,
+    _tile,
     shell_boundary_sd,
     shell_sd2_from_dmf,
     shell_sd_join,
@@ -211,6 +215,20 @@ def test_boundary_shelling_rejects_vertices():
 
 
 # -- cone shellings ------------------------------------------------------------------
+
+
+def cone_shelling(apex, t, deprive_prefix):
+    """Cone a shelled tiling on the engine's cone primitive, ``_cone_block``,
+    depriving the first tiles of their bases; the space is the cone over
+    t's space minus the deprived bases."""
+    tiles = _cone_block(apex, [_compact(tile) for tile in t.tiles], deprive_prefix)
+    k, l = t.space.ambient, t.space.missing
+    apex_simplex = Simplex([apex])
+    ambient = SimplicialComplex([f.union(apex_simplex) for f in k.facets], _absorb=False)
+    gens = [f.union(apex_simplex) for f in l.facets]
+    gens += [tile.underlying for tile in t.tiles[:deprive_prefix]]
+    missing = SimplicialComplex(gens) if gens else void_complex()
+    return Tiling(RelativeComplex(ambient, missing), tuple(map(_tile, tiles)))
 
 
 def test_cone_shelling_with_base_over_closed_tiling():
@@ -427,7 +445,6 @@ def test_pipeline_is_deterministic():
 
 
 def test_pipeline_rejects_void_complex():
-    from morseshell.complexes import void_complex
     from morseshell.morse import DiscreteMorseFunction
 
     with pytest.raises(ValueError):

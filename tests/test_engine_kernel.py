@@ -1,0 +1,230 @@
+"""The engine's kernel on compact tiles against the reference recursion on
+MorseTiles (``oracles``): identical tiles and segment lengths, plus the edge
+cases of the compact form."""
+import sys
+
+import pytest
+from oracles import (
+    all_tiles_on,
+    boundary_sd_oracle,
+    entries_oracle,
+    shell_sd2_oracle,
+    shell_sd_join_oracle,
+    shell_sd_relative_oracle,
+    split_cone_tile_oracle,
+    subtract_oracle,
+)
+from test_acceptance import _pairs_up_to_total_dim
+
+from morseshell import tiles as tiles_module
+from morseshell.catalog import (
+    boundary_sphere,
+    cone_over_circle,
+    moebius_torus,
+    simplex_complex,
+    two_triangles,
+)
+from morseshell.complexes import EMPTY, RelativeComplex, Simplex, make_complex
+from morseshell.engine import (
+    OPEN,
+    _compact,
+    _cone,
+    _entries,
+    _split_cone_tile,
+    _strip_empty,
+    _subtract,
+    _tile,
+    shell_boundary_sd,
+    shell_sd2_from_dmf,
+    shell_sd_join,
+    shell_sd_relative,
+)
+from morseshell.labels import atom, bary
+from morseshell.morse import greedy_collapse_dmf, trivial_dmf
+from morseshell.tiles import MorseTile, cone, vertex_tile
+
+a, b, c, d, u, v, w = (atom(x) for x in "abcduvw")
+
+RP2 = make_complex([
+    [f"r{i}" for i in tri]
+    for tri in [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+                (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5)]
+])
+
+CATALOG = {
+    "segment": simplex_complex(1),
+    "triangle": simplex_complex(2),
+    "tetrahedron": simplex_complex(3),
+    "circle": boundary_sphere(1),
+    "sphere": boundary_sphere(2),
+    "cone": cone_over_circle(),
+    "two-triangles": two_triangles(),
+    "torus": moebius_torus(),
+    "rp2": RP2,
+}
+
+
+def s(*labels):
+    return Simplex(labels)
+
+
+# -- reference equivalence -------------------------------------------------------
+
+
+def test_join_kernel_matches_reference_on_all_criterion_3_pairs():
+    pairs = list(_pairs_up_to_total_dim(3))
+    assert len(pairs) == 318
+    for t, tp in pairs:
+        tiling, prefix = shell_sd_join(t, tp)
+        tiles, ref_prefix = shell_sd_join_oracle(t, tp)
+        assert (tiling.tiles, prefix) == (tuple(tiles), ref_prefix), (t, tp)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_relative_kernel_matches_reference_at_every_vertex(name):
+    space = RelativeComplex(CATALOG[name])
+    for vert in space.ambient.vertices():
+        tiling, prefix = shell_sd_relative(space, vert)
+        tiles, ref_prefix = shell_sd_relative_oracle(space, vert)
+        assert (tiling.tiles, prefix) == (tuple(tiles), ref_prefix), vert
+
+
+@pytest.mark.parametrize(
+    "ambient, missing, vert",
+    [
+        ([[a, b, c]], [[a, b]], a),
+        ([[a, b, c], [c, d, w]], [[c]], c),
+        ([[a, b, c], [b, c, d]], [[b, c]], a),
+        ([[a, b, c, d]], [[a, b, c]], d),
+        ([[a, b], [b, c]], [[b]], b),
+    ],
+)
+def test_relative_kernel_matches_reference_on_relative_pairs(ambient, missing, vert):
+    space = RelativeComplex(make_complex(ambient), make_complex(missing))
+    tiling, prefix = shell_sd_relative(space, vert)
+    tiles, ref_prefix = shell_sd_relative_oracle(space, vert)
+    assert (tiling.tiles, prefix) == (tuple(tiles), ref_prefix)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_boundary_kernel_matches_reference_for_every_last_ridge(dim):
+    sigma = Simplex([atom(x) for x in "abcde"[: dim + 1]])
+    for last in sigma.ridges():
+        bs = shell_boundary_sd(sigma, last)
+        tiles, prefix, apex, base = boundary_sd_oracle(sigma, last)
+        got = (bs.tiles, bs.prefix, bs.apex, bs.base_tiles)
+        assert got == (tuple(tiles), prefix, apex, tuple(base)), last
+
+
+@pytest.mark.parametrize("name", ["torus", "rp2", "bd4"])
+@pytest.mark.parametrize("kind", ["trivial", "greedy"])
+def test_sd2_kernel_matches_reference(name, kind):
+    k = boundary_sphere(3) if name == "bd4" else CATALOG[name]
+    f = trivial_dmf(k) if kind == "trivial" else greedy_collapse_dmf(k)
+    tiling, _ = shell_sd2_from_dmf(k, f)
+    assert tiling.tiles == tuple(shell_sd2_oracle(k, f))
+
+
+def test_sd2_pipeline_calls_neither_cone_nor_relabel(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the engine kernel called the MorseTile calculus")
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("morseshell")]:
+        for attr, value in list(vars(mod).items()):
+            if value is tiles_module.cone:
+                monkeypatch.setattr(mod, attr, refuse)
+    monkeypatch.setattr(MorseTile, "relabel", refuse)
+    k = moebius_torus()
+    for f in (trivial_dmf(k), greedy_collapse_dmf(k)):
+        tiling, census = shell_sd2_from_dmf(k, f)
+        assert len(tiling.tiles) == 504 and census.critical
+
+
+# -- the compact form ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2, 3])
+def test_compact_round_trip_entries_and_cone_on_every_tile(dim):
+    simplex = Simplex([atom(x) for x in "abcd"[: dim + 1]])
+    for t in all_tiles_on(simplex):
+        ct = _compact(t)
+        assert _tile(ct) == t
+        assert _entries(ct) == entries_oracle(t)
+        for dotted in (False, True):
+            assert _tile(_cone(v, ct, dotted)) == cone(v, t, dotted)
+
+
+def test_open_vertex_is_the_dotted_vertex():
+    hat = bary([a])
+    closed, open_ = ((hat,), 0, -1), ((hat,), 1, -1)
+    # the ridge {∅} of the open vertex is bit 0, and dotting gives the same tile
+    assert _tile(open_) == vertex_tile(hat, open_=True) == vertex_tile(hat).dotted()
+    assert _strip_empty([closed]) == [open_]
+    assert _subtract(closed, {()}) == open_
+    assert _entries(open_) == ((hat, OPEN),)
+    assert _tile(_cone(v, open_)) == cone(v, vertex_tile(hat, open_=True))
+    assert _tile(_cone(v, open_, dotted=True)) == cone(v, vertex_tile(hat, open_=True), dotted=True)
+
+
+def test_codimension_one_morse_face_folds_into_the_ridges():
+    # an edge b c with Morse face {b} (codimension one, as _subtract may
+    # leave it): coning at a turns {a, b} into a missing ridge
+    ct = ((b, c), 0, 0b01)
+    coned = _cone(a, ct)
+    assert coned == ((a, b, c), 0b100, -1)
+    ref = cone(a, MorseTile(s(b, c), frozenset(), s(b)))
+    assert _tile(coned) == ref and ref.missing_ridges == {s(a, b)}
+    # a dotted vertex with the empty Morse face folds the same way
+    assert _cone(a, ((b,), 0, 0)) == ((a, b), 0b10, -1)
+    assert _tile(_cone(a, ((b,), 0, 0))) == cone(a, MorseTile(s(b), frozenset(), EMPTY))
+    # a Morse face of codimension two stays
+    assert _cone(a, ((b, c), 0, 0)) == ((a, b, c), 0, 0b001)
+
+
+def test_cone_rejects_an_apex_already_in_the_tile():
+    with pytest.raises(ValueError):
+        _cone(a, ((a, b), 0, -1))
+
+
+def test_subtract_on_a_vertex_tile_and_on_the_empty_face():
+    hat, edge = bary([a]), (bary([a]), bary([a, b]))
+    # a vertex tile whose only missing face is ∅ becomes the open vertex
+    ref = subtract_oracle(vertex_tile(hat), frozenset([EMPTY]))
+    assert _tile(_subtract(((hat,), 0, -1), {()})) == ref == vertex_tile(hat, open_=True)
+    # a closed edge loses its empty face: the empty Morse face
+    closed = (edge, 0, -1)
+    assert _subtract(closed, {()}) == (edge, 0, 0)
+    ref = subtract_oracle(_tile(closed), frozenset([EMPTY]))
+    assert _tile(_subtract(closed, {()})) == ref and ref.morse_face == EMPTY
+    # a tile that does not own the empty face is left alone
+    assert _subtract((edge, 0b10, -1), {()}) == (edge, 0b10, -1)
+    # the bottom vertex â in the subcomplex: the Morse face {â}
+    m = {(), (a,)}
+    assert _subtract(closed, m) == (edge, 0, 0b01)
+    assert _tile(_subtract(closed, m)) == subtract_oracle(_tile(closed), frozenset([EMPTY, s(a)]))
+    # nothing to remove
+    assert _subtract(closed, set()) is closed
+
+
+def test_split_cone_tile_at_a_non_leading_apex_position():
+    # apex u second in the flag x u y (z)
+    x, y, z = bary([a]), bary([a, b]), bary([a, b, c])
+    for t in [((x, u, y), 0b101, -1), ((x, u, y, z), 0b0001, 0b0011), ((x, u, y, z), 0, 0b0010)]:
+        got = _split_cone_tile(t, u)
+        assert _tile(got) == split_cone_tile_oracle(_tile(t), u)
+    # apex ∗ dotted vertex: the open vertex
+    assert _split_cone_tile(((x, u), 0, 0b10), u) == ((x,), 1, -1)
+    # apex ∗ dotted edge
+    assert _split_cone_tile(((x, u, y), 0, 0b010), u) == ((x, y), 0, 0)
+    # the apex alone: nothing left
+    assert _split_cone_tile(((u,), 0, -1), u) is None
+
+
+def test_split_cone_tile_asserts_on_a_non_cone():
+    x, y = bary([a]), bary([a, b])
+    with pytest.raises(AssertionError):
+        _split_cone_tile(((x, u, y), 0b010, -1), u)  # the ridge omitting u is missing
+    with pytest.raises(AssertionError):
+        _split_cone_tile(((x, u, y), 0, 0b001), u)  # the Morse face misses u
+    with pytest.raises(AssertionError):
+        _split_cone_tile(((x, y), 0, -1), u)  # u is not a vertex
