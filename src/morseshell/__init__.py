@@ -13,17 +13,7 @@ from .complexes import (
     make_complex,
     star_link,
 )
-from .tiles import (
-    CanonicalTriple,
-    MorseTile,
-    NotAMorseTileError,
-    TileClass,
-    canonical_triple,
-    classify,
-    cone,
-    recompose,
-    tile_join,
-)
+from .tiles import MorseTile, NotAMorseTileError, TileClass, classify, tile_join
 from .morse import (
     DiscreteMorseFunction,
     FiltrationStep,

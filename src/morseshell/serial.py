@@ -103,16 +103,21 @@ def _facet_from_json(data) -> Simplex:
 
 
 def load_complex_json(text: str) -> RelativeComplex:
+    """A complex K, or K \\ L with ``"missing"`` the facets of L.  A facet
+    of K is non-empty; L may be {∅}, written ``[[]]``."""
     data = json.loads(text)
-    if not isinstance(data, dict) or "facets" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("facets"), list):
         raise ValueError('complex JSON needs a "facets" array')
-    ambient = SimplicialComplex([_facet_from_json(f) for f in data["facets"]])
     missing_raw = data.get("missing") or []
-    if missing_raw:
-        missing = SimplicialComplex([_facet_from_json(f) for f in missing_raw])
-    else:
-        missing = void_complex()
-    return RelativeComplex(ambient, missing)
+    if not isinstance(missing_raw, list):
+        raise ValueError('complex JSON "missing" must be an array of facets')
+    facets = [_facet_from_json(f) for f in data["facets"]]
+    if any(f.is_empty for f in facets):
+        raise ValueError("facets must be non-empty")
+    missing = [_facet_from_json(f) for f in missing_raw]
+    return RelativeComplex(
+        SimplicialComplex(facets), SimplicialComplex(missing) if missing else void_complex()
+    )
 
 
 def dump_complex_json(s: RelativeComplex) -> str:

@@ -1,4 +1,4 @@
-"""Morse-tile calculus.
+"""Morse tiles.
 
 A basic tile of dimension n and order k is an n-simplex deprived of k of its
 ridges; a Morse tile may further be deprived of one face of codimension at
@@ -6,13 +6,15 @@ least two (its Morse face), possibly the empty one.  Every face of a basic
 tile of order k contains the restriction set: the (k-1)-face spanned by the
 vertices opposite to the missing ridges.
 
-Classification:
+Classification has one rule, the verifier's (``verify._tile_shape``), which
+``MorseTile.tile_class`` reports and the tile lines, the census and the
+certificates all use:
 
 * a closed simplex (order 0, no Morse face) is critical of index 0;
 * a simplex deprived only of its empty face ("dotted") is critical of index 0;
 * an open simplex (all ridges missing) is critical of index dim;
 * a tile whose Morse face equals the restriction set is critical of index =
-  order; every other tile is regular.
+  order; every other tile, a malformed one included, is regular.
 
 For a vertex the empty simplex is its unique ridge, so the dotted vertex and
 the open vertex are one and the same tile; the normal form stores it with
@@ -21,10 +23,9 @@ ridge set {∅}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, Iterable, Optional
+from typing import FrozenSet, Iterable, Optional
 
 from .complexes import (
-    EMPTY,
     RelativeComplex,
     Simplex,
     SimplicialComplex,
@@ -32,19 +33,15 @@ from .complexes import (
     closure_complex,
     void_complex,
 )
-from .labels import Label
+from .verify import _tile_shape
 
 __all__ = [
     "MorseTile",
     "TileClass",
-    "CanonicalTriple",
     "NotAMorseTileError",
     "make_tile",
     "classify",
-    "canonical_triple",
-    "recompose",
     "tile_join",
-    "cone",
     "tile_to_relative",
 ]
 
@@ -120,15 +117,9 @@ class MorseTile:
         return _simplex(tuple(v for v in self.underlying.vertices if v in opposite))
 
     def tile_class(self) -> TileClass:
-        if self.is_basic:
-            if self.order == 0:
-                return TileClass.critical(0)
-            if self.order == self.dim + 1:
-                return TileClass.critical(self.dim)
-            return TileClass.regular()
-        if self.morse_face == self.restriction_set():
-            return TileClass.critical(self.order)
-        return TileClass.regular()
+        """The verifier's classification of the tile."""
+        index = _tile_shape(self).index
+        return TileClass.regular() if index is None else TileClass.critical(index)
 
     def missing_faces(self) -> FrozenSet[Simplex]:
         """Downward closure of the missing set."""
@@ -142,48 +133,6 @@ class MorseTile:
     def faces(self) -> FrozenSet[Simplex]:
         missing = self.missing_faces()
         return frozenset(f for f in self.underlying.faces() if f not in missing)
-
-    def euler_signature(self) -> int:
-        """Alternating face count over non-empty faces."""
-        return sum((-1) ** f.dim for f in self.faces() if not f.is_empty)
-
-    def dotted(self) -> "MorseTile":
-        """The same tile further deprived of its empty face."""
-        if not self.is_closed:
-            raise ValueError("only a closed simplex can be dotted")
-        if self.dim == 0:
-            return MorseTile(self.underlying, frozenset([EMPTY]), None, self.anchor)
-        return MorseTile(self.underlying, frozenset(), EMPTY, self.anchor)
-
-    def relabel(self, label_map: Callable[[Label], Label]) -> "MorseTile":
-        """The same tile with every vertex label sent through ``label_map``.
-
-        The simplex, the missing ridges, the Morse face and the anchor are
-        mapped; the empty simplex and an absent anchor stay as they are.
-        ``label_map`` is called once per vertex of the simplex and the
-        anchor, and must be injective on them; a ridge or Morse face with a
-        vertex off the simplex is a ``ValueError`` too.
-        """
-        image = {v: label_map(v) for v in self.underlying.vertices}
-        if self.anchor is not None:
-            image.update((v, label_map(v)) for v in self.anchor.vertices if v not in image)
-        if len(set(image.values())) != len(image):
-            raise ValueError(f"label map is not injective on the tile on {self.underlying!r}")
-        # the vertices in the order of their images
-        order = sorted(image, key=lambda v: image[v]._key)
-
-        def on(s: Simplex) -> Simplex:
-            vs = tuple(image[v] for v in order if v in s._vset)
-            if len(vs) != len(s.vertices):
-                raise ValueError(f"{s!r} is not a face of {self.underlying!r}")
-            return _simplex(vs)
-
-        return MorseTile(
-            on(self.underlying),
-            frozenset(on(r) for r in self.missing_ridges),
-            None if self.morse_face is None else on(self.morse_face),
-            None if self.anchor is None else on(self.anchor),
-        )
 
     def __repr__(self) -> str:
         parts = [f"MorseTile({self.underlying!r}"]
@@ -250,41 +199,6 @@ def classify(underlying: Simplex, missing: Iterable[Simplex]) -> MorseTile:
     return make_tile(underlying, ridges, top)
 
 
-@dataclass(frozen=True)
-class CanonicalTriple:
-    """Unique splitting of a Morse tile as closed ∗ open ∗ dotted.
-
-    ``theta`` is the restriction set, ``sigma`` the rest of the Morse face,
-    ``tau`` the remaining vertices (present only with a Morse face, and of
-    positive dimension so the splitting is unique).
-    """
-
-    sigma: Simplex
-    theta: Simplex
-    tau: Simplex
-
-
-def canonical_triple(tile: MorseTile) -> CanonicalTriple:
-    theta = tile.restriction_set()
-    if tile.is_basic:
-        return CanonicalTriple(tile.underlying.minus(theta), theta, EMPTY)
-    sigma = tile.morse_face.minus(theta)
-    tau = tile.underlying.minus(tile.morse_face)
-    return CanonicalTriple(sigma, theta, tau)
-
-
-def recompose(triple: CanonicalTriple, anchor: Optional[Simplex] = None) -> MorseTile:
-    """Rebuild the tile σ ∗ θ° ∗ τ̇ from its canonical parts."""
-    underlying = triple.sigma.union(triple.theta).union(triple.tau)
-    ridges = [underlying.without(v) for v in triple.theta]
-    if triple.tau.is_empty:
-        morse: Optional[Simplex] = None
-    else:
-        morse = triple.sigma.union(triple.theta)
-    tile = MorseTile(underlying, frozenset(ridges), morse, anchor)
-    return _normalize(tile)
-
-
 def _normalize(tile: MorseTile) -> MorseTile:
     """Move a codimension-one Morse face into the ridge set (dim-0 dotting)."""
     mf = tile.morse_face
@@ -319,32 +233,6 @@ def tile_join(t: MorseTile, tp: MorseTile, anchor: Optional[Simplex] = None) -> 
     else:
         morse = t.underlying.union(tp.morse_face)
     return _normalize(MorseTile(underlying, frozenset(ridges), morse, anchor))
-
-
-def vertex_tile(v: Label, open_: bool = False) -> MorseTile:
-    """A closed vertex, or the open (= dotted) vertex when open_ is set."""
-    s = _simplex((v,))
-    if open_:
-        return MorseTile(s, frozenset([EMPTY]))
-    return MorseTile(s, frozenset())
-
-
-def cone(v: Label, t: MorseTile, dotted: bool = False) -> MorseTile:
-    """Cone with apex v over a tile, optionally deprived of its base.
-
-    A closed cone is a closed simplex iff the base is, and regular otherwise.
-    The deprived cone v̇ ∗ T is critical iff T is critical and not a closed
-    simplex, with index ind(T) + 1.
-    """
-    if v in t.underlying:
-        raise ValueError(f"apex {v!r} already a vertex of the tile")
-    apex = _simplex((v,))
-    underlying = t.underlying.union(apex)
-    ridges = {r.union(apex) for r in t.missing_ridges}
-    morse = None if t.morse_face is None else t.morse_face.union(apex)
-    if dotted:
-        ridges.add(t.underlying)
-    return _normalize(MorseTile(underlying, frozenset(ridges), morse, t.anchor))
 
 
 def tile_to_relative(t: MorseTile) -> RelativeComplex:

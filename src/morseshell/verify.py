@@ -21,7 +21,8 @@ a tile, a face is the bitmask of the positions of its vertices in the
 tile's sorted vertex tuple, and masks are walked in key order (by size,
 then lexicographically by position), the order of ``Simplex.faces()``, so
 failures come out in the same order on every run.  The tile shape is
-re-derived from the missing set by the rule in ``_shape``.  Witnesses are
+re-derived from the missing set by the rule in ``_shape``, the package's one
+classification rule: ``MorseTile.tile_class`` reports it.  Witnesses are
 ``Simplex`` objects, built only when a check fails.
 """
 from __future__ import annotations
@@ -34,10 +35,10 @@ from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, NamedTuple, Op
 
 from .complexes import RelativeComplex, Simplex, SimplicialComplex, barycentric
 from .morse import DiscreteMorseFunction, critical_census as dmf_census
-from .tiles import MorseTile
 
 if TYPE_CHECKING:
     from .engine import Tiling
+    from .tiles import MorseTile
 
 Key = Tuple  # a face as its sorted tuple of vertex labels
 
@@ -158,13 +159,17 @@ def _shape(n: int, generators: frozenset) -> _Shape:
     return _Shape(inside, tuple(not x for x in inside), index, reason)
 
 
+# Position bits.  A simplex of more vertices has more masks than memory holds.
+_BITS = tuple(1 << i for i in range(64))
+
+
 def _tile_shape(tile: MorseTile) -> _Shape:
     """The shape of a tile's missing set.  A generator that is not a proper
     face of the tile fails the shape check; its missing closure is then
     what lies under the generators' parts inside the tile."""
     vs = tile.underlying.vertices
     full = (1 << len(vs)) - 1
-    bit = dict(zip(vs, map((1).__lshift__, range(len(vs)))))
+    bit = dict(zip(vs, _BITS))
     generators = list(tile.missing_ridges)
     if tile.morse_face is not None:
         generators.append(tile.morse_face)

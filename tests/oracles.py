@@ -1,27 +1,33 @@
 """Independent brute-force oracles shared by the test modules.
 
 Everything here is deliberately dumb: direct enumeration of shapes, faces
-and flags, never calling the code paths under test.  The link-isomorphism
-layer at the end (derived neighborhoods, the vertex maps identifying links
-in first and second subdivisions with joins of subdivided boundaries and
-links, double-star intersections) spells out by brute force the
+and flags, never calling the code paths under test.  The MorseTile calculus
+first (``vertex_tile``, ``dotted``, ``relabel``, ``cone``, canonical
+triples, ``euler_signature``) is the tile algebra the engine built with
+before its kernel moved to compact triples; ``tile_class_oracle`` is the
+restriction-set rule for criticality, held equal to the verifier's mask
+rule (``verify._tile_shape``), the one rule the package classifies by.  The
+link-isomorphism layer (derived neighborhoods, the vertex maps identifying
+links in first and second subdivisions with joins of subdivided boundaries
+and links, double-star intersections) spells out by brute force the
 identifications the engine's label transports realize.  The Morse-layer
 oracles are the all-pairs scans the face-incidence table in
 ``morseshell.morse`` replaced, and ``gf2_rank`` is textbook row reduction
-of a dense 0/1 matrix.  The reference verifier at the end is the certifier
-on ``Simplex`` face sets and the engine's tile calculus (``classify``,
-``MorseTile.faces``, ``tile_class``) that ``morseshell.verify`` replaced.
+of a dense 0/1 matrix.  The reference verifier is the certifier on
+``Simplex`` face sets (``classify``, ``MorseTile.faces``) that
+``morseshell.verify`` replaced; it classifies by ``tile_class_oracle``.
 The reference encoder is the dict-building ``tile_to_json`` plus
 ``json.dumps`` that ``serial.tiling_to_lines`` replaced with per-label
 texts.  The reference shelling recursion last is the engine's walk on
-``MorseTile``s (``tiles.cone``, ``MorseTile.relabel``) that its kernel on
-compact (labels, omitted-mask, Morse-mask) triples replaced.
+``MorseTile``s (``cone``, ``relabel``) that its kernel on compact (labels,
+omitted-mask, Morse-mask) triples replaced.
 """
 import heapq
 import json
 from fractions import Fraction
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from morseshell.complexes import (
     EMPTY,
@@ -54,15 +60,7 @@ from morseshell.morse import (
     validate,
 )
 from morseshell.serial import simplex_to_json
-from morseshell.tiles import (
-    MorseTile,
-    NotAMorseTileError,
-    canonical_triple,
-    classify,
-    cone,
-    tile_join,
-    vertex_tile,
-)
+from morseshell.tiles import MorseTile, NotAMorseTileError, _normalize, classify, tile_join
 from morseshell.verify import Census, Certificate, mod2_betti
 
 
@@ -149,6 +147,115 @@ def covered_faces(tiles):
     return out
 
 
+# -- MorseTile calculus -------------------------------------------------------
+
+
+def vertex_tile(v: Label, open_: bool = False) -> MorseTile:
+    """A closed vertex, or the open (= dotted) vertex when open_ is set."""
+    return MorseTile(Simplex([v]), frozenset([EMPTY]) if open_ else frozenset())
+
+
+def dotted(tile: MorseTile) -> MorseTile:
+    """A closed simplex further deprived of its empty face."""
+    if not tile.is_closed:
+        raise ValueError("only a closed simplex can be dotted")
+    if tile.dim == 0:
+        return MorseTile(tile.underlying, frozenset([EMPTY]), None, tile.anchor)
+    return MorseTile(tile.underlying, frozenset(), EMPTY, tile.anchor)
+
+
+def relabel(tile: MorseTile, label_map: Callable[[Label], Label]) -> MorseTile:
+    """The same tile with every vertex label sent through ``label_map``.
+
+    The simplex, the missing ridges, the Morse face and the anchor are
+    mapped; the empty simplex and an absent anchor stay as they are.
+    ``label_map`` must be injective on the vertices of the simplex and the
+    anchor; a ridge or Morse face with a vertex off the simplex is a
+    ``ValueError`` too.
+    """
+    image = {v: label_map(v) for v in tile.underlying.vertices}
+    if tile.anchor is not None:
+        image.update((v, label_map(v)) for v in tile.anchor.vertices if v not in image)
+    if len(set(image.values())) != len(image):
+        raise ValueError(f"label map is not injective on the tile on {tile.underlying!r}")
+
+    def on(s: Simplex) -> Simplex:
+        if any(v not in image for v in s.vertices):
+            raise ValueError(f"{s!r} is not a face of {tile.underlying!r}")
+        return Simplex([image[v] for v in s.vertices])
+
+    return MorseTile(
+        on(tile.underlying),
+        frozenset(on(r) for r in tile.missing_ridges),
+        None if tile.morse_face is None else on(tile.morse_face),
+        None if tile.anchor is None else on(tile.anchor),
+    )
+
+
+def cone(v: Label, t: MorseTile, dotted: bool = False) -> MorseTile:
+    """Cone with apex v over a tile, optionally deprived of its base.
+
+    A closed cone is a closed simplex iff the base is, and regular otherwise.
+    The deprived cone v̇ ∗ T is critical iff T is critical and not a closed
+    simplex, with index ind(T) + 1.
+    """
+    if v in t.underlying:
+        raise ValueError(f"apex {v!r} already a vertex of the tile")
+    apex = Simplex([v])
+    ridges = {r.union(apex) for r in t.missing_ridges}
+    morse = None if t.morse_face is None else t.morse_face.union(apex)
+    if dotted:
+        ridges.add(t.underlying)
+    return _normalize(MorseTile(t.underlying.union(apex), frozenset(ridges), morse, t.anchor))
+
+
+@dataclass(frozen=True)
+class CanonicalTriple:
+    """Unique splitting of a Morse tile as closed ∗ open ∗ dotted.
+
+    ``theta`` is the restriction set, ``sigma`` the rest of the Morse face,
+    ``tau`` the remaining vertices (present only with a Morse face, and of
+    positive dimension so the splitting is unique).
+    """
+
+    sigma: Simplex
+    theta: Simplex
+    tau: Simplex
+
+
+def canonical_triple(tile: MorseTile) -> CanonicalTriple:
+    theta = tile.restriction_set()
+    if tile.is_basic:
+        return CanonicalTriple(tile.underlying.minus(theta), theta, EMPTY)
+    return CanonicalTriple(
+        tile.morse_face.minus(theta), theta, tile.underlying.minus(tile.morse_face)
+    )
+
+
+def recompose(triple: CanonicalTriple, anchor: Optional[Simplex] = None) -> MorseTile:
+    """Rebuild the tile σ ∗ θ° ∗ τ̇ from its canonical parts."""
+    underlying = triple.sigma.union(triple.theta).union(triple.tau)
+    ridges = frozenset(underlying.without(v) for v in triple.theta)
+    morse = None if triple.tau.is_empty else triple.sigma.union(triple.theta)
+    return _normalize(MorseTile(underlying, ridges, morse, anchor))
+
+
+def euler_signature(tile: MorseTile) -> int:
+    """Alternating count of the tile's non-empty faces."""
+    return sum((-1) ** f.dim for f in tile.faces() if not f.is_empty)
+
+
+def tile_class_oracle(tile: MorseTile) -> Optional[int]:
+    """The critical index of a tile, None when it is regular, by the
+    restriction-set rule: a basic tile is critical when closed (index 0) or
+    open (index dim); a tile with a Morse face is critical of index = order
+    exactly when its Morse face is its restriction set.  A missing ridge
+    that is not a ridge raises ``NotAMorseTileError``."""
+    if tile.is_basic:
+        return 0 if tile.order == 0 else tile.dim if tile.order == tile.dim + 1 else None
+    return tile.order if tile.morse_face == tile.restriction_set() else None
+
+
 # -- link isomorphisms ------------------------------------------------------
 
 
@@ -190,7 +297,7 @@ class VertexMap:
             raise KeyError(f"label outside the domain of the map: {v!r}") from None
 
     def __call__(self, v: Label) -> Label:
-        """A vertex map is a label function, as ``MorseTile.relabel`` takes."""
+        """A vertex map is a label function, as ``relabel`` takes."""
         return self[v]
 
     def on_simplex(self, s: Simplex) -> Simplex:
@@ -292,9 +399,9 @@ def apply_map(x, m: VertexMap):
     if isinstance(x, RelativeComplex):
         return m.on_relative(x)
     if isinstance(x, MorseTile):
-        return x.relabel(m)
+        return relabel(x, m)
     if isinstance(x, Tiling):
-        return Tiling(m.on_relative(x.space), tuple(t.relabel(m) for t in x.tiles))
+        return Tiling(m.on_relative(x.space), tuple(relabel(t, m) for t in x.tiles))
     raise TypeError(f"cannot apply a vertex map to {type(x).__name__}")
 
 
@@ -471,13 +578,13 @@ def critical_census_oracle(t: Tiling) -> Census:
     census = Census()
     for tile in t.tiles:
         try:
-            cls = tile.tile_class()
+            index = tile_class_oracle(tile)
         except NotAMorseTileError:
             continue
-        if cls.is_critical:
-            census.critical[cls.index] = census.critical.get(cls.index, 0) + 1
-        else:
+        if index is None:
             census.regular += 1
+        else:
+            census.critical[index] = census.critical.get(index, 0) + 1
     return census
 
 
@@ -567,14 +674,14 @@ def tile_to_json(t: MorseTile) -> dict:
         morse = "empty"
     else:
         morse = simplex_to_json(t.morse_face)
-    cls = t.tile_class()
+    index = tile_class_oracle(t)
     return {
         "facet": simplex_to_json(t.underlying),
         "ridges": sorted(
             (simplex_to_json(r) for r in t.missing_ridges), key=json.dumps
         ),
         "morse_face": morse,
-        "class": {"critical": cls.index} if cls.is_critical else "regular",
+        "class": "regular" if index is None else {"critical": index},
     }
 
 
@@ -590,10 +697,10 @@ def tile_lines_oracle(t: Tiling) -> List[str]:
 # -- reference shelling recursion ------------------------------------------------
 #
 # The engine's walk on MorseTiles, before its kernel moved to compact
-# (labels, omitted-mask, Morse-mask) triples: every cone is ``tiles.cone``,
-# every transport ``MorseTile.relabel``, and every face a ``Simplex``.  The
-# shared rules on (vertex, role) entries (``_regroup``, ``_slice``), the
-# block chaining and the sd² label transport are the engine's own.
+# (labels, omitted-mask, Morse-mask) triples: every cone is ``cone``, every
+# transport ``relabel``, and every face a ``Simplex``.  The shared rules on
+# (vertex, role) entries (``_regroup``, ``_slice``), the block chaining and
+# the sd² label transport are the engine's own.
 
 
 def entries_oracle(t: Optional[MorseTile]) -> Tuple[Tuple[Label, str], ...]:
@@ -615,7 +722,7 @@ def strip_empty_oracle(tiles: List[MorseTile]) -> List[MorseTile]:
         return list(tiles)
     assert len(closed) == 1, "several tiles own the empty face"
     out = list(tiles)
-    out[closed[0]] = out[closed[0]].dotted()
+    out[closed[0]] = dotted(out[closed[0]])
     return out
 
 
@@ -677,7 +784,7 @@ def subtract_oracle(tile: MorseTile, m_faces: frozenset) -> MorseTile:
             break
     if i_m < 0:
         if tile.is_closed and EMPTY in m_faces:
-            return tile.dotted()
+            return dotted(tile)
         return tile
     seg = Simplex(positions[: i_m + 1])
     if any(seg <= r for r in tile.missing_ridges):
@@ -768,7 +875,7 @@ def double_star_oracle(sigma: Simplex, blocks) -> List[MorseTile]:
     tiles, prefix = _concat(blocks)
     lift = _sd2_transport(sigma)
     apex = bary([bary(sigma.vertices)])
-    return _cone_block_oracle(apex, [t.relabel(lift) for t in tiles], deprive=prefix)
+    return _cone_block_oracle(apex, [relabel(t, lift) for t in tiles], deprive=prefix)
 
 
 def _critical_step_oracle(k: SimplicialComplex, sigma: Simplex, first: bool) -> List[MorseTile]:

@@ -13,8 +13,11 @@ from oracles import (
     all_subcomplex_missing_sets,
     all_tiles_on,
     basic_tiles_on,
+    canonical_triple,
+    cone,
     covered_faces,
     missing_closure,
+    recompose,
     star_union_faces,
 )
 
@@ -31,14 +34,7 @@ from morseshell.engine import Tiling, shell_sd2_from_dmf, shell_sd_join, shell_s
 from morseshell.labels import atom
 from morseshell.morse import critical_faces, greedy_collapse_dmf, trivial_dmf
 from morseshell.serial import dump_complex_text
-from morseshell.tiles import (
-    MorseTile,
-    NotAMorseTileError,
-    canonical_triple,
-    classify,
-    cone,
-    tile_join,
-)
+from morseshell.tiles import MorseTile, NotAMorseTileError, classify, tile_join
 from morseshell.verify import critical_census, mod2_betti, verify_tiling
 
 CORPUS = {
@@ -246,8 +242,6 @@ def test_criterion_5_tile_calculus_oracles():
                     ok = False
                 except NotAMorseTileError:
                     pass
-    from morseshell.tiles import recompose
-
     for dim in range(5):
         underlying = Simplex([atom(x) for x in "abcde"[: dim + 1]])
         for tile in all_tiles_on(underlying):

@@ -2,10 +2,13 @@ import json
 
 import pytest
 
+from morseshell import cli
 from morseshell.cli import run
-from morseshell.serial import dump_complex_text
+from morseshell.engine import Tiling
+from morseshell.serial import dump_complex_json, dump_complex_text, load_complex_json
 from morseshell.catalog import moebius_torus
 from morseshell.complexes import RelativeComplex
+from morseshell.tiles import MorseTile
 
 
 @pytest.fixture
@@ -167,6 +170,38 @@ def test_json_facet_with_a_repeated_vertex_exits_one(tmp_path, capsys, part):
     )
 
 
+MALFORMED_COMPLEX = [
+    ('{"facets": 5}', 'complex JSON needs a "facets" array'),
+    ('{"facets": [["a", "b"]], "missing": 5}', 'complex JSON "missing" must be an array of facets'),
+    ('{"facets": [[]]}', "facets must be non-empty"),
+]
+
+
+@pytest.mark.parametrize("command", ["info", "shell-sd2"])
+@pytest.mark.parametrize(
+    "content, fragment", MALFORMED_COMPLEX, ids=["facets-number", "missing-number", "empty-facet"],
+)
+def test_malformed_json_complex_exits_one(tmp_path, capsys, command, content, fragment):
+    path = tmp_path / "k.json"
+    path.write_text(content)
+    assert run([command, str(path), "-o", "/dev/null"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot parse complex {path}: ") and err.count("\n") == 1
+    assert fragment in err
+
+
+def test_json_complex_missing_only_the_empty_face_loads(tmp_path):
+    """K \\ {∅}, whose "missing" is [[]], stays a valid input, and
+    ``dump_complex_json`` writes it back the same way."""
+    text = '{"facets":[["a","b"]],"missing":[[]]}\n'
+    assert dump_complex_json(load_complex_json(text)) == text
+    path = tmp_path / "k.json"
+    path.write_text(text)
+    out = tmp_path / "info.json"
+    assert run(["info", str(path), "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["missing_faces"] == 0
+
+
 MALFORMED_MORSE = [
     ('"pairs"', 'Morse JSON needs "values" or "pairs"'),
     ('{"pairs": 5}', 'Morse "pairs" must be an array'),
@@ -219,3 +254,29 @@ def test_malformed_tiling_line_exits_one(circle_file, tmp_path, capsys, line, fr
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert fragment in err
+
+
+@pytest.mark.parametrize("fault", ["drop", "flip"])
+def test_shell_sd2_audit_rejects_a_corrupted_tiling(circle_file, monkeypatch, capsys, fault):
+    """The contract the benchmark's ``--corrupt`` control relies on: wrap
+    ``cli.shell_sd2_from_dmf``, unpack its (tiling, census) pair, drop the
+    middle tile or flip one of its ridges with the four-field constructor;
+    ``shell-sd2`` then exits 2 from the audit with the failures on stderr."""
+    original = cli.shell_sd2_from_dmf
+
+    def corrupted(k, f):
+        tiling, census = original(k, f)
+        tiles = list(tiling.tiles)
+        i = len(tiles) // 2
+        if fault == "drop":
+            del tiles[i]
+        else:
+            t = tiles[i]
+            ridges = set(t.missing_ridges) ^ {t.underlying.ridges()[0]}
+            tiles[i] = MorseTile(t.underlying, frozenset(ridges), t.morse_face, t.anchor)
+        return Tiling(tiling.space, tuple(tiles)), census
+
+    monkeypatch.setattr(cli, "shell_sd2_from_dmf", corrupted)
+    assert run(["shell-sd2", str(circle_file), "-o", "/dev/null"]) == 2
+    cert = json.loads(capsys.readouterr().err)
+    assert cert["ok"] is False and not cert["partition_ok"] and cert["failures"]

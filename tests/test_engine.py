@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import apply_map, link_iso_sd, link_iso_sd2, link_model_sd
+from oracles import apply_map, link_iso_sd, link_iso_sd2, link_model_sd, relabel, vertex_tile
 
 from morseshell.catalog import (
     boundary_sphere,
@@ -38,7 +38,7 @@ from morseshell.engine import (
 from morseshell.labels import atom, bary
 from morseshell.morse import dmf_from_matching, greedy_collapse_dmf, trivial_dmf
 from morseshell.serial import tiling_to_lines
-from morseshell.tiles import MorseTile, classify, tile_join, vertex_tile
+from morseshell.tiles import MorseTile, classify, tile_join
 from morseshell.verify import audit, critical_census, verify_tiling
 
 a, b, c, d, v, w = (atom(x) for x in "abcdvw")
@@ -477,7 +477,7 @@ def test_transported_shelling_verifies_in_the_link():
     sd_k = barycentric_complex(k)
     target_space = RelativeComplex(link_complex(sd_k, Simplex([bary([b, c])])))
     moved = apply_map(model, m)
-    assert moved.tiles == tuple(t.relabel(m) for t in model.tiles)
+    assert moved.tiles == tuple(relabel(t, m) for t in model.tiles)
     assert verify_tiling(target_space, Tiling(target_space, moved.tiles)).ok
 
 

@@ -1,21 +1,23 @@
 """The engine's kernel on compact tiles against the reference recursion on
 MorseTiles (``oracles``): identical tiles and segment lengths, plus the edge
 cases of the compact form."""
-import sys
-
 import pytest
 from oracles import (
     all_tiles_on,
     boundary_sd_oracle,
+    cone,
+    dotted,
     entries_oracle,
     shell_sd2_oracle,
     shell_sd_join_oracle,
     shell_sd_relative_oracle,
     split_cone_tile_oracle,
     subtract_oracle,
+    vertex_tile,
 )
 from test_acceptance import _pairs_up_to_total_dim
 
+from morseshell import engine as engine_module
 from morseshell import tiles as tiles_module
 from morseshell.catalog import (
     boundary_sphere,
@@ -41,7 +43,7 @@ from morseshell.engine import (
 )
 from morseshell.labels import atom, bary
 from morseshell.morse import greedy_collapse_dmf, trivial_dmf
-from morseshell.tiles import MorseTile, cone, vertex_tile
+from morseshell.tiles import MorseTile
 
 a, b, c, d, u, v, w = (atom(x) for x in "abcduvw")
 
@@ -125,15 +127,16 @@ def test_sd2_kernel_matches_reference(name, kind):
     assert tiling.tiles == tuple(shell_sd2_oracle(k, f))
 
 
-def test_sd2_pipeline_calls_neither_cone_nor_relabel(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the engine kernel called the MorseTile calculus")
-
-    for mod in [m for name, m in sys.modules.items() if name.startswith("morseshell")]:
-        for attr, value in list(vars(mod).items()):
-            if value is tiles_module.cone:
-                monkeypatch.setattr(mod, attr, refuse)
-    monkeypatch.setattr(MorseTile, "relabel", refuse)
+def test_sd2_pipeline_calls_neither_cone_nor_relabel():
+    """The MorseTile cone and relabel live in the test oracles now; the
+    engine binds nothing from ``morseshell.tiles`` but the tile type and
+    ``tile_to_relative``, and builds every tile on its compact kernel."""
+    from_tiles = {
+        attr
+        for attr, value in vars(engine_module).items()
+        if value is tiles_module or getattr(value, "__module__", None) == tiles_module.__name__
+    }
+    assert from_tiles == {"MorseTile", "tile_to_relative"}
     k = moebius_torus()
     for f in (trivial_dmf(k), greedy_collapse_dmf(k)):
         tiling, census = shell_sd2_from_dmf(k, f)
@@ -158,7 +161,7 @@ def test_open_vertex_is_the_dotted_vertex():
     hat = bary([a])
     closed, open_ = ((hat,), 0, -1), ((hat,), 1, -1)
     # the ridge {∅} of the open vertex is bit 0, and dotting gives the same tile
-    assert _tile(open_) == vertex_tile(hat, open_=True) == vertex_tile(hat).dotted()
+    assert _tile(open_) == vertex_tile(hat, open_=True) == dotted(vertex_tile(hat))
     assert _strip_empty([closed]) == [open_]
     assert _subtract(closed, {()}) == open_
     assert _entries(open_) == ((hat, OPEN),)

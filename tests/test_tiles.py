@@ -1,28 +1,30 @@
 import pytest
 
 from oracles import (
+    CanonicalTriple,
     all_subcomplex_missing_sets,
     all_tiles_on,
+    canonical_triple,
+    cone,
     covered_faces,
+    euler_signature,
     missing_closure,
+    recompose,
+    relabel,
     tile_to_json,
+    vertex_tile,
 )
 
 from morseshell.complexes import EMPTY, Simplex, barycentric_complex, make_complex, star_link
 from morseshell.engine import CLOSED, DOTTED, OPEN, _compact, _entries, _slice
 from morseshell.labels import atom
 from morseshell.tiles import (
-    CanonicalTriple,
     MorseTile,
     NotAMorseTileError,
-    canonical_triple,
     classify,
-    cone,
     make_tile,
-    recompose,
     tile_join,
     tile_to_relative,
-    vertex_tile,
 )
 
 LABELS = [atom(x) for x in "abcdefghij"]
@@ -43,13 +45,13 @@ def simplex_of_dim(n, offset=0):
 def test_relabel_reorders_by_the_images_and_rejects_a_bad_map_or_tile():
     tile = MorseTile(s(a, b, c, d), frozenset([s(b, c, d)]), s(a, b), s(a, b, c, d, e))
     flip = {a: e, b: d, c: c, d: b, e: a}
-    moved = tile.relabel(flip.__getitem__)
+    moved = relabel(tile, flip.__getitem__)
     assert moved == MorseTile(s(e, d, c, b), frozenset([s(d, c, b)]), s(e, d), s(e, d, c, b, a))
     assert all(list(x.vertices) == sorted(x.vertices) for x in (moved.underlying, moved.anchor))
     with pytest.raises(ValueError, match="not injective"):
-        tile.relabel({a: a, b: b, c: c, d: a, e: e}.__getitem__)
+        relabel(tile, {a: a, b: b, c: c, d: a, e: e}.__getitem__)
     with pytest.raises(ValueError, match="not a face"):
-        MorseTile(s(a, b), frozenset([s(c)])).relabel(flip.__getitem__)
+        relabel(MorseTile(s(a, b), frozenset([s(c)])), flip.__getitem__)
 
 
 # -- classify -------------------------------------------------------------------
@@ -307,7 +309,7 @@ def test_euler_signature_up_to_dim_4():
         for tile in all_tiles_on(simplex_of_dim(dim)):
             cls = tile.tile_class()
             expect = (-1) ** cls.index if cls.is_critical else 0
-            assert tile.euler_signature() == expect
+            assert euler_signature(tile) == expect
 
 
 def test_tile_json_round_trip():

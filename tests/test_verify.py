@@ -25,7 +25,8 @@ from morseshell.tiles import MorseTile, TileClass
 from morseshell import verify
 from morseshell.verify import _gf2_rank, audit, critical_census, mod2_betti, verify_tiling
 
-from oracles import gf2_rank
+from oracles import all_tiles_on, euler_signature, gf2_rank, tile_class_oracle
+from test_engine_kernel import RP2
 
 a, b, c, d = (atom(x) for x in "abcd")
 
@@ -148,7 +149,7 @@ def test_census_counts_regular_tiles(circle_tiling):
 
 def test_tile_euler_signatures_sum_to_euler(circle_tiling):
     _, _, tiling = circle_tiling
-    total = sum(t.euler_signature() for t in tiling.tiles)
+    total = sum(map(euler_signature, tiling.tiles))
     assert total == tiling.space.ambient.euler() == 0
 
 
@@ -279,9 +280,33 @@ def test_audit_reports_each_homology_failure_once():
     assert sum("betti" in r for r in reasons) == 1
 
 
+# -- one classification rule --------------------------------------------------------
+
+
+def test_tile_shape_index_is_the_restriction_set_rule_on_every_tile_up_to_dim_4():
+    tiles = [t for dim in range(5) for t in all_tiles_on(Simplex([atom(x) for x in "abcde"[: dim + 1]]))]
+    assert len(tiles) == 234
+    for t in tiles:
+        assert verify._tile_shape(t).index == tile_class_oracle(t) == t.tile_class().index, t
+
+
+@pytest.mark.parametrize("name", ["torus", "rp2", "bd4"])
+@pytest.mark.parametrize("kind", ["trivial", "greedy"])
+def test_tile_shape_index_is_the_restriction_set_rule_on_sd2_tiles(name, kind):
+    k = {"torus": moebius_torus, "rp2": lambda: RP2, "bd4": lambda: boundary_sphere(3)}[name]()
+    f = trivial_dmf(k) if kind == "trivial" else greedy_collapse_dmf(k)
+    tiling, _ = shell_sd2_from_dmf(k, f)
+    disagree = [t for t in tiling.tiles if verify._tile_shape(t).index != tile_class_oracle(t)]
+    assert disagree == []
+
+
+GUARDED = ("morseshell.engine", "morseshell.tiles")
+
+
 def _run_time_engine_imports(source):
-    """Line numbers of the imports of ``morseshell.engine`` in a module of the
-    package, leaving out those under ``if TYPE_CHECKING``."""
+    """Line numbers of the imports of ``morseshell.engine`` or
+    ``morseshell.tiles`` in a module of the package, leaving out those under
+    ``if TYPE_CHECKING``."""
     tree = ast.parse(source)
     type_only = set()
     for node in ast.walk(tree):
@@ -298,16 +323,17 @@ def _run_time_engine_imports(source):
             targets = [alias.name for alias in node.names]
         else:
             continue
-        if "morseshell.engine" in targets:
+        if any(target in GUARDED for target in targets):
             lines.append(node.lineno)
     return lines
 
 
 def test_verify_imports_nothing_from_the_engine_at_run_time():
     """The verifier certifies the engine's tilings, so it must not run on
-    the engine's code: only annotations under ``TYPE_CHECKING`` may name it."""
+    the engine's code or on the tile module, whose classification is the
+    verifier's own: only annotations under ``TYPE_CHECKING`` may name them."""
     lines = _run_time_engine_imports(Path(verify.__file__).read_text())
-    assert lines == [], f"run-time imports from the engine on lines {lines}"
+    assert lines == [], f"run-time imports from the engine or the tiles on lines {lines}"
 
 
 @pytest.mark.parametrize(
@@ -318,6 +344,10 @@ def test_verify_imports_nothing_from_the_engine_at_run_time():
         "from morseshell.engine import Tiling",
         "from morseshell import engine",
         "import morseshell.engine",
+        "from .tiles import MorseTile",
+        "from . import tiles",
+        "from morseshell.tiles import MorseTile",
+        "import morseshell.tiles",
     ],
 )
 def test_engine_import_guard_sees_every_import_form(statement):
