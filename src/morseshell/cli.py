@@ -115,8 +115,9 @@ def cmd_morse(args) -> int:
 
 
 def _emit_tiling(args, tiling: Tiling, depth: int, cert: Certificate) -> int:
-    """Write the tiling lines with the certificate's census; a failed
-    certificate also goes to stderr, with exit code 2."""
+    """Write the tiling lines with the certificate's census, which also
+    gives each line's class; a failed certificate also goes to stderr,
+    with exit code 2."""
     lines = tiling_to_lines(tiling, depth, cert.census)
     _write(args.output, "\n".join(lines) + "\n")
     if not cert.ok:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from itertools import accumulate, combinations, permutations
 from operator import or_
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Collection, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from .labels import Label, LabelLike, as_label, bary, label_key
 
@@ -147,9 +147,12 @@ class SimplicialComplex:
     __slots__ = ("facets", "_faces", "_sd", "_hash")
 
     def __init__(self, facets: Iterable[Simplex], _absorb: bool = True):
-        fs = sorted(set(facets), key=lambda s: s.key)
-        if _absorb:
-            fs = [f for f in fs if not any(f < g for g in fs)]
+        fs = _sorted_by_key(set(facets))
+        if _absorb and fs and len(fs[0]) < len(fs[-1]):
+            # facets of one size absorb none; a redundant facet lies in a
+            # larger facet through its first vertex, the empty facet in any
+            by_vertex = _facets_by_vertex(fs)
+            fs = [f for f in fs if f.vertices and not any(f < g for g in by_vertex[f.vertices[0]])]
         self.facets: Tuple[Simplex, ...] = tuple(fs)
         self._faces: Optional[FrozenSet[Simplex]] = None
         self._sd: Optional[SimplicialComplex] = None
@@ -220,14 +223,29 @@ class SimplicialComplex:
         return f"SimplicialComplex({len(self.facets)} facets, dim {self.dim})"
 
 
+def _sorted_by_key(simplices: Collection[Simplex]) -> List[Simplex]:
+    """Simplices in ``Simplex.key`` order.  The distinct vertex labels are
+    ranked by label key once, and the simplices sorted on (size, tuple of
+    ranks): the same order, without comparing nested label keys per pair."""
+    labels = sorted({v for s in simplices for v in s.vertices}, key=label_key)
+    rank = {v: i for i, v in enumerate(labels)}.__getitem__
+    return sorted(simplices, key=lambda s: (len(s.vertices), tuple(map(rank, s.vertices))))
+
+
+def _facets_by_vertex(facets: Iterable[Simplex]) -> Dict[Label, List[Simplex]]:
+    """The facets through each vertex."""
+    by_vertex: Dict[Label, List[Simplex]] = {}
+    for f in facets:
+        for v in f.vertices:
+            by_vertex.setdefault(v, []).append(f)
+    return by_vertex
+
+
 def _under_facets(k: SimplicialComplex) -> Callable[[Simplex], bool]:
     """Face membership in k from its facets alone: s is a face of k iff it
     lies under some facet, looked up among the facets through s's first
     vertex."""
-    by_vertex: Dict[Label, List[Simplex]] = {}
-    for f in k.facets:
-        for v in f.vertices:
-            by_vertex.setdefault(v, []).append(f)
+    by_vertex = _facets_by_vertex(k.facets)
 
     def under(s: Simplex) -> bool:
         if s.is_empty:

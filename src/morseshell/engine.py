@@ -30,10 +30,21 @@ Morse face to a bottom segment of the flag (``_subtract``), splitting off a
 cone apex and dotting the closed tile.  ``MorseTile``s are built from the
 triples in one place, ``_tile``: once per output tile in ``_double_star``,
 and at the return of each public function.
+
+The join recursion reads its labels only through their label-key order
+and names each barycenter by the set of vertices it absorbs, so it runs on
+position templates.  ``_shell_entries_join`` replaces each (vertex, role)
+entry by (rank, role), the vertex's rank in the label-key order of the
+join's vertices; inside the template a barycenter is the bitmask of the
+ranks it absorbs.  ``_join_template`` shells each pair of (rank, role)
+patterns once and keeps the block, over masks only, in a bounded LRU
+cache; each call then maps the block's masks to barycenter labels, each
+mask once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
@@ -47,7 +58,7 @@ from .complexes import (
     join,
     link_complex,
 )
-from .labels import Label, bary
+from .labels import Label, bary, label_key
 from .morse import DiscreteMorseFunction, canonicalize, filtration, validate
 from .tiles import MorseTile, tile_to_relative
 from .verify import Census, critical_census
@@ -67,6 +78,8 @@ _ROLE_ORDER = {CLOSED: 0, OPEN: 1, DOTTED: 2}
 Entry = Tuple[Label, str]
 Compact = Tuple[Tuple[Label, ...], int, int]  # labels, omitted-ridge mask, Morse mask
 Block = Tuple[Sequence[Compact], int]  # shelled tiles and their segment length
+Pattern = Tuple[Tuple[int, str], ...]  # (rank, role) pairs: a join side's shape
+Template = Tuple[Tuple[Compact, ...], int, Tuple[int, ...]]  # tiles over masks, segment, masks
 
 
 @dataclass(frozen=True)
@@ -154,7 +167,9 @@ def _strip_empty(tiles: List[Compact]) -> List[Compact]:
 
 
 def _regroup(entries: Sequence[Entry]) -> Tuple[Entry, ...]:
-    return tuple(sorted(entries, key=lambda e: (_ROLE_ORDER[e[1]], e[0].key)))
+    """(vertex, role) entries grouped closed, open, dotted, each group in
+    label-key order."""
+    return tuple(sorted(entries, key=lambda e: (_ROLE_ORDER[e[1]], e[0]._key)))
 
 
 def _entries(t: Optional[Compact]) -> Tuple[Entry, ...]:
@@ -188,28 +203,31 @@ def _concat(blocks: Sequence[Block]) -> Tuple[List[Compact], int]:
     return head + [t for block, pre in blocks for t in block[pre:]], len(head)
 
 
-def _shell_entries_tile(
-    entries: Sequence[Entry], walked: Tuple[Label, ...] = ()
-) -> List[Compact]:
-    """Shell the subdivision of a single tile given as (vertex, role) pairs;
-    every barycenter also absorbs the vertices already ``walked``."""
+def _by_role(entries: Pattern) -> Pattern:
+    """(rank, role) pairs grouped closed, open, dotted, each group by rank:
+    ``_regroup`` on ranks."""
+    return tuple(sorted(entries, key=lambda e: (_ROLE_ORDER[e[1]], e[0])))
+
+
+def _template_tile(entries: Pattern, walked: int) -> List[Compact]:
+    """Shell the subdivision of a single tile given as (rank, role) pairs;
+    every barycenter also absorbs the ranks already ``walked``."""
     if not entries:
         return []
     if len(entries) == 1:
-        v, role = entries[0]
-        return [((bary((v,) + walked),), int(role != CLOSED), -1)]
+        r, role = entries[0]
+        return [((1 << r | walked,), int(role != CLOSED), -1)]
     heads = [e for e in entries if e[1] == CLOSED] or [e for e in entries if e[1] == OPEN]
     if heads:
         rest = tuple(e for e in entries if e != heads[0])
-        return _shell_entries_join(heads[:1], rest, walked)[0]
+        return _template_join(heads[:1], rest, walked)[0]
     # dotted simplex: shell the closed simplex, then remove the empty face
-    return _strip_empty(_shell_entries_tile(tuple((v, CLOSED) for v, _ in entries), walked))
+    return _strip_empty(_template_tile(tuple((r, CLOSED) for r, _ in entries), walked))
 
 
-def _shell_entries_join(
-    left: Sequence[Entry], right: Sequence[Entry], walked: Tuple[Label, ...] = ()
-) -> Tuple[List[Compact], int]:
-    """Shell sd(T ∗ T′) walking the vertices of T first.
+def _template_join(left: Pattern, right: Pattern, walked: int) -> Tuple[List[Compact], int]:
+    """Shell sd(T ∗ T′) on (rank, role) pairs, walking the vertices of T
+    first.
 
     Returns the tiles and the number of leading tiles covering the union of
     stars of the barycenters of T's vertices.  Each vertex contributes the
@@ -217,25 +235,60 @@ def _shell_entries_join(
     of the link lying in earlier stars.  Either side may be empty: the other
     tile is then shelled alone, all of it in the segment when it is T.  The
     link is shelled with the vertex added to ``walked``, so its barycenters
-    come out labeled as in the star.
+    come out as in the star.
     """
     if not right:
-        tiles = _shell_entries_tile(left, walked)
+        tiles = _template_tile(left, walked)
         return tiles, len(tiles)
     if not left:
-        return _shell_entries_tile(right, walked), 0
-    left = _regroup(left)
-    entries = left + _regroup(right)
+        return _template_tile(right, walked), 0
+    left = _by_role(left)
+    entries = left + _by_role(right)
     tiles: List[Compact] = []
     prefix = 0
-    for j, (vj, _) in enumerate(entries):
-        block, bpre = _shell_entries_join(*_slice(entries, j), walked + (vj,))
-        tiles.extend(_cone_block(bary((vj,) + walked), block, bpre))
+    for j, (rj, _) in enumerate(entries):
+        block, bpre = _template_join(*_slice(entries, j), walked | 1 << rj)
+        tiles.extend(_cone_block(1 << rj | walked, block, bpre))
         if j < len(left):
             prefix = len(tiles)
     if any(role != CLOSED for _, role in entries):
         tiles = _strip_empty(tiles)
     return tiles, prefix
+
+
+@lru_cache(maxsize=1024)
+def _join_template(left: Pattern, right: Pattern) -> Template:
+    """The shelled block of a join shape, memoized: its tiles over position
+    masks, its segment length, and the masks its tiles use."""
+    tiles, prefix = _template_join(left, right, 0)
+    masks = tuple({m for labels, _, _ in tiles for m in labels})
+    return tuple(tiles), prefix, masks
+
+
+def _shell_entries_join(left: Sequence[Entry], right: Sequence[Entry]) -> Tuple[List[Compact], int]:
+    """Shell sd(T ∗ T′) walking the vertices of T first, on the position
+    template of the two (vertex, role) patterns; either side may be empty.
+
+    The block depends on the labels only through their label-key order, so
+    each vertex becomes its rank in that order, the template is shelled once
+    per pair of (rank, role) patterns, and each barycenter mask of the
+    template is mapped to its label once per call.  The order of the given
+    entries matters, as in the template.
+    """
+    labels = sorted([v for v, _ in left] + [v for v, _ in right], key=label_key)
+    rank = {v: i for i, v in enumerate(labels)}
+    if len(rank) < len(labels):
+        raise ValueError("join entries repeat a vertex")
+    tiles, prefix, masks = _join_template(
+        tuple((rank[v], role) for v, role in left), tuple((rank[v], role) for v, role in right)
+    )
+    hat = {m: bary([v for i, v in enumerate(labels) if m >> i & 1]) for m in masks}.__getitem__
+    return [(tuple(map(hat, ms)), omitted, morse) for ms, omitted, morse in tiles], prefix
+
+
+def _shell_entries_tile(entries: Sequence[Entry]) -> List[Compact]:
+    """Shell the subdivision of a single tile given as (vertex, role) pairs."""
+    return _shell_entries_join(entries, ())[0]
 
 
 # -- public tile-level shellings ---------------------------------------------

@@ -112,6 +112,8 @@ def load_complex_json(text: str) -> RelativeComplex:
     if not isinstance(missing_raw, list):
         raise ValueError('complex JSON "missing" must be an array of facets')
     facets = [_facet_from_json(f) for f in data["facets"]]
+    if not facets:
+        raise ValueError("no facets in input")
     if any(f.is_empty for f in facets):
         raise ValueError("facets must be non-empty")
     missing = [_facet_from_json(f) for f in missing_raw]
@@ -225,28 +227,32 @@ def _label_text(lab: Label, memo: Dict[Label, str]) -> str:
 def tiling_to_lines(t: Tiling, depth: int, census: Census) -> List[str]:
     """Tile lines in shelling order plus the trailing summary record.
 
-    A tile line is the compact JSON object, keys sorted, of ``class``
-    (``{"critical": index}`` or ``"regular"``), ``facet``, ``morse_face``
-    (null, ``"empty"`` or a simplex) and ``ridges``, assembled from the
-    text of each distinct label, encoded once.  The ridges are in the order
+    A tile line is the compact JSON object, keys sorted, of ``class``,
+    ``facet``, ``morse_face`` (null, ``"empty"`` or a simplex) and
+    ``ridges``, assembled from the text of each distinct label, encoded
+    once.  ``class`` (``{"critical": index}`` or ``"regular"``) is the
+    tile's entry in ``census.indices``, so the census must be the tiling's
+    own, as ``verify.critical_census`` or a certificate counts it; a census
+    of another length raises ValueError.  The ridges are in the order
     of their JSON text with json's default ``", "`` separator, which is the
     order of their compact text: the default text only adds a space after
     each separating comma, and two texts first differ at the same point of
     their structure either way (a comma inside an atom name is escaped
     context, never a separator).
     """
+    if len(census.indices) != len(t.tiles):
+        raise ValueError(f"census classifies {len(census.indices)} tiles, the tiling has {len(t.tiles)}")
     memo: Dict[Label, str] = {}
 
     def text(s: Simplex) -> str:
         return "[" + ",".join([_label_text(v, memo) for v in s.vertices]) + "]"
 
     lines = []
-    for tile in t.tiles:
-        cls = tile.tile_class()
+    for tile, index in zip(t.tiles, census.indices):
         mf = tile.morse_face
         lines.append(
             '{"class":%s,"facet":%s,"morse_face":%s,"ridges":[%s]}' % (
-                '{"critical":%d}' % cls.index if cls.is_critical else '"regular"',
+                '"regular"' if index is None else '{"critical":%d}' % index,
                 text(tile.underlying),
                 "null" if mf is None else '"empty"' if mf.is_empty else text(mf),
                 ",".join(sorted(map(text, tile.missing_ridges))),

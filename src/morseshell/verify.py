@@ -54,10 +54,13 @@ __all__ = [
 
 @dataclass
 class Census:
-    """Critical tiles counted by index, and the number of regular tiles."""
+    """Critical tiles counted by index, and the number of regular tiles;
+    ``indices`` holds each tile's critical index in shelling order, None
+    for a regular tile."""
 
     critical: Dict[int, int] = field(default_factory=dict)
     regular: int = 0
+    indices: List[Optional[int]] = field(default_factory=list)
 
     def signed_count(self) -> int:
         return sum((-1) ** k * n for k, n in self.critical.items())
@@ -201,6 +204,7 @@ def _euler(keys: Iterable[Key]) -> int:
 
 
 def _count(census: Census, shape: _Shape) -> None:
+    census.indices.append(shape.index)
     if shape.index is None:
         census.regular += 1
     else:

@@ -19,8 +19,9 @@ of a dense 0/1 matrix.  The reference verifier is the certifier on
 The reference encoder is the dict-building ``tile_to_json`` plus
 ``json.dumps`` that ``serial.tiling_to_lines`` replaced with per-label
 texts.  The reference shelling recursion last is the engine's walk on
-``MorseTile``s (``cone``, ``relabel``) that its kernel on compact (labels,
-omitted-mask, Morse-mask) triples replaced.
+``MorseTile``s and labels (``cone``, ``relabel``) that its kernel on
+compact (labels, omitted-mask, Morse-mask) triples and position templates
+replaced.
 """
 import heapq
 import json
@@ -47,7 +48,6 @@ from morseshell.engine import (
     OPEN,
     Tiling,
     _concat,
-    _regroup,
     _sd2_transport,
     _slice,
 )
@@ -574,13 +574,17 @@ def gf2_rank(columns: Sequence[int]) -> int:
 
 
 def critical_census_oracle(t: Tiling) -> Census:
-    """Counts of critical tiles by index, regular tiles aside."""
+    """Counts of critical tiles by index, regular tiles aside, and each
+    tile's index by the restriction-set rule (None when regular or
+    malformed)."""
     census = Census()
     for tile in t.tiles:
         try:
             index = tile_class_oracle(tile)
         except NotAMorseTileError:
+            census.indices.append(None)
             continue
+        census.indices.append(index)
         if index is None:
             census.regular += 1
         else:
@@ -697,10 +701,19 @@ def tile_lines_oracle(t: Tiling) -> List[str]:
 # -- reference shelling recursion ------------------------------------------------
 #
 # The engine's walk on MorseTiles, before its kernel moved to compact
-# (labels, omitted-mask, Morse-mask) triples: every cone is ``cone``, every
-# transport ``relabel``, and every face a ``Simplex``.  The shared rules on
-# (vertex, role) entries (``_regroup``, ``_slice``), the block chaining and
-# the sd² label transport are the engine's own.
+# (labels, omitted-mask, Morse-mask) triples and its joins to position
+# templates: every cone is ``cone``, every transport ``relabel``, every
+# barycenter a ``bary`` of the walked labels, every face a ``Simplex``, and
+# entries are regrouped by label key (``_regroup``).  The link rule on
+# (vertex, role) entries (``_slice``), the block chaining and the sd² label
+# transport are the engine's own.
+
+
+def _regroup(entries) -> Tuple[Tuple[Label, str], ...]:
+    """(vertex, role) entries grouped closed, open, dotted, each group in
+    label order; the engine regroups position ranks instead."""
+    order = {CLOSED: 0, OPEN: 1, DOTTED: 2}
+    return tuple(sorted(entries, key=lambda e: (order[e[1]], e[0].key)))
 
 
 def entries_oracle(t: Optional[MorseTile]) -> Tuple[Tuple[Label, str], ...]:

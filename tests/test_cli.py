@@ -174,12 +174,14 @@ MALFORMED_COMPLEX = [
     ('{"facets": 5}', 'complex JSON needs a "facets" array'),
     ('{"facets": [["a", "b"]], "missing": 5}', 'complex JSON "missing" must be an array of facets'),
     ('{"facets": [[]]}', "facets must be non-empty"),
+    ('{"facets": []}', "no facets in input"),
 ]
 
 
 @pytest.mark.parametrize("command", ["info", "shell-sd2"])
 @pytest.mark.parametrize(
-    "content, fragment", MALFORMED_COMPLEX, ids=["facets-number", "missing-number", "empty-facet"],
+    "content, fragment", MALFORMED_COMPLEX,
+    ids=["facets-number", "missing-number", "empty-facet", "no-facets"],
 )
 def test_malformed_json_complex_exits_one(tmp_path, capsys, command, content, fragment):
     path = tmp_path / "k.json"

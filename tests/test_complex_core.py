@@ -3,6 +3,8 @@ from itertools import combinations, permutations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     VertexMap,
@@ -12,6 +14,7 @@ from oracles import (
     link_iso_sd2,
     star_intersection_sd2,
 )
+from test_morse_properties import complexes
 
 from morseshell.complexes import (
     EMPTY,
@@ -77,6 +80,37 @@ def test_make_complex_circle():
 def test_make_complex_absorbs_redundant_facets():
     k = make_complex([[a, b, c], [a, b]])
     assert k.facets == (s(a, b, c),)
+
+
+def _pairwise_facets(facets):
+    """The facets kept by the pairwise rule: key order, every facet inside
+    another one dropped."""
+    fs = sorted(set(facets), key=lambda f: f.key)
+    return tuple(f for f in fs if not any(f < g for g in fs))
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(complexes(), st.randoms(use_true_random=False))
+def test_rank_keyed_facets_match_the_key_order_and_pairwise_absorption(k, rng):
+    """Facets sorted on label ranks are in ``Simplex.key`` order on random
+    complexes and their sd and sd², so atom and nested labels both sort;
+    the indexed absorption keeps what the pairwise rule keeps, for the
+    facets plus a sample of their faces, the empty face included."""
+    for depth in range(3):
+        if depth:
+            k = barycentric_complex(k)
+        assert k.facets == tuple(sorted(k.facets, key=lambda f: f.key))
+        if depth < 2:
+            faces = sorted(k.faces(), key=lambda f: f.key)
+            given_facets = list(k.facets) + rng.sample(faces, min(len(faces), 40))
+            rng.shuffle(given_facets)
+            assert SimplicialComplex(given_facets).facets == _pairwise_facets(given_facets)
+
+
+def test_absorption_of_the_empty_facet():
+    assert SimplicialComplex([EMPTY]).facets == (EMPTY,)
+    assert SimplicialComplex([EMPTY, s(a)]).facets == (s(a),)
+    assert SimplicialComplex([s(b), EMPTY, s(a, b), s(c)]).facets == (s(c), s(a, b))
 
 
 def test_make_complex_rejects_empty_facet():

@@ -2,12 +2,15 @@
 MorseTiles (``oracles``): identical tiles and segment lengths, plus the edge
 cases of the compact form."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     all_tiles_on,
     boundary_sd_oracle,
     cone,
     dotted,
     entries_oracle,
+    shell_entries_join_oracle,
     shell_sd2_oracle,
     shell_sd_join_oracle,
     shell_sd_relative_oracle,
@@ -28,10 +31,14 @@ from morseshell.catalog import (
 )
 from morseshell.complexes import EMPTY, RelativeComplex, Simplex, make_complex
 from morseshell.engine import (
+    CLOSED,
+    DOTTED,
     OPEN,
     _compact,
     _cone,
     _entries,
+    _join_template,
+    _shell_entries_join,
     _split_cone_tile,
     _strip_empty,
     _subtract,
@@ -141,6 +148,45 @@ def test_sd2_pipeline_calls_neither_cone_nor_relabel():
     for f in (trivial_dmf(k), greedy_collapse_dmf(k)):
         tiling, census = shell_sd2_from_dmf(k, f)
         assert len(tiling.tiles) == 504 and census.critical
+
+
+@st.composite
+def join_patterns(draw):
+    """Two sides of up to 5 (vertex, role) entries in all, each role closed,
+    open or dotted, in any order; the vertices' label-key order is a random
+    permutation of their positions."""
+    n = draw(st.integers(1, 5))
+    ranks = draw(st.permutations(range(n)))
+    roles = draw(st.lists(st.sampled_from([CLOSED, OPEN, DOTTED]), min_size=n, max_size=n))
+    cut = draw(st.integers(0, n))
+    entries = tuple((atom(f"p{r}"), role) for r, role in zip(ranks, roles))
+    return entries[:cut], entries[cut:]
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(join_patterns())
+def test_memoized_join_matches_reference_on_random_patterns(sides):
+    """The join shelled once per (rank, role) shape and mapped onto the
+    labels gives the reference recursion's tiles and segment, on the first
+    call of a shape and on a later, cached one."""
+    want_tiles, want_prefix = shell_entries_join_oracle(*sides)
+    for _ in range(2):
+        tiles, prefix = _shell_entries_join(*sides)
+        assert ([_tile(t) for t in tiles], prefix) == (want_tiles, want_prefix)
+
+
+def test_join_template_is_keyed_by_shape_and_holds_masks():
+    _join_template.cache_clear()
+    left = ((bary([a]), CLOSED),)
+    for x, y in [(b, c), (d, v)]:
+        _shell_entries_join(left, ((bary([x]), OPEN), (bary([y]), DOTTED)))
+    # the two calls differ in labels only: one template, held over masks
+    assert _join_template.cache_info().currsize == 1
+    tiles, prefix, masks = _join_template(((0, CLOSED),), ((1, OPEN), (2, DOTTED)))
+    assert _join_template.cache_info().hits == 2
+    assert all(type(m) is int for t in tiles for m in t[0]) and set(masks) <= set(range(1, 8))
+    with pytest.raises(ValueError):
+        _shell_entries_join(left, left)
 
 
 # -- the compact form ------------------------------------------------------------

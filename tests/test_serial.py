@@ -9,12 +9,14 @@ in other labels, so a wrong ridge order or escape shows here.
 """
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morseshell.engine import shell_sd2_from_dmf
 from morseshell.morse import greedy_collapse_dmf, trivial_dmf
 from morseshell.serial import load_complex_json, tiling_to_lines
+from morseshell.verify import Census
 
 from oracles import tile_lines_oracle
 
@@ -43,3 +45,15 @@ def test_lines_match_the_reference_on_odd_atom_names():
                 min_size=3, max_size=3, unique=True))
 def test_lines_match_the_reference_on_generated_atom_names(names):
     assert_lines_match_the_reference([names, names[:2] + ["c"]], trivial_dmf)
+
+
+def test_lines_take_the_class_from_the_census_of_the_same_tiling():
+    """``class`` comes from the census's per-tile indices, so a census of
+    another length is refused rather than written against the wrong tiles."""
+    k = load_complex_json(json.dumps({"facets": [["a", "b"], ["b", "c"]]})).ambient
+    tiling, census = shell_sd2_from_dmf(k, trivial_dmf(k))
+    assert len(census.indices) == len(tiling.tiles)
+    short = Census(census.critical, census.regular, census.indices[:-1])
+    for wrong in (short, Census()):
+        with pytest.raises(ValueError, match="census classifies"):
+            tiling_to_lines(tiling, 2, wrong)
