@@ -4,7 +4,7 @@ Commands:
 
 * ``info``       f-vector, Euler characteristic, mod-2 Betti numbers;
 * ``sd``         emit the subdivided complex (depth 0, 1 or 2);
-* ``morse``      produce (trivial/greedy) or load+canonicalize a function;
+* ``morse``      produce (trivial/greedy) or load a function, canonical form out;
 * ``shell-sd``   vertex-star-first shelling of sd(S);
 * ``shell-sd2``  full pipeline on sd²(K): tiling, census, certificate;
 * ``verify``     certify a tiling file against its complex.
@@ -25,7 +25,7 @@ from typing import List, Optional
 from .complexes import RelativeComplex, SimplicialComplex, barycentric
 from .engine import Tiling, shell_sd_relative, shell_sd2_from_dmf
 from .labels import atom
-from .morse import canonicalize, greedy_collapse_dmf, trivial_dmf
+from .morse import greedy_collapse_dmf, trivial_dmf
 from .serial import (
     certificate_to_json,
     dump_complex_json,
@@ -97,14 +97,14 @@ def cmd_sd(args) -> int:
 
 
 def _obtain_morse(k: SimplicialComplex, kind: str, path: Optional[str]):
-    """The trivial or greedy function on k, or the canonicalized one in path."""
+    """The trivial or greedy function on k, or the canonical one in path."""
     if kind == "trivial":
         return trivial_dmf(k)
     if kind == "greedy":
         return greedy_collapse_dmf(k)
     if not path:
         raise UsageError("morse load requires --function FILE")
-    return canonicalize(k, load_morse_json(_read(path), k))
+    return load_morse_json(_read(path), k)
 
 
 def cmd_morse(args) -> int:

@@ -2,7 +2,11 @@
 and the step filtration (single critical face or free-ridge collapse pair
 per step) that drives the shelling constructions.
 
-Values are exact rationals throughout; all comparisons are exact.
+Every function this module makes gets its values from one rule,
+``_assign_values``, applied to a gradient matching over one face-incidence
+table, ``_Hasse``: the trivial function (no pairs), greedy collapse (its
+collapse steps), a given matching, and ``canonicalize`` (the matching f
+induces).  Values are exact rationals throughout; all comparisons are exact.
 """
 from __future__ import annotations
 
@@ -69,10 +73,6 @@ class ValidationReport:
         return self.is_dmf and self.is_monotone and self.is_semi_injective and self.is_generic
 
 
-def _faces_by_key(k: SimplicialComplex) -> List[Simplex]:
-    return sorted((s for s in k.faces() if not s.is_empty), key=lambda s: s.key)
-
-
 class _Hasse(NamedTuple):
     """Face-incidence table of K, local to one call.
 
@@ -81,6 +81,7 @@ class _Hasse(NamedTuple):
     """
 
     faces: List[Simplex]
+    pos: Dict[Simplex, int]  # position of each face; the empty face has none
     up: List[List[int]]      # codimension-one cofaces
     down: List[List[int]]    # codimension-one faces (ridges), the empty one aside
     above: List[List[int]]   # proper cofaces of every codimension
@@ -89,7 +90,7 @@ class _Hasse(NamedTuple):
 
 def _hasse(k: SimplicialComplex) -> _Hasse:
     """Fill the table from each face's own subsets: Σ 2^|t| work, not n²."""
-    faces = _faces_by_key(k)
+    faces = sorted((s for s in k.faces() if not s.is_empty), key=lambda s: s.key)
     pos = {s: i for i, s in enumerate(faces)}
     up: List[List[int]] = [[] for _ in faces]
     above: List[List[int]] = [[] for _ in faces]
@@ -106,7 +107,7 @@ def _hasse(k: SimplicialComplex) -> _Hasse:
             up[j].append(i)
         down.append(ridges)
         below.append(subs)
-    return _Hasse(faces, up, down, above, below)
+    return _Hasse(faces, pos, up, down, above, below)
 
 
 def validate(k: SimplicialComplex, f: DiscreteMorseFunction) -> ValidationReport:
@@ -157,80 +158,62 @@ def _validate(h: _Hasse, f: DiscreteMorseFunction) -> ValidationReport:
     return report
 
 
-def _matching(h: _Hasse, f: DiscreteMorseFunction) -> Dict[Simplex, Simplex]:
-    """Codimension-one pairs (σ, τ) with f(τ) ≤ f(σ); each face in ≤ 1 pair."""
-    faces = h.faces
-    val = [f[s] for s in faces]
-    pairs: Dict[Simplex, Simplex] = {}
-    used = [False] * len(faces)
-    for i, s in enumerate(faces):
-        for j in h.up[i]:
-            if val[j] <= val[i]:
-                if used[i] or used[j]:
-                    raise ValueError("function does not induce a matching; not a dmf")
-                pairs[s] = faces[j]
-                used[i] = used[j] = True
-    return pairs
+def _matching(h: _Hasse, f: DiscreteMorseFunction) -> Dict[int, int]:
+    """Positions of the codimension-one pairs (σ, τ) with f(τ) ≤ f(σ),
+    ridge to coface.  f must be a dmf (``_validate``), so each face lies in
+    at most one pair (Forman, Adv. Math. 1998, Lemma 2.5)."""
+    val = [f[s] for s in h.faces]
+    return {i: j for i, cofaces in enumerate(h.up) for j in cofaces if val[j] <= val[i]}
 
 
-def _assign_values(
-    faces: Sequence[Simplex], pairs: Mapping[Simplex, Simplex]
-) -> DiscreteMorseFunction:
-    """Values from a matching: topologically sort the matched Hasse diagram
-    (pairs contracted, all other cover relations pointing up) with a
-    canonical tie-break; matched pairs share one value.
+def _assign_values(h: _Hasse, pairs: Mapping[int, int]) -> DiscreteMorseFunction:
+    """The one value rule: topologically sort the matched Hasse diagram
+    (pairs contracted, all other cover relations pointing up), taking the
+    smallest ready node first; matched pairs share one value.
 
-    ``faces`` are the non-empty faces of K in ``key`` order; a node is the
-    position of its smallest face, which is the ridge of a matched pair.
+    ``pairs`` maps ridge positions to coface positions in ``h``.  A node is
+    the position of its smallest face, the ridge of a pair, so ties go in
+    ``key`` order.  An edge met through both faces of a pair counts twice.
     """
-    pos = {s: i for i, s in enumerate(faces)}
-    node = list(range(len(faces)))
-    for s, t in pairs.items():
-        node[pos[t]] = pos[s]
-    succs: List[set] = [set() for _ in faces]
-    indeg = [0] * len(faces)
-    for i, t in enumerate(faces):
-        b = node[i]
-        for r in t.ridges():
-            if r.is_empty:
-                continue
-            a = node[pos[r]]
-            if a != b and b not in succs[a]:
-                succs[a].add(b)
+    n = len(h.faces)
+    node = list(range(n))
+    for i, j in pairs.items():
+        node[j] = i
+    succs: List[List[int]] = [[] for _ in range(n)]
+    indeg = [0] * n
+    for j, ridges in enumerate(h.down):
+        b = node[j]
+        for i in ridges:
+            a = node[i]
+            if a != b:
+                succs[a].append(b)
                 indeg[b] += 1
-    members: Dict[int, List[Simplex]] = {}
-    for i, s in enumerate(faces):
-        members.setdefault(node[i], []).append(s)
-    heap = [n for n in members if indeg[n] == 0]
+    heap = [a for a in range(n) if node[a] == a and indeg[a] == 0]
     heapq.heapify(heap)
-    values: Dict[Simplex, Fraction] = {}
+    rank: List[Optional[Fraction]] = [None] * n
     counter = 0
     while heap:
-        n = heapq.heappop(heap)
-        for s in members[n]:
-            values[s] = Fraction(counter)
+        a = heapq.heappop(heap)
+        rank[a] = Fraction(counter)
         counter += 1
-        for b in succs[n]:
+        for b in succs[a]:
             indeg[b] -= 1
             if indeg[b] == 0:
                 heapq.heappush(heap, b)
-    if len(values) != len(faces):
+    if counter != n - len(pairs):
         raise ValueError("matched Hasse diagram has a cycle; not an acyclic matching")
-    return DiscreteMorseFunction(values)
+    return DiscreteMorseFunction({s: rank[node[i]] for i, s in enumerate(h.faces)})
 
 
 def canonicalize(k: SimplicialComplex, f: DiscreteMorseFunction) -> DiscreteMorseFunction:
     """Reassign values so the function is monotone, semi-injective and
     generic, preserving the induced pairing and so the critical faces."""
     _check_total(k, f)
-    return _canonical(_hasse(k), f)
-
-
-def _canonical(h: _Hasse, f: DiscreteMorseFunction) -> DiscreteMorseFunction:
+    h = _hasse(k)
     report = _validate(h, f)
     if not report.is_dmf:
         raise ValueError(f"not a discrete Morse function: {report.witnesses}")
-    return _assign_values(h.faces, _matching(h, f))
+    return _assign_values(h, _matching(h, f))
 
 
 def critical_faces(k: SimplicialComplex, f: DiscreteMorseFunction) -> Dict[Simplex, int]:
@@ -307,9 +290,8 @@ def filtration(k: SimplicialComplex, f: DiscreteMorseFunction) -> Filtration:
 
 
 def trivial_dmf(k: SimplicialComplex) -> DiscreteMorseFunction:
-    """Dimension as a Morse function, canonicalized; every face critical."""
-    h = _hasse(k)
-    return _canonical(h, DiscreteMorseFunction({s: Fraction(s.dim) for s in h.faces}))
+    """The canonical function of the empty matching; every face critical."""
+    return _assign_values(_hasse(k), {})
 
 
 def dmf_from_matching(
@@ -317,18 +299,20 @@ def dmf_from_matching(
 ) -> DiscreteMorseFunction:
     """Synthesize a canonical function whose pairing is the given matching;
     fails when the matching is not acyclic."""
+    h = _hasse(k)
+    mapping: Dict[int, int] = {}
     seen = set()
-    mapping: Dict[Simplex, Simplex] = {}
     for s, t in pairs:
-        if s not in k or t not in k:
-            raise ValueError(f"({s!r}, {t!r}) is not a pair of faces")
-        if not (s < t and t.dim == s.dim + 1):
+        i, j = h.pos.get(s), h.pos.get(t)
+        if i is None or j is None:
+            raise ValueError(f"({s!r}, {t!r}) is not a pair of non-empty faces of the complex")
+        if i not in h.down[j]:
             raise ValueError(f"({s!r}, {t!r}) is not a ridge/coface pair")
-        if s in seen or t in seen:
+        if i in seen or j in seen:
             raise ValueError("matching reuses a face")
-        seen.update((s, t))
-        mapping[s] = t
-    return _assign_values(_faces_by_key(k), mapping)
+        seen.update((i, j))
+        mapping[i] = j
+    return _assign_values(h, mapping)
 
 
 def greedy_collapse_dmf(k: SimplicialComplex) -> DiscreteMorseFunction:
@@ -348,6 +332,10 @@ def greedy_collapse_dmf(k: SimplicialComplex) -> DiscreteMorseFunction:
     ridge whose count falls to 1 in the middle of a step, while its coface
     still lies in the facet being collapsed, therefore stays queued and is
     free once the step is done.
+
+    A face is removed only after all its cofaces, so the collapse steps are
+    the gradient matching of the removal order, and they go to
+    ``_assign_values`` as it.
     """
     h = _hasse(k)
     faces = h.faces
@@ -372,21 +360,17 @@ def greedy_collapse_dmf(k: SimplicialComplex) -> DiscreteMorseFunction:
             heapq.heappop(heap)
         return heap[0] if heap else None
 
-    removal: List[Tuple[int, ...]] = []
+    pairs: Dict[int, int] = {}
     left = len(faces)
     while left:
         theta = top(free, 1)
         if theta is None:
-            step: Tuple[int, ...] = (top(maximal, 0),)
+            remove(top(maximal, 0))
+            left -= 1
         else:
-            step = (theta, next(t for t in h.up[theta] if alive[t]))
-        removal.append(step)
-        for i in step:
-            remove(i)
-        left -= len(step)
-    values: Dict[Simplex, Fraction] = {}
-    total = len(removal)
-    for n, step in enumerate(removal):
-        for i in step:
-            values[faces[i]] = Fraction(total - n)
-    return _canonical(h, DiscreteMorseFunction(values))
+            tau = next(t for t in h.up[theta] if alive[t])
+            pairs[theta] = tau
+            remove(theta)
+            remove(tau)
+            left -= 2
+    return _assign_values(h, pairs)

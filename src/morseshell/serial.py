@@ -5,7 +5,8 @@ whitespace-separated atom names, ``#`` comments) or as JSON
 ``{"facets": [[...]], "missing": [[...]]}``.  A label serializes as a string
 (atom) or as an array of labels (a barycenter).  Morse functions are JSON
 maps from faces of an atom-labeled complex (space-joined names) to rational
-strings, or a matching file ``{"pairs": [[face, coface], ...]}``.  Tilings
+strings, or a matching file ``{"pairs": [[face, coface], ...]}``; either
+loads as its canonical function.  Tilings
 are JSON lines, one tile per line in shelling order, closed by a summary
 record carrying depth, census and a checksum of the tile lines.
 """
@@ -19,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .complexes import EMPTY, RelativeComplex, Simplex, SimplicialComplex, make_complex, void_complex
 from .engine import Tiling
 from .labels import Label, atom, bary
-from .morse import DiscreteMorseFunction, dmf_from_matching
+from .morse import DiscreteMorseFunction, canonicalize, dmf_from_matching
 from .tiles import MorseTile
 from .verify import Census, Certificate
 
@@ -146,10 +147,14 @@ def _face_key(s: Simplex) -> str:
 
 def _face_from_key(key) -> Simplex:
     if isinstance(key, str):
-        return Simplex(key.split())
-    if isinstance(key, list) and all(isinstance(v, str) for v in key):
-        return Simplex(key)
-    raise ValueError(f"Morse face {json.dumps(key)} is neither a string nor an array of names")
+        names = key.split()
+    elif isinstance(key, list) and all(isinstance(v, str) for v in key):
+        names = key
+    else:
+        raise ValueError(f"Morse face {json.dumps(key)} is neither a string nor an array of names")
+    if len(set(names)) != len(names):
+        raise ValueError(f"Morse face {json.dumps(key)} repeats a vertex")
+    return Simplex(names)
 
 
 def _morse_value(key: str, raw) -> Fraction:
@@ -163,6 +168,8 @@ def _morse_value(key: str, raw) -> Fraction:
 
 
 def load_morse_json(text: str, k: SimplicialComplex) -> DiscreteMorseFunction:
+    """The canonical function of a pairs file (``dmf_from_matching``) or of
+    a values file (``canonicalize``)."""
     data = json.loads(text)
     if not isinstance(data, dict) or not ("pairs" in data or "values" in data):
         raise ValueError('Morse JSON needs "values" or "pairs"')
@@ -179,8 +186,11 @@ def load_morse_json(text: str, k: SimplicialComplex) -> DiscreteMorseFunction:
         raise ValueError('Morse "values" must be an object from faces to numbers')
     values: Dict[Simplex, Fraction] = {}
     for key, raw in data["values"].items():
-        values[_face_from_key(key)] = _morse_value(key, raw)
-    return DiscreteMorseFunction(values)
+        s = _face_from_key(key)
+        if s in values:
+            raise ValueError(f"Morse face {json.dumps(key)} names a face that already has a value")
+        values[s] = _morse_value(key, raw)
+    return canonicalize(k, DiscreteMorseFunction(values))
 
 
 def dump_morse_json(f: DiscreteMorseFunction) -> str:

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morseshell import cli
 from morseshell.cli import run
@@ -211,13 +217,23 @@ MALFORMED_MORSE = [
     ('{"values": []}', 'Morse "values" must be an object'),
     ('{"values": {"a": null}}', "Morse value null on 'a'"),
     ('{"values": {"a": true}}', "Morse value true on 'a'"),
+    ('{"pairs": [["", "a"]]}', "({}, {a}) is not a pair of non-empty faces of the complex"),
+    ('{"pairs": [[[], ["a"]]]}', "({}, {a}) is not a pair of non-empty faces of the complex"),
+    ('{"values": {"a a": 0}}', 'Morse face "a a" repeats a vertex'),
+    ('{"pairs": [[["b", "b"], ["a", "b"]]]}', 'Morse face ["b", "b"] repeats a vertex'),
+    ('{"values": {"a b": 0, "b a": 1}}', 'Morse face "b a" names a face that already has a value'),
+    ('{"values": {"a": 0, "a a": 1}}', 'Morse face "a a" repeats a vertex'),
 ]
 
 
 @pytest.mark.parametrize("command", ["morse", "shell-sd2"])
 @pytest.mark.parametrize(
     "content, fragment", MALFORMED_MORSE,
-    ids=["string", "pairs-number", "short-pair", "values-array", "null-value", "bool-value"],
+    ids=[
+        "string", "pairs-number", "short-pair", "values-array", "null-value", "bool-value",
+        "empty-face-string", "empty-face-array", "repeated-vertex-value", "repeated-vertex-pair",
+        "same-face-twice", "face-and-repeat",
+    ],
 )
 def test_malformed_morse_file_exits_one(circle_file, tmp_path, capsys, command, content, fragment):
     fpath = tmp_path / "f.json"
@@ -230,6 +246,67 @@ def test_malformed_morse_file_exits_one(circle_file, tmp_path, capsys, command, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert fragment in err
+
+
+# A filled triangle with a tail; its boundary edges and vertices carry
+# the cyclic matching FRONT_DOOR_CYCLE.
+FRONT_DOOR_COMPLEX = "a b c\nc d\n"
+FRONT_DOOR_CYCLE = [("a", "a b"), ("b", "b c"), ("c", "a c")]
+FRONT_DOOR_FACES = ["a", "b", "c", "d", "a b", "a c", "b c", "c d", "a b c"]
+# every (ridge, coface) pair, the empty face as the ridge of a vertex included
+FRONT_DOOR_PAIRS = [
+    (r, t) for t in FRONT_DOOR_FACES for r in [""] + FRONT_DOOR_FACES
+    if len(t.split()) == len(r.split()) + 1 and set(r.split()) < set(t.split())
+]
+# any name list up to length three: the empty face, repeats, "x" off the complex
+any_face = st.lists(st.sampled_from(["a", "b", "c", "d", "x"]), max_size=3).map(" ".join)
+
+
+@st.composite
+def spelled(draw, face):
+    """The face as a string or as an array, its names in any order."""
+    names = draw(st.permutations(face.split()))
+    return " ".join(names) if draw(st.booleans()) else names
+
+
+@st.composite
+def morse_files(draw):
+    """A pairs file of pairs of the complex (or its cycle) plus at most one
+    arbitrary pair, or a values file on all or most of the complex's faces
+    plus at most one arbitrary key, with values 2·dim ± 1; names in any
+    order."""
+    if draw(st.booleans()):
+        if draw(st.booleans()):
+            pairs = list(FRONT_DOOR_CYCLE)
+        else:
+            pairs = draw(st.lists(st.sampled_from(FRONT_DOOR_PAIRS), unique=True, max_size=3))
+        if draw(st.booleans()):
+            pairs.append(draw(st.tuples(any_face, any_face)))
+        return {"pairs": [[draw(spelled(r)), draw(spelled(t))] for r, t in pairs]}
+    faces = draw(st.lists(st.sampled_from(FRONT_DOOR_FACES), unique=True, min_size=8))
+    if draw(st.booleans()):
+        faces.append(draw(any_face))
+    values = {}
+    for face in faces:
+        key = " ".join(draw(st.permutations(face.split())))
+        values[key] = 2 * len(face.split()) + draw(st.integers(-1, 1))
+    return {"values": values}
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(morse_files())
+def test_morse_load_of_a_generated_file_exits_zero_or_names_one_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        kpath, fpath = Path(tmp) / "k.txt", Path(tmp) / "f.json"
+        kpath.write_text(FRONT_DOOR_COMPLEX)
+        fpath.write_text(json.dumps(data))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = run(["morse", str(kpath), "load", "--function", str(fpath), "-o", "/dev/null"])
+    assert rc in (0, 1)
+    if rc == 1:
+        text = err.getvalue()
+        assert text.startswith("error: ") and text.count("\n") == 1
 
 
 @pytest.mark.parametrize(

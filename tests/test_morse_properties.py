@@ -19,6 +19,7 @@ from morseshell.morse import (
     trivial_dmf,
     validate,
 )
+from morseshell.serial import dump_morse_json, load_morse_json
 
 from oracles import (
     assign_values_oracle,
@@ -122,10 +123,25 @@ def test_canonicalize_matches_the_oracle_or_fails_alike(kf):
 
 
 @PROPERTY
-@given(complexes())
-def test_generators_match_their_oracles(k):
+@given(complexes(), st.randoms(use_true_random=False))
+def test_generators_match_their_oracles(k, rng):
+    """Each builder matches its oracle, and what it builds is canonical:
+    canonicalize leaves it as it is."""
     assert trivial_dmf(k).values == trivial_oracle(k).values
     assert greedy_collapse_dmf(k).values == greedy_oracle(k).values
+    matched = dmf_from_matching(k, random_collapse_matching(k, rng))
+    for g in (trivial_dmf(k), greedy_collapse_dmf(k), matched):
+        assert canonicalize(k, g).values == g.values
+        assert validate(k, g).is_canonical
+
+
+@PROPERTY
+@given(functions())
+def test_loading_a_values_file_canonicalizes_it(kf):
+    """A values file loads as canonicalize of its raw values, or fails alike;
+    most generated functions are not canonical."""
+    k, f = kf
+    assert outcome(load_morse_json, dump_morse_json(f), k) == outcome(canonicalize, k, f)
 
 
 @PROPERTY
