@@ -146,9 +146,9 @@ class SimplicialComplex:
 
     __slots__ = ("facets", "_faces", "_sd", "_hash")
 
-    def __init__(self, facets: Iterable[Simplex], _absorb: bool = True):
+    def __init__(self, facets: Iterable[Simplex]):
         fs = _sorted_by_key(set(facets))
-        if _absorb and fs and len(fs[0]) < len(fs[-1]):
+        if fs and len(fs[0]) < len(fs[-1]):
             # facets of one size absorb none; a redundant facet lies in a
             # larger facet through its first vertex, the empty facet in any
             by_vertex = _facets_by_vertex(fs)
@@ -261,12 +261,12 @@ def void_complex() -> SimplicialComplex:
 
 def empty_complex() -> SimplicialComplex:
     """The complex whose only face is the empty simplex."""
-    return SimplicialComplex((EMPTY,), _absorb=False)
+    return SimplicialComplex((EMPTY,))
 
 
 def closure_complex(s: Simplex) -> SimplicialComplex:
     """The closed simplex s as a complex (the empty complex for s = ∅)."""
-    return SimplicialComplex((s,), _absorb=False)
+    return SimplicialComplex((s,))
 
 
 def boundary_complex(s: Simplex) -> SimplicialComplex:
@@ -313,7 +313,7 @@ class RelativeComplex:
     def __init__(self, ambient: SimplicialComplex, missing: SimplicialComplex = None):
         if missing is None:
             missing = void_complex()
-        while True:
+        while not missing.is_void:
             in_missing = _under_facets(missing)
             shared = {f for f in ambient.facets if in_missing(f)}
             if not shared:
@@ -327,7 +327,6 @@ class RelativeComplex:
             )
             if ambient.is_void:
                 missing = void_complex()
-                break
         if not missing.is_void and not missing.is_subcomplex_of(ambient):
             raise ValueError("missing part must be a subcomplex of the ambient complex")
         self.ambient = ambient
@@ -411,7 +410,7 @@ def barycentric_complex(k: SimplicialComplex) -> SimplicialComplex:
             for perm in permutations([1 << i for i in range(len(vs))]):
                 chain = [hat[mask] for mask in accumulate(perm, or_)]
                 flags.add(_simplex(tuple(sorted(chain, key=label_key))))
-        k._sd = SimplicialComplex(flags, _absorb=False)
+        k._sd = SimplicialComplex(flags)
     return k._sd
 
 
@@ -429,7 +428,7 @@ def star_complex(k: SimplicialComplex, s: Simplex) -> SimplicialComplex:
     """st_K(s) = {τ | s ∪ τ ∈ K}, the subcomplex on facets containing s."""
     if s not in k:
         raise ValueError(f"{s!r} is not a face of the complex")
-    return SimplicialComplex(k.facets_containing(s), _absorb=False)
+    return SimplicialComplex(k.facets_containing(s))
 
 
 def link_complex(k: SimplicialComplex, s: Simplex) -> SimplicialComplex:

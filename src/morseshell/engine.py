@@ -59,7 +59,7 @@ from .complexes import (
     link_complex,
 )
 from .labels import Label, bary, label_key
-from .morse import DiscreteMorseFunction, canonicalize, filtration, validate
+from .morse import DiscreteMorseFunction, canonicalize, filtration
 from .tiles import MorseTile, tile_to_relative
 from .verify import Census, critical_census
 
@@ -600,14 +600,13 @@ def shell_sd2_from_dmf(
     faces of f index by index, with its census as the verifier counts it
     (``verify.critical_census``); ``verify.audit`` certifies that census.
 
-    The function is canonicalized if needed.  Steps of the induced
+    The function is read in its canonical form.  Steps of the induced
     filtration are processed in order; a critical face of dimension d adds
     one critical tile of index d, a collapse pair adds none.
     """
     if k.is_void:
         raise ValueError("cannot shell the void complex")
-    if not validate(k, f).is_canonical:
-        f = canonicalize(k, f)
+    f = canonicalize(k, f)
     steps = filtration(k, f).steps
     tiles: List[MorseTile] = []
     for i, step in enumerate(steps):

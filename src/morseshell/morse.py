@@ -11,6 +11,7 @@ induces).  Values are exact rationals throughout; all comparisons are exact.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -217,23 +218,15 @@ def canonicalize(k: SimplicialComplex, f: DiscreteMorseFunction) -> DiscreteMors
 
 
 def critical_faces(k: SimplicialComplex, f: DiscreteMorseFunction) -> Dict[Simplex, int]:
-    """Faces where a canonical function is injective, with index = dimension."""
-    _check_total(k, f)
-    count: Dict[Fraction, int] = {}
-    for s, v in f.items():
-        count[v] = count.get(v, 0) + 1
-    return {
-        s: s.dim
-        for s, v in f.items()
-        if count[v] == 1
-    }
+    """The critical faces of f, with index = dimension: the faces where its
+    canonical form (``canonicalize``) is injective."""
+    f = canonicalize(k, f)
+    count = Counter(f.values.values())
+    return {s: s.dim for s, v in f.items() if count[v] == 1}
 
 
 def critical_census(k: SimplicialComplex, f: DiscreteMorseFunction) -> Dict[int, int]:
-    census: Dict[int, int] = {}
-    for _, idx in critical_faces(k, f).items():
-        census[idx] = census.get(idx, 0) + 1
-    return census
+    return dict(Counter(critical_faces(k, f).values()))
 
 
 @dataclass(frozen=True)

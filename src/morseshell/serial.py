@@ -167,10 +167,20 @@ def _morse_value(key: str, raw) -> Fraction:
     raise ValueError(f"Morse value {json.dumps(raw)} on {key!r} is not a finite number")
 
 
+def _unique_keys(members: List[Tuple[str, object]]) -> Dict[str, object]:
+    """A JSON object of a Morse file, whose keys must differ."""
+    obj: Dict[str, object] = {}
+    for key, value in members:
+        if key in obj:
+            raise ValueError(f"Morse JSON repeats the key {json.dumps(key)}")
+        obj[key] = value
+    return obj
+
+
 def load_morse_json(text: str, k: SimplicialComplex) -> DiscreteMorseFunction:
     """The canonical function of a pairs file (``dmf_from_matching``) or of
     a values file (``canonicalize``)."""
-    data = json.loads(text)
+    data = json.loads(text, object_pairs_hook=_unique_keys)
     if not isinstance(data, dict) or not ("pairs" in data or "values" in data):
         raise ValueError('Morse JSON needs "values" or "pairs"')
     if "pairs" in data:

@@ -15,15 +15,19 @@ conservation audits:
 
 The checks build no ``Simplex`` face set and use none of the tile calculus
 the engine builds with.  A face is keyed by its vertex tuple, the
-``itertools.combinations`` of a facet's sorted vertices; the space's faces
-are those of the ambient facets minus those of the missing facets.  Within
-a tile, a face is the bitmask of the positions of its vertices in the
-tile's sorted vertex tuple, and masks are walked in key order (by size,
-then lexicographically by position), the order of ``Simplex.faces()``, so
-failures come out in the same order on every run.  The tile shape is
-re-derived from the missing set by the rule in ``_shape``, the package's one
-classification rule: ``MorseTile.tile_class`` reports it.  Witnesses are
-``Simplex`` objects, built only when a check fails.
+``itertools.combinations`` of a facet's sorted vertices.  On an honest
+tiling only the faces of the missing part L are enumerated: the tiles
+claim the space's faces in one walk, and coverage follows from the
+shelling check (``_check_tiles``).  The space's faces, those of the
+ambient facets minus L's, are listed only when that argument fails, to
+name the faces no tile covers.  Within a tile, a face is the bitmask of
+the positions of its vertices in the tile's sorted vertex tuple, and masks
+are walked in key order (by size, then lexicographically by position),
+the order of ``Simplex.faces()``, so failures come out in the same order
+on every run.  The tile shape is re-derived from the missing set by the
+rule in ``_shape``, the package's one classification rule:
+``MorseTile.tile_class`` reports it.  Witnesses are ``Simplex`` objects,
+built only when a check fails.
 """
 from __future__ import annotations
 
@@ -31,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations, compress, repeat
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Collection, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .complexes import RelativeComplex, Simplex, SimplicialComplex, barycentric
 from .morse import DiscreteMorseFunction, critical_census as dmf_census
@@ -233,64 +237,63 @@ def verify_tiling(
     subdivision, so a tiling of sd^d(K) may be checked against K.
     """
     cert = Certificate()
-    space, owner = _check_tiles(cert, s, t)
+    space, owner, missing = _check_tiles(cert, s, t)
     if homology_of is None:
         homology_of, keys = s, space
     else:
         keys = _face_keys(homology_of.ambient.facets) - _face_keys(homology_of.missing.facets)
     _check_homology(cert, _euler(keys), homology_of)
     if strong:
-        cert.strong_ok = _strong_condition(space, owner, t)
+        cert.strong_ok = _strong_condition(missing, owner, t)
     return cert
 
 
-def _check_tiles(cert: Certificate, s: RelativeComplex, t: Tiling) -> Tuple[Set[Key], Dict[Key, int]]:
-    """Partition, shelling and tile-shape checks, plus the tile census.
+def _check_tiles(cert: Certificate, s: RelativeComplex, t: Tiling) -> Tuple[Collection[Key], Dict[Key, int], Set[Key]]:
+    """Partition, shelling and tile-shape checks and the census, in one walk.
 
-    Returns the space's face keys and the owner map, which sends each face
-    of the space to the first tile that claims it.
+    Each anchored tile claims its owned faces, which must be outside L and
+    unclaimed; the first face of its missing closure (of its whole simplex
+    if unanchored) neither in L nor owned yet is a shelling gap.  Coverage
+    follows: a face of K \\ L lies in an ambient facet F, a tile owning F
+    is anchored at F, and so with no gap it owns the face or found it owned.
+    Only with a gap or an unowned facet are K \\ L's faces listed, to name
+    the uncovered ones.  Returns the space's face keys, the owner map (each
+    face of the space to the first tile claiming it) and L's face keys.
     """
     missing = _face_keys(s.missing.facets)
-    space = _face_keys(s.ambient.facets)
-    space -= missing
     facets = {f.vertices for f in s.ambient.facets}
-
     owner: Dict[Key, int] = {}
-    shapes: List[_Shape] = []
+    gaps: List[Tuple[int, Key]] = []
     for p, tile in enumerate(t.tiles):
         shape = _tile_shape(tile)
-        shapes.append(shape)
         _count(cert.census, shape)
         vs = tile.underlying.vertices
-        if vs not in facets:
+        if vs in facets:
+            if shape.reason is not None:
+                cert._fail("tiles_ok", p, f"not a Morse tile: {shape.reason}", tile.underlying)
+            for key in compress(_subsets(vs), shape.owned):
+                if key in missing:
+                    cert._fail("partition_ok", p, "tile claims a face outside the complex", Simplex(key))
+                elif key in owner:
+                    cert._fail("partition_ok", p, f"face also owned by tile {owner[key]}", Simplex(key))
+                else:
+                    owner[key] = p
+            walk = compress(_subsets(vs), shape.closure)
+        else:
             cert._fail("partition_ok", p, "tile not anchored at an ambient facet", tile.underlying)
-            continue
-        if shape.reason is not None:
-            cert._fail("tiles_ok", p, f"not a Morse tile: {shape.reason}", tile.underlying)
-        for key in compress(_subsets(vs), shape.owned):
-            if key not in space:
-                cert._fail("partition_ok", p, "tile claims a face outside the complex", Simplex(key))
-            elif key in owner:
-                cert._fail("partition_ok", p, f"face also owned by tile {owner[key]}", Simplex(key))
-            else:
-                owner[key] = p
-    if len(owner) < len(space):
+            walk = _subsets(vs)
+        for key in walk:
+            if key not in missing and key not in owner:
+                gaps.append((p, key))
+                break
+    space: Collection[Key] = owner.keys()
+    if gaps or not facets <= space:
+        space = _face_keys(s.ambient.facets) - missing
         for face in sorted(map(Simplex, space - owner.keys()), key=lambda f: f.key):
             cert._fail("partition_ok", None, "face not covered by any tile", face)
-
-    # A face a tile owns is its own, an earlier tile's or in L, so an
-    # anchored tile needs only its missing closure walked.
-    for p, tile in enumerate(t.tiles):
-        vs = tile.underlying.vertices
-        walk = compress(_subsets(vs), shapes[p].closure) if vs in facets else _subsets(vs)
-        for key in walk:
-            if key in missing:
-                continue
-            q = owner.get(key)
-            if q is None or q > p:
-                cert._fail("shelling_ok", p, "closure face owned later or never", Simplex(key))
-                break
-    return space, owner
+    for p, key in gaps:
+        cert._fail("shelling_ok", p, "closure face owned later or never", Simplex(key))
+    return space, owner, missing
 
 
 def _check_homology(cert: Certificate, euler: int, s: RelativeComplex) -> None:
@@ -307,7 +310,7 @@ def _check_homology(cert: Certificate, euler: int, s: RelativeComplex) -> None:
                 cert._fail("morse_inequalities_ok", None, f"census[{k}] = {n} < betti {b}", None)
 
 
-def _strong_condition(space: Set[Key], owner: Dict[Key, int], t: Tiling) -> bool:
+def _strong_condition(missing: Set[Key], owner: Dict[Key, int], t: Tiling) -> bool:
     """Unions of tiles of dimension > d are relative subcomplexes, for every
     tile dimension d.
 
@@ -325,7 +328,7 @@ def _strong_condition(space: Set[Key], owner: Dict[Key, int], t: Tiling) -> bool
             continue
         for i in range(len(key)):
             ridge = key[:i] + key[i + 1:]
-            if ridge in space:
+            if ridge not in missing:
                 q = owner.get(ridge)
                 if (floor if q is None else dims[q]) < d:
                     return False
@@ -368,12 +371,7 @@ def _gf2_rank(columns: Sequence[int]) -> int:
     return len(pivots)
 
 
-def audit(
-    k: SimplicialComplex,
-    f: DiscreteMorseFunction,
-    t: Tiling,
-    strong: bool = False,
-) -> Certificate:
+def audit(k: SimplicialComplex, f: DiscreteMorseFunction, t: Tiling, strong: bool = False) -> Certificate:
     """Extended certificate for a tiling of sd²(K) built from f.
 
     ``verify_tiling`` checks the tiles against the space the tiling names
@@ -387,13 +385,11 @@ def audit(
     if t.space != barycentric(barycentric(s)):
         cert.partition_ok = False
         cert.failures.insert(0, (None, "tiling names a space other than sd²(K)", None))
-    expected = dmf_census(k, f)
-    got = {i: n for i, n in cert.census.critical.items() if n}
-    cert.census_matches_function = got == {i: n for i, n in expected.items() if n}
-    if not cert.census_matches_function:
-        for i in sorted(set(got) | set(expected)):
-            if got.get(i, 0) != expected.get(i, 0):
-                cert.failures.append(
-                    (None, f"census[{i}] = {got.get(i, 0)} but f has {expected.get(i, 0)} critical faces", None)
-                )
+    got, expected = cert.census.critical, dmf_census(k, f)
+    cert.census_matches_function = got == expected
+    for i in sorted(set(got) | set(expected)):
+        if got.get(i, 0) != expected.get(i, 0):
+            cert.failures.append(
+                (None, f"census[{i}] = {got.get(i, 0)} but f has {expected.get(i, 0)} critical faces", None)
+            )
     return cert

@@ -277,7 +277,7 @@ def derived_neighborhood(l: SimplicialComplex, k: SimplicialComplex) -> Simplici
         bottom = min(flag.vertices, key=lambda lab: len(lab.members))
         if len(bottom.members) == 1 and bottom.members[0] in l_vertices:
             chosen.append(flag)
-    return SimplicialComplex(chosen, _absorb=False)
+    return SimplicialComplex(chosen)
 
 
 class VertexMap:
@@ -306,9 +306,7 @@ class VertexMap:
     def on_complex(self, k: SimplicialComplex) -> SimplicialComplex:
         if k.is_void:
             return k
-        return SimplicialComplex(
-            tuple(self.on_simplex(f) for f in k.facets), _absorb=False
-        )
+        return SimplicialComplex(tuple(self.on_simplex(f) for f in k.facets))
 
     def on_relative(self, s: RelativeComplex) -> RelativeComplex:
         return RelativeComplex(self.on_complex(s.ambient), self.on_complex(s.missing))

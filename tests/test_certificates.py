@@ -47,7 +47,7 @@ def _join_pairs():
 
 
 def _mutations(tiling):
-    """The tiling itself and six broken variants of it."""
+    """The tiling itself and up to eight broken variants of it."""
     tiles = list(tiling.tiles)
     k = len(tiles) // 2
 
@@ -67,6 +67,14 @@ def _mutations(tiling):
     def drop(ts):
         del ts[k]
 
+    def drop_last(ts):
+        # no later tile is left with a gap: only the freed facet's top face
+        # is unowned
+        del ts[-1]
+
+    def duplicate(ts):
+        ts.insert(k + 1, ts[k])
+
     def claim(ts):
         ts[-1] = MorseTile(ts[-1].underlying, frozenset())
 
@@ -74,6 +82,7 @@ def _mutations(tiling):
         ts.append(MorseTile(Simplex(["f1", "f2", "f3"]), frozenset()))
 
     out = {"honest": tiling, "flip": variant(flip), "drop": variant(drop),
+           "drop_last": variant(drop_last), "duplicate": variant(duplicate),
            "claim": variant(claim), "foreign": variant(foreign)}
     if len(tiles) > 1:
         out["swap"] = variant(swap)
@@ -123,6 +132,29 @@ def test_certificates_agree_with_the_reference_verifier(build):
         assert _summary(got) == _summary(want), name
         assert got.ok == (name == "honest"), name
         assert critical_census(mutated) == critical_census_oracle(mutated), name
+
+
+def test_an_honest_tiling_is_certified_without_the_space_face_set(monkeypatch):
+    """Coverage follows from the shelling check, so the faces of the
+    space's ambient facets are never enumerated on an honest tiling checked
+    against the homology of K."""
+    k = two_triangles()
+    tiling = _sd2(k, greedy_collapse_dmf)
+    on_k = RelativeComplex(k)
+    seen = []
+    original = verify._face_keys
+
+    def recording(facets):
+        facets = tuple(facets)
+        seen.append(facets)
+        return original(facets)
+
+    monkeypatch.setattr(verify, "_face_keys", recording)
+    assert verify_tiling(tiling.space, tiling, strong=True, homology_of=on_k).ok
+    assert seen and tiling.space.ambient.facets not in seen
+    mutated = _mutations(tiling)["drop_last"]
+    assert not verify_tiling(tiling.space, mutated, homology_of=on_k).ok
+    assert tiling.space.ambient.facets in seen
 
 
 # -- the verify command on broken tilings ---------------------------------------------

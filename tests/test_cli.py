@@ -223,6 +223,7 @@ MALFORMED_MORSE = [
     ('{"pairs": [[["b", "b"], ["a", "b"]]]}', 'Morse face ["b", "b"] repeats a vertex'),
     ('{"values": {"a b": 0, "b a": 1}}', 'Morse face "b a" names a face that already has a value'),
     ('{"values": {"a": 0, "a a": 1}}', 'Morse face "a a" repeats a vertex'),
+    ('{"values": {"a": 7, "b": 1, "a": 0}}', 'Morse JSON repeats the key "a"'),
 ]
 
 
@@ -232,7 +233,7 @@ MALFORMED_MORSE = [
     ids=[
         "string", "pairs-number", "short-pair", "values-array", "null-value", "bool-value",
         "empty-face-string", "empty-face-array", "repeated-vertex-value", "repeated-vertex-pair",
-        "same-face-twice", "face-and-repeat",
+        "same-face-twice", "face-and-repeat", "same-key-twice",
     ],
 )
 def test_malformed_morse_file_exits_one(circle_file, tmp_path, capsys, command, content, fragment):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from oracles import apply_map, link_iso_sd, link_iso_sd2, link_model_sd, relabel, vertex_tile
@@ -36,7 +38,7 @@ from morseshell.engine import (
     shell_sd_tile,
 )
 from morseshell.labels import atom, bary
-from morseshell.morse import dmf_from_matching, greedy_collapse_dmf, trivial_dmf
+from morseshell.morse import DiscreteMorseFunction, dmf_from_matching, greedy_collapse_dmf, trivial_dmf
 from morseshell.serial import tiling_to_lines
 from morseshell.tiles import MorseTile, classify, tile_join
 from morseshell.verify import audit, critical_census, verify_tiling
@@ -224,7 +226,7 @@ def cone_shelling(apex, t, deprive_prefix):
     tiles = _cone_block(apex, [_compact(tile) for tile in t.tiles], deprive_prefix)
     k, l = t.space.ambient, t.space.missing
     apex_simplex = Simplex([apex])
-    ambient = SimplicialComplex([f.union(apex_simplex) for f in k.facets], _absorb=False)
+    ambient = SimplicialComplex([f.union(apex_simplex) for f in k.facets])
     gens = [f.union(apex_simplex) for f in l.facets]
     gens += [tile.underlying for tile in t.tiles[:deprive_prefix]]
     missing = SimplicialComplex(gens) if gens else void_complex()
@@ -383,6 +385,18 @@ def test_pipeline_on_collapsing_edge():
     tiling, census = shell_sd2_from_dmf(k, f)
     cert = audit(k, f, tiling)
     assert cert.ok
+    assert cert.census.critical == {0: 1}
+
+
+def test_pipeline_audits_a_function_that_is_not_canonical():
+    """f(a) = 0, f(b) = 2, f(ab) = 1 pairs b with ab although its values
+    are distinct; the audit counts f's critical faces as the pairing has
+    them, one vertex."""
+    k = simplex_complex(1)
+    f = DiscreteMorseFunction({s(a): Fraction(0), s(b): Fraction(2), s(a, b): Fraction(1)})
+    tiling, _ = shell_sd2_from_dmf(k, f)
+    cert = audit(k, f, tiling)
+    assert cert.ok, cert.failures
     assert cert.census.critical == {0: 1}
 
 

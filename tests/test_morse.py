@@ -155,6 +155,14 @@ def test_collapsing_edge_has_single_critical_vertex():
     assert set(critical_faces(k, f)) == {s(a)}
 
 
+def test_critical_faces_read_the_canonical_form():
+    """Distinct values do not make a face critical: f(ab) = 1 <= f(b) = 2
+    pairs b with ab, so a alone is critical."""
+    k = edge()
+    f = DiscreteMorseFunction({s(a): Fraction(0), s(b): Fraction(2), s(a, b): Fraction(1)})
+    assert critical_faces(k, f) == {s(a): 0}
+
+
 def test_circle_greedy_census_is_one_one():
     k = circle()
     f = greedy_collapse_dmf(k)
