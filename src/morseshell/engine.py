@@ -59,7 +59,7 @@ from .complexes import (
     link_complex,
 )
 from .labels import Label, bary, label_key
-from .morse import DiscreteMorseFunction, canonicalize, filtration
+from .morse import DiscreteMorseFunction, filtration
 from .tiles import MorseTile, tile_to_relative
 from .verify import Census, critical_census
 
@@ -80,6 +80,7 @@ Compact = Tuple[Tuple[Label, ...], int, int]  # labels, omitted-ridge mask, Mors
 Block = Tuple[Sequence[Compact], int]  # shelled tiles and their segment length
 Pattern = Tuple[Tuple[int, str], ...]  # (rank, role) pairs: a join side's shape
 Template = Tuple[Tuple[Compact, ...], int, Tuple[int, ...]]  # tiles over masks, segment, masks
+EMPTY_TILE: Compact = ((), 0, -1)  # the closed empty simplex, the one tile of sd(∅)
 
 
 @dataclass(frozen=True)
@@ -172,13 +173,11 @@ def _regroup(entries: Sequence[Entry]) -> Tuple[Entry, ...]:
     return tuple(sorted(entries, key=lambda e: (_ROLE_ORDER[e[1]], e[0]._key)))
 
 
-def _entries(t: Optional[Compact]) -> Tuple[Entry, ...]:
+def _entries(t: Compact) -> Tuple[Entry, ...]:
     """The (vertex, role) pairs of a tile's canonical triple, grouped closed,
-    open, dotted; none for None.  The open part is the omitted positions,
-    the closed part the rest of the Morse face (all the rest for a basic
-    tile), the dotted part the positions off the Morse face."""
-    if t is None:
-        return ()
+    open, dotted; none for the empty tile.  The open part is the omitted
+    positions, the closed part the rest of the Morse face (all the rest for
+    a basic tile), the dotted part the positions off the Morse face."""
     labels, omitted, morse = t
     return _regroup([
         (lab, OPEN if omitted >> i & 1 else CLOSED if morse < 0 or morse >> i & 1 else DOTTED)
@@ -484,20 +483,20 @@ def _sd2_transport(sigma: Simplex) -> Callable[[Label], Label]:
 
 def _link_shelling(
     k: SimplicialComplex, sigma: Simplex, start: Optional[Label] = None
-) -> Tuple[List[Optional[Compact]], int]:
+) -> Tuple[List[Compact], int]:
     """Tiles of a Morse shelling of sd(lk_K σ), its unique closed tile
-    first, plus the star-segment length for the chosen start vertex; a
-    single None stands for the tiles of an empty link."""
+    first, plus the star-segment length for the chosen start vertex; an
+    empty link has the one empty tile ``EMPTY_TILE``."""
     lk = link_complex(k, sigma)
     if lk.dim < 0:
-        return [None], 0
+        return [EMPTY_TILE], 0
     if start is None:
         start = min(lk.vertices())
     return _shell_relative(RelativeComplex(lk), start)
 
 
-def _split_cone_tile(t: Compact, apex: Label) -> Optional[Compact]:
-    """Write a tile as apex ∗ T and return T (None when T is empty)."""
+def _split_cone_tile(t: Compact, apex: Label) -> Compact:
+    """Write a tile as apex ∗ T and return T, ``EMPTY_TILE`` when T is empty."""
     labels, omitted, morse = t
     assert apex in labels
     p = labels.index(apex)
@@ -513,7 +512,7 @@ def _split_cone_tile(t: Compact, apex: Label) -> Optional[Compact]:
         if not morse:
             return base, omitted, 0
     if not base:
-        return None
+        return EMPTY_TILE
     return base, omitted, morse
 
 
@@ -564,10 +563,7 @@ def _collapse_step(k: SimplicialComplex, theta: Simplex, tau: Simplex) -> List[M
     link_tiles, _ = _link_shelling(k, tau)
     link_entries = [_entries(t_m) for t_m in link_tiles]
     # the open apex joined with each link tile: a deprived cone over it
-    open_entries = [
-        _entries(((b_apex,), 1, -1) if t_m is None else _cone(b_apex, t_m, dotted=True))
-        for t_m in link_tiles
-    ]
+    open_entries = [_entries(_cone(b_apex, t_m, dotted=True)) for t_m in link_tiles]
     blocks = []
     for l, t_l in enumerate(boundary):
         if l < b_prefix:
@@ -581,7 +577,7 @@ def _collapse_step(k: SimplicialComplex, theta: Simplex, tau: Simplex) -> List[M
     # stage two: the star of the double barycenter of theta
     u = tau.minus(theta).vertices[0]
     link2, star_split = _link_shelling(k, theta, start=u)
-    assert link2[0] is not None, "a free ridge always has a coface"
+    assert link2[0] != EMPTY_TILE, "a free ridge always has a coface"
     u_hat = bary([u])
     inner_entries = [_entries(_split_cone_tile(t_m, u_hat)) for t_m in link2[:star_split]]
     rest_entries = [_entries(t_m) for t_m in link2[star_split:]]
@@ -600,13 +596,12 @@ def shell_sd2_from_dmf(
     faces of f index by index, with its census as the verifier counts it
     (``verify.critical_census``); ``verify.audit`` certifies that census.
 
-    The function is read in its canonical form.  Steps of the induced
-    filtration are processed in order; a critical face of dimension d adds
-    one critical tile of index d, a collapse pair adds none.
+    The steps are f's filtration (``morse.filtration``), in the one step
+    order, its canonical form's: a critical step, a critical face of
+    dimension d, adds one critical tile of index d, a collapse step none.
     """
     if k.is_void:
         raise ValueError("cannot shell the void complex")
-    f = canonicalize(k, f)
     steps = filtration(k, f).steps
     tiles: List[MorseTile] = []
     for i, step in enumerate(steps):

@@ -6,7 +6,10 @@ Every function this module makes gets its values from one rule,
 ``_assign_values``, applied to a gradient matching over one face-incidence
 table, ``_Hasse``: the trivial function (no pairs), greedy collapse (its
 collapse steps), a given matching, and ``canonicalize`` (the matching f
-induces).  Values are exact rationals throughout; all comparisons are exact.
+induces).  There is one step order, the canonical form's: ``filtration``
+reads f's steps off ``canonicalize(k, f)``, one per value, and the critical
+faces of f are the faces of its critical steps.  Values are exact rationals
+throughout; all comparisons are exact.
 """
 from __future__ import annotations
 
@@ -218,11 +221,9 @@ def canonicalize(k: SimplicialComplex, f: DiscreteMorseFunction) -> DiscreteMors
 
 
 def critical_faces(k: SimplicialComplex, f: DiscreteMorseFunction) -> Dict[Simplex, int]:
-    """The critical faces of f, with index = dimension: the faces where its
-    canonical form (``canonicalize``) is injective."""
-    f = canonicalize(k, f)
-    count = Counter(f.values.values())
-    return {s: s.dim for s, v in f.items() if count[v] == 1}
+    """The critical faces of f, with index = dimension: the faces of the
+    critical steps of its filtration, in step order."""
+    return {st.critical: st.critical.dim for st in filtration(k, f).steps if st.is_critical}
 
 
 def critical_census(k: SimplicialComplex, f: DiscreteMorseFunction) -> Dict[int, int]:
@@ -252,34 +253,20 @@ class Filtration:
 
 
 def filtration(k: SimplicialComplex, f: DiscreteMorseFunction) -> Filtration:
-    """Order the faces by value into critical and collapse steps.
-
-    Every prefix union must be a subcomplex and every pair must be a ridge
-    and a coface; violations signal a non-canonical function.
+    """f's steps in the order of its canonical form (``canonicalize``), one
+    per value: a value held by one face is a critical step, a value held by
+    two a collapse step (ridge, coface).  The canonical form's values are
+    the ranks of a topological sort of f's matched Hasse diagram, so every
+    prefix of steps is a subcomplex.  ``canonicalize`` raises ValueError
+    when f is not a discrete Morse function on K.
     """
-    _check_total(k, f)
     groups: Dict[Fraction, List[Simplex]] = {}
-    for s, v in f.items():
+    for s, v in canonicalize(k, f).items():  # key order: a pair's ridge first
         groups.setdefault(v, []).append(s)
-    steps: List[FiltrationStep] = []
-    seen = {EMPTY}
-    for v in sorted(groups):
-        group = sorted(groups[v], key=lambda s: s.key)
-        if len(group) == 1:
-            steps.append(FiltrationStep(critical=group[0]))
-        elif len(group) == 2:
-            theta, tau = group
-            if not (theta < tau and tau.dim == theta.dim + 1):
-                raise ValueError(f"level set {group!r} is not a collapse pair")
-            steps.append(FiltrationStep(collapse=(theta, tau)))
-        else:
-            raise ValueError("level set with more than two faces; not semi-injective")
-        for s in group:
-            for r in s.ridges():
-                if r not in seen:
-                    raise ValueError(f"prefix is not a subcomplex at {s!r}")
-            seen.add(s)
-    return Filtration(tuple(steps))
+    return Filtration(tuple(
+        FiltrationStep(critical=g[0]) if len(g) == 1 else FiltrationStep(collapse=tuple(g))
+        for _, g in sorted(groups.items())
+    ))
 
 
 def trivial_dmf(k: SimplicialComplex) -> DiscreteMorseFunction:

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .complexes import EMPTY, RelativeComplex, Simplex, SimplicialComplex, make_complex, void_complex
 from .engine import Tiling
@@ -67,6 +68,16 @@ def simplex_from_json(data) -> Simplex:
     return Simplex(label_from_json(x) for x in data)
 
 
+@contextmanager
+def _nesting(what: str) -> Iterator[None]:
+    """Report input nested past the recursion limit, in ``json.loads`` or
+    in the recursive label decoding, as a ValueError naming ``what``."""
+    try:
+        yield
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply") from None
+
+
 # -- complexes ---------------------------------------------------------------
 
 
@@ -106,18 +117,19 @@ def _facet_from_json(data) -> Simplex:
 def load_complex_json(text: str) -> RelativeComplex:
     """A complex K, or K \\ L with ``"missing"`` the facets of L.  A facet
     of K is non-empty; L may be {∅}, written ``[[]]``."""
-    data = json.loads(text)
-    if not isinstance(data, dict) or not isinstance(data.get("facets"), list):
-        raise ValueError('complex JSON needs a "facets" array')
-    missing_raw = data.get("missing") or []
-    if not isinstance(missing_raw, list):
-        raise ValueError('complex JSON "missing" must be an array of facets')
-    facets = [_facet_from_json(f) for f in data["facets"]]
-    if not facets:
-        raise ValueError("no facets in input")
-    if any(f.is_empty for f in facets):
-        raise ValueError("facets must be non-empty")
-    missing = [_facet_from_json(f) for f in missing_raw]
+    with _nesting("complex JSON"):
+        data = json.loads(text)
+        if not isinstance(data, dict) or not isinstance(data.get("facets"), list):
+            raise ValueError('complex JSON needs a "facets" array')
+        missing_raw = data.get("missing") or []
+        if not isinstance(missing_raw, list):
+            raise ValueError('complex JSON "missing" must be an array of facets')
+        facets = [_facet_from_json(f) for f in data["facets"]]
+        if not facets:
+            raise ValueError("no facets in input")
+        if any(f.is_empty for f in facets):
+            raise ValueError("facets must be non-empty")
+        missing = [_facet_from_json(f) for f in missing_raw]
     return RelativeComplex(
         SimplicialComplex(facets), SimplicialComplex(missing) if missing else void_complex()
     )
@@ -180,7 +192,8 @@ def _unique_keys(members: List[Tuple[str, object]]) -> Dict[str, object]:
 def load_morse_json(text: str, k: SimplicialComplex) -> DiscreteMorseFunction:
     """The canonical function of a pairs file (``dmf_from_matching``) or of
     a values file (``canonicalize``)."""
-    data = json.loads(text, object_pairs_hook=_unique_keys)
+    with _nesting("Morse JSON"):
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     if not isinstance(data, dict) or not ("pairs" in data or "values" in data):
         raise ValueError('Morse JSON needs "values" or "pairs"')
     if "pairs" in data:
@@ -307,18 +320,19 @@ def tiling_from_lines(lines: Sequence[str]) -> Tuple[List[MorseTile], dict, bool
     tiles: List[MorseTile] = []
     summary: dict = {}
     tile_lines: List[str] = []
-    for line in lines:
+    for n, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue
-        data = json.loads(line)
-        if not isinstance(data, dict):
-            raise ValueError(f"tiling line {line!r} is not a JSON object")
-        if "summary" in data:
-            summary = _summary_from_json(data["summary"])
-        else:
-            tiles.append(tile_from_json(data))
-            tile_lines.append(line)
+        with _nesting(f"tiling line {n}"):
+            data = json.loads(line)
+            if not isinstance(data, dict):
+                raise ValueError(f"tiling line {line!r} is not a JSON object")
+            if "summary" in data:
+                summary = _summary_from_json(data["summary"])
+            else:
+                tiles.append(tile_from_json(data))
+                tile_lines.append(line)
     digest = hashlib.sha256(("\n".join(tile_lines) + "\n").encode()).hexdigest()
     checksum_ok = summary.get("checksum") == f"sha256:{digest}"
     return tiles, summary, checksum_ok

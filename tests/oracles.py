@@ -52,13 +52,7 @@ from morseshell.engine import (
     _slice,
 )
 from morseshell.labels import Label, bary
-from morseshell.morse import (
-    DiscreteMorseFunction,
-    ValidationReport,
-    canonicalize,
-    filtration,
-    validate,
-)
+from morseshell.morse import DiscreteMorseFunction, ValidationReport, filtration
 from morseshell.serial import simplex_to_json
 from morseshell.tiles import MorseTile, NotAMorseTileError, _normalize, classify, tile_join
 from morseshell.verify import Census, Certificate, mod2_betti
@@ -941,8 +935,6 @@ def _collapse_step_oracle(k: SimplicialComplex, theta: Simplex, tau: Simplex) ->
 
 def shell_sd2_oracle(k: SimplicialComplex, f: DiscreteMorseFunction) -> List[MorseTile]:
     """The tiles of the Morse shelling of sd²(K) along f's filtration."""
-    if not validate(k, f).is_canonical:
-        f = canonicalize(k, f)
     tiles: List[MorseTile] = []
     for i, step in enumerate(filtration(k, f).steps):
         if step.is_critical:

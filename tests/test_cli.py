@@ -176,18 +176,26 @@ def test_json_facet_with_a_repeated_vertex_exits_one(tmp_path, capsys, part):
     )
 
 
+def nested(depth: int, inner: str = '"a"') -> str:
+    """JSON text of ``inner`` wrapped in ``depth`` arrays."""
+    return "[" * depth + inner + "]" * depth
+
+
 MALFORMED_COMPLEX = [
     ('{"facets": 5}', 'complex JSON needs a "facets" array'),
     ('{"facets": [["a", "b"]], "missing": 5}', 'complex JSON "missing" must be an array of facets'),
     ('{"facets": [[]]}', "facets must be non-empty"),
     ('{"facets": []}', "no facets in input"),
+    # past the recursion limit in the label decoding, then in json.loads itself
+    ('{"facets": [[%s, "b"]]}' % nested(300), "complex JSON is nested too deeply"),
+    ('{"facets": [[%s, "b"]]}' % nested(100_000), "complex JSON is nested too deeply"),
 ]
 
 
 @pytest.mark.parametrize("command", ["info", "shell-sd2"])
 @pytest.mark.parametrize(
     "content, fragment", MALFORMED_COMPLEX,
-    ids=["facets-number", "missing-number", "empty-facet", "no-facets"],
+    ids=["facets-number", "missing-number", "empty-facet", "no-facets", "deep-label", "deep-json"],
 )
 def test_malformed_json_complex_exits_one(tmp_path, capsys, command, content, fragment):
     path = tmp_path / "k.json"
@@ -196,6 +204,18 @@ def test_malformed_json_complex_exits_one(tmp_path, capsys, command, content, fr
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot parse complex {path}: ") and err.count("\n") == 1
     assert fragment in err
+
+
+def test_info_on_a_relative_complex(tmp_path):
+    """The triangle minus its edge ab: L = {∅, a, b, ab} has 3 non-empty
+    faces, and χ(K, L) = χ(K) − χ(L) = 1 − 1 = 0."""
+    path = tmp_path / "k.json"
+    path.write_text('{"facets": [["a", "b", "c"]], "missing": [["a", "b"]]}')
+    out = tmp_path / "info.json"
+    assert run(["info", str(path), "-o", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["missing_faces"] == 3
+    assert data["relative_euler"] == 0
 
 
 def test_json_complex_missing_only_the_empty_face_loads(tmp_path):
@@ -224,6 +244,7 @@ MALFORMED_MORSE = [
     ('{"values": {"a b": 0, "b a": 1}}', 'Morse face "b a" names a face that already has a value'),
     ('{"values": {"a": 0, "a a": 1}}', 'Morse face "a a" repeats a vertex'),
     ('{"values": {"a": 7, "b": 1, "a": 0}}', 'Morse JSON repeats the key "a"'),
+    ('{"pairs": %s}' % nested(100_000), "Morse JSON is nested too deeply"),
 ]
 
 
@@ -233,7 +254,7 @@ MALFORMED_MORSE = [
     ids=[
         "string", "pairs-number", "short-pair", "values-array", "null-value", "bool-value",
         "empty-face-string", "empty-face-array", "repeated-vertex-value", "repeated-vertex-pair",
-        "same-face-twice", "face-and-repeat", "same-key-twice",
+        "same-face-twice", "face-and-repeat", "same-key-twice", "deep-json",
     ],
 )
 def test_malformed_morse_file_exits_one(circle_file, tmp_path, capsys, command, content, fragment):
@@ -321,8 +342,13 @@ def test_morse_load_of_a_generated_file_exits_zero_or_names_one_error(data):
         ('{"summary": {"depth": true}}', "summary depth true is not a non-negative integer"),
         ('{"summary": {"depth": -1}}', "summary depth -1 is not a non-negative integer"),
         ('{"summary": {"depth": 3}}', "summary depth 3 is above 2, the deepest tiling morseshell writes"),
+        ('{"facet": [%s]}' % nested(300), "tiling line 14 is nested too deeply"),
+        ('{"facet": [%s]}' % nested(100_000), "tiling line 14 is nested too deeply"),
     ],
-    ids=["no-facet", "array", "string", "ridges-number", "summary-number", "bool-depth", "negative-depth", "deep-depth"],
+    ids=[
+        "no-facet", "array", "string", "ridges-number", "summary-number", "bool-depth",
+        "negative-depth", "deep-depth", "deep-label", "deep-json",
+    ],
 )
 def test_malformed_tiling_line_exits_one(circle_file, tmp_path, capsys, line, fragment):
     out = tmp_path / "t.jsonl"

@@ -1,6 +1,8 @@
 """The engine's kernel on compact tiles against the reference recursion on
 MorseTiles (``oracles``): identical tiles and segment lengths, plus the edge
 cases of the compact form."""
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,7 +51,7 @@ from morseshell.engine import (
     shell_sd_relative,
 )
 from morseshell.labels import atom, bary
-from morseshell.morse import greedy_collapse_dmf, trivial_dmf
+from morseshell.morse import DiscreteMorseFunction, greedy_collapse_dmf, trivial_dmf
 from morseshell.tiles import MorseTile
 
 a, b, c, d, u, v, w = (atom(x) for x in "abcduvw")
@@ -132,6 +134,16 @@ def test_sd2_kernel_matches_reference(name, kind):
     f = trivial_dmf(k) if kind == "trivial" else greedy_collapse_dmf(k)
     tiling, _ = shell_sd2_from_dmf(k, f)
     assert tiling.tiles == tuple(shell_sd2_oracle(k, f))
+
+
+def test_sd2_kernel_and_reference_step_alike_on_a_canonical_function():
+    """On the path a b / b c, f(b) = 0 is the least value, but the step
+    order is the canonical form's, which takes the vertex a first; the
+    kernel and the reference both shell along it."""
+    k = make_complex([["a", "b"], ["b", "c"]])
+    values = [((b,), 0), ((a,), 1), ((c,), 2), ((a, b), 3), ((b, c), 4)]
+    f = DiscreteMorseFunction({Simplex(vs): Fraction(x) for vs, x in values})
+    assert list(shell_sd2_from_dmf(k, f)[0].tiles) == shell_sd2_oracle(k, f)
 
 
 def test_sd2_pipeline_calls_neither_cone_nor_relabel():
@@ -266,7 +278,7 @@ def test_split_cone_tile_at_a_non_leading_apex_position():
     # apex ∗ dotted edge
     assert _split_cone_tile(((x, u, y), 0, 0b010), u) == ((x, y), 0, 0)
     # the apex alone: nothing left
-    assert _split_cone_tile(((u,), 0, -1), u) is None
+    assert _split_cone_tile(((u,), 0, -1), u) == ((), 0, -1)
 
 
 def test_split_cone_tile_asserts_on_a_non_cone():

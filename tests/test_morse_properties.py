@@ -15,6 +15,7 @@ from morseshell.morse import (
     DiscreteMorseFunction,
     canonicalize,
     dmf_from_matching,
+    filtration,
     greedy_collapse_dmf,
     trivial_dmf,
     validate,
@@ -133,6 +134,22 @@ def test_generators_match_their_oracles(k, rng):
     for g in (trivial_dmf(k), greedy_collapse_dmf(k), matched):
         assert canonicalize(k, g).values == g.values
         assert validate(k, g).is_canonical
+
+
+@PROPERTY
+@given(functions())
+def test_filtration_steps_along_the_canonical_form(kf):
+    """f and its canonical form have the same steps, or both calls fail;
+    most generated functions are not canonical."""
+    k, f = kf
+
+    def steps(make):
+        try:
+            return filtration(k, make()).steps
+        except ValueError as err:
+            return f"ValueError: {err}"
+
+    assert steps(lambda: f) == steps(lambda: canonicalize(k, f))
 
 
 @PROPERTY
