@@ -301,11 +301,13 @@ def join_complexes(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComp
 class RelativeComplex:
     """A pair K \\ L with L ⊆ K a subcomplex containing no facet of K.
 
-    Facets of K lying in L are deleted from both sides at construction, so
-    the invariant holds for every instance.  Construction tests faces
-    against facets only and derives no face set.  The faces of the relative
-    complex are the faces of K not in L, derived on first use; the empty
-    simplex is a face exactly when L is void.
+    Construction checks L ⊆ K first.  Then a facet of K lies in L exactly
+    when it is a facet of L, and such shared facets are deleted from both
+    sides, their ridges kept, until none is left, so the invariant holds
+    for every instance.  Construction tests faces against facets only and
+    derives no face set.  The faces of the relative complex are the faces
+    of K not in L, derived on first use; the empty simplex is a face
+    exactly when L is void.
     """
 
     __slots__ = ("ambient", "missing", "_faces")
@@ -313,9 +315,10 @@ class RelativeComplex:
     def __init__(self, ambient: SimplicialComplex, missing: SimplicialComplex = None):
         if missing is None:
             missing = void_complex()
+        if not missing.is_void and not missing.is_subcomplex_of(ambient):
+            raise ValueError("missing part must be a subcomplex of the ambient complex")
         while not missing.is_void:
-            in_missing = _under_facets(missing)
-            shared = {f for f in ambient.facets if in_missing(f)}
+            shared = set(missing.facets).intersection(ambient.facets)
             if not shared:
                 break
             rim = [r for f in shared for r in f.ridges()]
@@ -325,10 +328,6 @@ class RelativeComplex:
             missing = SimplicialComplex(
                 [f for f in missing.facets if f not in shared] + rim
             )
-            if ambient.is_void:
-                missing = void_complex()
-        if not missing.is_void and not missing.is_subcomplex_of(ambient):
-            raise ValueError("missing part must be a subcomplex of the ambient complex")
         self.ambient = ambient
         self.missing = missing
         self._faces: Optional[FrozenSet[Simplex]] = None

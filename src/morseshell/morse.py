@@ -2,11 +2,14 @@
 and the step filtration (single critical face or free-ridge collapse pair
 per step) that drives the shelling constructions.
 
-Every function this module makes gets its values from one rule,
-``_assign_values``, applied to a gradient matching over one face-incidence
-table, ``_Hasse``: the trivial function (no pairs), greedy collapse (its
-collapse steps), a given matching, and ``canonicalize`` (the matching f
-induces).  There is one step order, the canonical form's: ``filtration``
+A discrete Morse function is Forman's (Adv. Math. 1998, Def. 2.1): no face
+has two codimension-one cofaces valued not above it, nor two codimension-one
+faces valued not below it.  The one incidence relation here is the cover
+relation, in one table, ``_Hasse``.  Every function this module makes gets
+its values from one rule, ``_assign_values``, applied to a gradient
+matching over that table: the trivial function (no pairs), greedy collapse
+(its collapse steps), a given matching, and ``canonicalize`` (the matching
+f induces).  There is one step order, the canonical form's: ``filtration``
 reads f's steps off ``canonicalize(k, f)``, one per value, and the critical
 faces of f are the faces of its critical steps.  Values are exact rationals
 throughout; all comparisons are exact.
@@ -17,9 +20,10 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .complexes import EMPTY, Simplex, SimplicialComplex
+from .complexes import Simplex, SimplicialComplex, _simplex
 
 __all__ = [
     "DiscreteMorseFunction",
@@ -49,21 +53,6 @@ class DiscreteMorseFunction:
         return self.values.items()
 
 
-def _check_total(k: SimplicialComplex, f: DiscreteMorseFunction) -> None:
-    """f must take a value on every non-empty face of K and on nothing else."""
-    for s in f.values:
-        if s.is_empty:
-            raise ValueError("function has a value on the empty face {}")
-        if s not in k:
-            raise ValueError(f"function has a value on {s!r}, which is not a face of the complex")
-    if len(f.values) != len(k.faces()) - (EMPTY in k):
-        missing = min(
-            (s for s in k.faces() if not s.is_empty and s not in f.values),
-            key=lambda s: s.key,
-        )
-        raise ValueError(f"function not defined on the face {missing!r}")
-
-
 @dataclass
 class ValidationReport:
     is_dmf: bool = True
@@ -78,7 +67,7 @@ class ValidationReport:
 
 
 class _Hasse(NamedTuple):
-    """Face-incidence table of K, local to one call.
+    """The cover relation of K's face poset, local to one call.
 
     Faces are the non-empty faces of K in ``key`` order and are referred to
     by position, so every list below is in ``key`` order too.
@@ -88,48 +77,58 @@ class _Hasse(NamedTuple):
     pos: Dict[Simplex, int]  # position of each face; the empty face has none
     up: List[List[int]]      # codimension-one cofaces
     down: List[List[int]]    # codimension-one faces (ridges), the empty one aside
-    above: List[List[int]]   # proper cofaces of every codimension
-    below: List[List[int]]   # non-empty proper faces of every codimension
 
 
 def _hasse(k: SimplicialComplex) -> _Hasse:
-    """Fill the table from each face's own subsets: Σ 2^|t| work, not n²."""
+    """Fill the table from each face's ridges, |t| lookups per face."""
     faces = sorted((s for s in k.faces() if not s.is_empty), key=lambda s: s.key)
     pos = {s: i for i, s in enumerate(faces)}
     up: List[List[int]] = [[] for _ in faces]
-    above: List[List[int]] = [[] for _ in faces]
     down: List[List[int]] = []
-    below: List[List[int]] = []
     for i, t in enumerate(faces):
         n = len(t)
-        # t.faces() runs by size, then lexicographically: key order
-        subs = [pos[s] for s in t.faces() if 0 < len(s) < n]
-        for j in subs:
-            above[j].append(i)
-        ridges = subs[len(subs) - n:] if n > 1 else []
+        # combinations of the sorted vertices run lexicographically: key order
+        ridges = [pos[_simplex(r)] for r in combinations(t.vertices, n - 1)] if n > 1 else []
         for j in ridges:
             up[j].append(i)
         down.append(ridges)
-        below.append(subs)
-    return _Hasse(faces, pos, up, down, above, below)
+    return _Hasse(faces, pos, up, down)
+
+
+def _check_total(h: _Hasse, f: DiscreteMorseFunction) -> None:
+    """f must take a value on every non-empty face of K and on nothing else."""
+    for s in f.values:
+        if s.is_empty:
+            raise ValueError("function has a value on the empty face {}")
+        if s not in h.pos:
+            raise ValueError(f"function has a value on {s!r}, which is not a face of the complex")
+    if len(f.values) != len(h.faces):
+        missing = next(s for s in h.faces if s not in f.values)
+        raise ValueError(f"function not defined on the face {missing!r}")
 
 
 def validate(k: SimplicialComplex, f: DiscreteMorseFunction) -> ValidationReport:
-    """Check the two cardinality conditions plus the three canonical-form
-    properties (monotone, semi-injective, generic), with witnesses."""
-    _check_total(k, f)
-    return _validate(_hasse(k), f)
+    """Check Forman's two codimension-one counts plus the three
+    canonical-form properties (monotone, semi-injective, generic), with
+    witnesses."""
+    h = _hasse(k)
+    _check_total(h, f)
+    return _validate(h, f)
 
 
 def _validate(h: _Hasse, f: DiscreteMorseFunction) -> ValidationReport:
+    """f is a dmf when no face has two cofaces in ``up`` valued not above
+    it, nor two ridges in ``down`` valued not below it.  Monotonicity is
+    read from the covers too: f(σ) ≤ f(τ) on every cover gives it on every
+    comparable pair, by transitivity."""
     report = ValidationReport()
     witnesses = report.witnesses
     faces = h.faces
     val = [f[s] for s in faces]
     for i, s in enumerate(faces):
         v = val[i]
-        up = [faces[j] for j in h.above[i] if v >= val[j]]
-        down = [faces[j] for j in h.below[i] if v <= val[j]]
+        up = [faces[j] for j in h.up[i] if v >= val[j]]
+        down = [faces[j] for j in h.down[i] if v <= val[j]]
         if len(up) > 1:
             report.is_dmf = False
             witnesses.setdefault("dmf_up", (s, *up))
@@ -137,7 +136,7 @@ def _validate(h: _Hasse, f: DiscreteMorseFunction) -> ValidationReport:
             report.is_dmf = False
             witnesses.setdefault("dmf_down", (s, *down))
         if report.is_monotone:
-            for j in h.above[i]:
+            for j in h.up[i]:
                 if v > val[j]:
                     report.is_monotone = False
                     witnesses["monotone"] = (s, faces[j])
@@ -212,8 +211,8 @@ def _assign_values(h: _Hasse, pairs: Mapping[int, int]) -> DiscreteMorseFunction
 def canonicalize(k: SimplicialComplex, f: DiscreteMorseFunction) -> DiscreteMorseFunction:
     """Reassign values so the function is monotone, semi-injective and
     generic, preserving the induced pairing and so the critical faces."""
-    _check_total(k, f)
     h = _hasse(k)
+    _check_total(h, f)
     report = _validate(h, f)
     if not report.is_dmf:
         raise ValueError(f"not a discrete Morse function: {report.witnesses}")

@@ -244,7 +244,10 @@ def verify_tiling(
         keys = _face_keys(homology_of.ambient.facets) - _face_keys(homology_of.missing.facets)
     _check_homology(cert, _euler(keys), homology_of)
     if strong:
-        cert.strong_ok = _strong_condition(missing, owner, t)
+        d = _strong_failure(missing, owner, t)
+        cert.strong_ok = d is None
+        if d is not None:
+            cert.failures.append((None, f"tiles of dimension above {d} do not form a subcomplex", None))
     return cert
 
 
@@ -310,29 +313,27 @@ def _check_homology(cert: Certificate, euler: int, s: RelativeComplex) -> None:
                 cert._fail("morse_inequalities_ok", None, f"census[{k}] = {n} < betti {b}", None)
 
 
-def _strong_condition(missing: Set[Key], owner: Dict[Key, int], t: Tiling) -> bool:
-    """Unions of tiles of dimension > d are relative subcomplexes, for every
-    tile dimension d.
+def _strong_failure(missing: Set[Key], owner: Dict[Key, int], t: Tiling) -> Optional[int]:
+    """The smallest tile dimension d for which the union of the tiles of
+    dimension > d is not a relative subcomplex, or None.
 
-    That holds iff no face of the space has a ridge in the space owned by a
-    tile of smaller dimension: every face between a face G of K \\ L and
-    a coface F of it lies in K \\ L, since L is downward closed.  A ridge
-    no tile owns counts as owned at the smallest tile dimension, the lowest
-    d checked.
+    That union fails iff a face of the space in it has a ridge in the space
+    owned by a tile of dimension at most d: every face between a face G of
+    K \\ L and a coface F of it lies in K \\ L, since L is downward closed.
+    A ridge no tile owns counts as owned at the smallest tile dimension.
     """
     dims = [tile.dim for tile in t.tiles]
     floor = min(dims, default=0)
+    lower = []
     for key, p in owner.items():
-        d = dims[p]
-        if d == floor:
-            continue
         for i in range(len(key)):
             ridge = key[:i] + key[i + 1:]
             if ridge not in missing:
                 q = owner.get(ridge)
-                if (floor if q is None else dims[q]) < d:
-                    return False
-    return True
+                e = floor if q is None else dims[q]
+                if e < dims[p]:
+                    lower.append(e)
+    return min(lower, default=None)
 
 
 def mod2_betti(k: SimplicialComplex) -> Tuple[int, ...]:

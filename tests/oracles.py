@@ -405,22 +405,29 @@ def _nonempty_by_key(k: SimplicialComplex) -> List[Simplex]:
 
 
 def validate_oracle(k: SimplicialComplex, f: DiscreteMorseFunction) -> ValidationReport:
-    """``morse.validate`` by comparing every pair of faces."""
+    """``morse.validate`` by comparing every pair of faces.
+
+    Forman's counts run over the pairs of codimension one, and the
+    ``monotone`` witness is the first such pair in key order that
+    decreases; ``is_monotone`` is decided over every comparable pair, so
+    agreement with ``validate`` checks that covers suffice.
+    """
     report = ValidationReport()
     faces = _nonempty_by_key(k)
     for s in faces:
-        up = [t for t in faces if s < t and f[s] >= f[t]]
-        down = [t for t in faces if t < s and f[s] <= f[t]]
+        cofaces = [t for t in faces if s < t and t.dim == s.dim + 1]
+        up = [t for t in cofaces if f[s] >= f[t]]
+        down = [t for t in faces if t < s and t.dim == s.dim - 1 and f[s] <= f[t]]
         if len(up) > 1:
             report.is_dmf = False
             report.witnesses.setdefault("dmf_up", (s, *up))
         if len(down) > 1:
             report.is_dmf = False
             report.witnesses.setdefault("dmf_down", (s, *down))
-        for t in faces:
-            if s < t and f[s] > f[t] and not report.witnesses.get("monotone"):
-                report.is_monotone = False
-                report.witnesses["monotone"] = (s, t)
+        for t in cofaces:
+            if f[s] > f[t]:
+                report.witnesses.setdefault("monotone", (s, t))
+    report.is_monotone = not any(s < t and f[s] > f[t] for s in faces for t in faces)
     by_value: Dict[Fraction, List[Simplex]] = {}
     for s in faces:
         by_value.setdefault(f[s], []).append(s)
@@ -634,19 +641,26 @@ def check_homology_oracle(cert: Certificate, s: RelativeComplex) -> None:
                 cert._fail("morse_inequalities_ok", None, f"census[{k}] = {n} < betti {b}", None)
 
 
-def strong_condition_oracle(s: RelativeComplex, t: Tiling) -> bool:
-    """Unions of tiles of dimension > d are relative subcomplexes, for all d."""
-    dims = sorted({tile.dim for tile in t.tiles})
-    for d in dims:
-        covered = set()
-        for tile in t.tiles:
-            if tile.dim > d:
-                covered.update(tile.faces())
+def strong_condition_oracle(s: RelativeComplex, t: Tiling) -> Optional[int]:
+    """The smallest tile dimension d for which the faces owned by tiles of
+    dimension > d do not form a relative subcomplex, or None.  As in
+    ``check_tiles_oracle``, a face of the space belongs to the first
+    anchored tile claiming it."""
+    faces = s.faces()
+    ambient_facets = set(s.ambient.facets)
+    owner: Dict[Simplex, int] = {}
+    for p, tile in enumerate(t.tiles):
+        if tile.underlying in ambient_facets:
+            for face in tile.faces():
+                if face in faces:
+                    owner.setdefault(face, p)
+    for d in sorted({tile.dim for tile in t.tiles}):
+        covered = {face for face, p in owner.items() if t.tiles[p].dim > d}
         for face in covered:
             for sub in face.faces():
-                if sub not in covered and sub in s.faces():
-                    return False
-    return True
+                if sub not in covered and sub in faces:
+                    return d
+    return None
 
 
 def verify_tiling_oracle(s: RelativeComplex, t: Tiling, strong: bool = False) -> Certificate:
@@ -655,7 +669,10 @@ def verify_tiling_oracle(s: RelativeComplex, t: Tiling, strong: bool = False) ->
     check_tiles_oracle(cert, s, t)
     check_homology_oracle(cert, s)
     if strong:
-        cert.strong_ok = strong_condition_oracle(s, t)
+        d = strong_condition_oracle(s, t)
+        cert.strong_ok = d is None
+        if d is not None:
+            cert.failures.append((None, f"tiles of dimension above {d} do not form a subcomplex", None))
     return cert
 
 

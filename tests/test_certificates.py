@@ -22,10 +22,10 @@ import morseshell.cli as cli
 import morseshell.verify as verify
 from morseshell.catalog import boundary_sphere, cone_over_circle, moebius_torus, two_triangles
 from morseshell.cli import run
-from morseshell.complexes import RelativeComplex, Simplex, make_complex
+from morseshell.complexes import EMPTY, RelativeComplex, Simplex, make_complex
 from morseshell.engine import Tiling, shell_sd2_from_dmf, shell_sd_join
 from morseshell.morse import greedy_collapse_dmf, trivial_dmf
-from morseshell.serial import dump_complex_text, simplex_from_json
+from morseshell.serial import dump_complex_text, simplex_from_json, tiling_to_lines
 from morseshell.tiles import MorseTile
 from morseshell.verify import critical_census, verify_tiling
 
@@ -111,6 +111,17 @@ def _sd2(k, f):
     return tiling
 
 
+def _edge_and_point(*tiles):
+    """A depth-0 tiling of K = {ab, c}."""
+    return Tiling(RelativeComplex(make_complex([["a", "b"], ["c"]])), tiles)
+
+
+# c minus ∅, its one ridge missing
+OPEN_C = MorseTile(Simplex("c"), frozenset({EMPTY}))
+# a shelling, but not a strong one: the vertices of the edge tile have the
+# ridge ∅, which the 0-dimensional tile owns
+NOT_STRONG = _edge_and_point(MorseTile(Simplex("c"), frozenset()), MorseTile(Simplex("ab"), frozenset(), EMPTY))
+
 AGREEMENT_CASES = [
     (f"join-{i}", lambda p=p: shell_sd_join(*p)[0])
     for i, p in sorted(Random(8).sample(list(enumerate(_join_pairs())), 24), key=lambda c: c[0])
@@ -120,18 +131,34 @@ AGREEMENT_CASES = [
     ("sphere-trivial", lambda: _sd2(boundary_sphere(2), trivial_dmf)),
     ("two-triangles-greedy", lambda: _sd2(two_triangles(), greedy_collapse_dmf)),
     ("edge-and-point-trivial", lambda: _sd2(make_complex([["a", "b"], ["c"]]), trivial_dmf)),
+    ("edge-and-point-not-strong", lambda: NOT_STRONG),
+    ("edge-and-point-strong", lambda: _edge_and_point(MorseTile(Simplex("ab"), frozenset()), OPEN_C)),
 ]
 
 
-@pytest.mark.parametrize("build", [c[1] for c in AGREEMENT_CASES], ids=[c[0] for c in AGREEMENT_CASES])
-def test_certificates_agree_with_the_reference_verifier(build):
+@pytest.mark.parametrize("case, build", AGREEMENT_CASES, ids=[c[0] for c in AGREEMENT_CASES])
+def test_certificates_agree_with_the_reference_verifier(case, build):
     tiling = build()
     for name, mutated in _mutations(tiling).items():
         got = verify_tiling(tiling.space, mutated, strong=True)
         want = verify_tiling_oracle(tiling.space, mutated, strong=True)
         assert _summary(got) == _summary(want), name
-        assert got.ok == (name == "honest"), name
+        assert got.ok == (name == "honest" and case != "edge-and-point-not-strong"), name
         assert critical_census(mutated) == critical_census_oracle(mutated), name
+
+
+def test_a_failed_strong_condition_names_the_dimension():
+    cert = verify_tiling(NOT_STRONG.space, NOT_STRONG, strong=True)
+    assert not cert.ok and cert.strong_ok is False
+    assert cert.failures == [(None, "tiles of dimension above 0 do not form a subcomplex", None)]
+    assert verify_tiling(NOT_STRONG.space, NOT_STRONG).ok
+
+
+def test_a_generator_off_the_tile_is_not_a_morse_tile():
+    tiling = _edge_and_point(MorseTile(Simplex("ab"), frozenset({Simplex("ac")})), OPEN_C)
+    cert = verify_tiling(tiling.space, tiling)
+    assert not cert.tiles_ok
+    assert (0, "not a Morse tile: {a c} is not a proper face of {a b}", Simplex("ab")) in cert.failures
 
 
 def test_an_honest_tiling_is_certified_without_the_space_face_set(monkeypatch):
@@ -223,6 +250,18 @@ def test_verify_names_a_tile_claiming_a_face_another_owns(sphere_run, tmp_path):
     code, cert = _verify_records(tmp_path, source, records, summary)
     assert code == 2 and not json.loads(cert)["partition_ok"]
     assert _named(cert, "face also owned by tile") == {k}
+
+
+def test_verify_strong_names_a_failed_strong_condition(tmp_path):
+    source = tmp_path / "k.txt"
+    source.write_text(dump_complex_text(NOT_STRONG.space))
+    path = tmp_path / "tiling.jsonl"
+    path.write_text("\n".join(tiling_to_lines(NOT_STRONG, 0, critical_census(NOT_STRONG))) + "\n")
+    cert_path = tmp_path / "cert.json"
+    assert run(["verify", str(source), "--tiling", str(path), "-o", str(cert_path)]) == 0
+    assert run(["verify", str(source), "--tiling", str(path), "--strong", "-o", str(cert_path)]) == 2
+    cert = json.loads(cert_path.read_text())
+    assert cert["strong_ok"] is False and len(cert["failures"]) == 1
 
 
 # -- determinism and the homology check of the verify command ---------------------------

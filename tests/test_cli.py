@@ -105,6 +105,31 @@ def test_shell_sd2_pipeline_and_verify(circle_file, tmp_path):
     assert run(["verify", str(circle_file), "--tiling", str(out), "-o", "/dev/null"]) == 0
 
 
+def test_shell_sd2_rejects_a_relative_complex(tmp_path, capsys):
+    path = tmp_path / "k.json"
+    path.write_text('{"facets": [["a", "b", "c"]], "missing": [["a", "b"]]}')
+    assert run(["shell-sd2", str(path), "-o", "/dev/null"]) == 1
+    assert "shell-sd2 expects an absolute complex" in capsys.readouterr().err
+
+
+# A function of Forman's on the closed triangle that pairs (c, ac) and
+# (bc, abc) and leaves a, b and ab critical.  The face c has a coface of
+# codimension two, abc, valued not above it, which is allowed.
+FORMAN_TRIANGLE = {"values": {"a": 0, "b": 0, "c": 2, "a b": 1, "a c": 1, "b c": 3, "a b c": 2}}
+
+
+def test_a_function_of_formans_loads_and_shells(tmp_path):
+    kpath, fpath = tmp_path / "tri.txt", tmp_path / "f.json"
+    kpath.write_text("a b c\n")
+    fpath.write_text(json.dumps(FORMAN_TRIANGLE))
+    assert run(["morse", str(kpath), "load", "--function", str(fpath), "-o", "/dev/null"]) == 0
+    out = tmp_path / "t.jsonl"
+    assert run(["shell-sd2", str(kpath), "--morse", str(fpath), "-o", str(out)]) == 0
+    summary = json.loads(out.read_text().splitlines()[-1])["summary"]
+    assert summary["tiles"] == 36
+    assert summary["census"] == {"0": 2, "1": 1}
+
+
 def test_shell_sd2_with_morse_file(circle_file, tmp_path):
     fpath = tmp_path / "f.json"
     assert run(["morse", str(circle_file), "greedy", "-o", str(fpath)]) == 0
@@ -189,13 +214,19 @@ MALFORMED_COMPLEX = [
     # past the recursion limit in the label decoding, then in json.loads itself
     ('{"facets": [[%s, "b"]]}' % nested(300), "complex JSON is nested too deeply"),
     ('{"facets": [[%s, "b"]]}' % nested(100_000), "complex JSON is nested too deeply"),
+    # L ⊄ K, even where L holds K's facet
+    ('{"facets": [["a", "b"]], "missing": [["a", "b"], ["c"]]}',
+     "missing part must be a subcomplex of the ambient complex"),
 ]
 
 
 @pytest.mark.parametrize("command", ["info", "shell-sd2"])
 @pytest.mark.parametrize(
     "content, fragment", MALFORMED_COMPLEX,
-    ids=["facets-number", "missing-number", "empty-facet", "no-facets", "deep-label", "deep-json"],
+    ids=[
+        "facets-number", "missing-number", "empty-facet", "no-facets", "deep-label", "deep-json",
+        "missing-not-a-subcomplex",
+    ],
 )
 def test_malformed_json_complex_exits_one(tmp_path, capsys, command, content, fragment):
     path = tmp_path / "k.json"
@@ -245,6 +276,10 @@ MALFORMED_MORSE = [
     ('{"values": {"a": 0, "a a": 1}}', 'Morse face "a a" repeats a vertex'),
     ('{"values": {"a": 7, "b": 1, "a": 0}}', 'Morse JSON repeats the key "a"'),
     ('{"pairs": %s}' % nested(100_000), "Morse JSON is nested too deeply"),
+    ('{"pairs": [["a", "b c"]]}', "({a}, {b c}) is not a ridge/coface pair"),
+    ('{"pairs": [["a", "a b"], ["b", "a b"]]}', "matching reuses a face"),
+    ('{"values": {"a": "1/0"}}', """Morse value "1/0" on 'a' is not a finite number"""),
+    ('{"values": {"a": 1e400}}', "Morse value Infinity on 'a' is not a finite number"),
 ]
 
 
@@ -254,7 +289,8 @@ MALFORMED_MORSE = [
     ids=[
         "string", "pairs-number", "short-pair", "values-array", "null-value", "bool-value",
         "empty-face-string", "empty-face-array", "repeated-vertex-value", "repeated-vertex-pair",
-        "same-face-twice", "face-and-repeat", "same-key-twice", "deep-json",
+        "same-face-twice", "face-and-repeat", "same-key-twice", "deep-json", "not-a-cover",
+        "reused-face", "zero-denominator", "infinite-value",
     ],
 )
 def test_malformed_morse_file_exits_one(circle_file, tmp_path, capsys, command, content, fragment):

@@ -1,5 +1,7 @@
 import re
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -68,6 +70,30 @@ def test_constant_function_is_not_dmf():
 def test_validate_requires_total_function():
     with pytest.raises(ValueError):
         validate(edge(), DiscreteMorseFunction({s(a): Fraction(0)}))
+
+
+def test_validate_accepts_exactly_formans_functions_on_the_triangle():
+    """All 4^7 functions on the closed triangle with values in {0,…,3}.
+    f is a discrete Morse function iff every face has at most one
+    codimension-one coface valued not above it and at most one
+    codimension-one face valued not below it (Forman, Adv. Math. 1998,
+    Def. 2.1); the critical faces are those with neither."""
+    k = make_complex([[a, b, c]])
+    faces = sorted((x for x in k.faces() if not x.is_empty), key=lambda x: x.key)
+    covers = [(x, y) for x in faces for y in faces if x < y and y.dim == x.dim + 1]
+    accepted = 0
+    for values in product(range(4), repeat=len(faces)):
+        f = dict(zip(faces, map(Fraction, values)))
+        up = Counter(x for x, y in covers if f[y] <= f[x])
+        down = Counter(y for x, y in covers if f[x] >= f[y])
+        forman = max(up.values(), default=0) <= 1 and max(down.values(), default=0) <= 1
+        g = DiscreteMorseFunction(f)
+        assert validate(k, g).is_dmf == forman, values
+        if forman:
+            accepted += 1
+            critical = {x for x in faces if not up[x] and not down[x]}
+            assert set(critical_faces(k, g)) == critical, values
+    assert accepted == 232
 
 
 STRAY_VALUES = [
