@@ -130,7 +130,7 @@ def cmd_shell_sd(args) -> int:
     s = _load_space(args.input)
     v = atom(args.vertex)
     tiling, prefix = shell_sd_relative(s, v)
-    cert = verify_tiling(tiling.space, tiling, strong=args.strong)
+    cert = verify_tiling(tiling.space, tiling, strong=args.strong, homology_of=s)
     log.info("star segment: %d of %d tiles", prefix, len(tiling.tiles))
     return _emit_tiling(args, tiling, 1, cert)
 

@@ -61,7 +61,7 @@ from .complexes import (
 from .labels import Label, bary, label_key
 from .morse import DiscreteMorseFunction, filtration
 from .tiles import MorseTile, tile_to_relative
-from .verify import Census, critical_census
+from .verify import Census, _tile_shape, critical_census
 
 __all__ = [
     "Tiling",
@@ -98,14 +98,12 @@ class Tiling:
 
 
 def _compact(t: MorseTile) -> Compact:
-    """A MorseTile as a compact triple over its sorted vertices."""
-    vs = t.underlying.vertices
-    theta = t.restriction_set()._vset
-    omitted = sum(1 << i for i, v in enumerate(vs) if v in theta)
-    if t.morse_face is None:
-        return vs, omitted, -1
-    mf = t.morse_face._vset
-    return vs, omitted, sum(1 << i for i, v in enumerate(vs) if v in mf)
+    """A MorseTile as a compact triple over its sorted vertices, its masks
+    those of the verifier's shape of its missing set."""
+    shape = _tile_shape(t)
+    if shape.reason is not None:
+        raise ValueError(f"not a Morse tile: {shape.reason}")
+    return t.underlying.vertices, shape.restriction, shape.top
 
 
 def _tile(t: Compact) -> MorseTile:

@@ -107,10 +107,11 @@ def dump_complex_text(s: RelativeComplex) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _facet_from_json(data) -> Simplex:
+def _facet_from_json(data, what: str = "facet") -> Simplex:
+    """A simplex of an input file that repeats no vertex; ``what`` names it."""
     s = simplex_from_json(data)
     if len(s) != len(data):
-        raise ValueError(f"facet {json.dumps(data)} repeats a vertex")
+        raise ValueError(f"{what} {json.dumps(data)} repeats a vertex")
     return s
 
 
@@ -233,15 +234,15 @@ def tile_from_json(data: dict) -> MorseTile:
         raise ValueError(f'tile record {json.dumps(data)} has no "facet"')
     if not isinstance(data.get("ridges", []), list):
         raise ValueError(f'tile record {json.dumps(data)} has "ridges" that are not an array')
-    underlying = simplex_from_json(data["facet"])
-    ridges = frozenset(simplex_from_json(r) for r in data.get("ridges", ()))
+    underlying = _facet_from_json(data["facet"])
+    ridges = frozenset(_facet_from_json(r, "ridge") for r in data.get("ridges", ()))
     raw = data.get("morse_face")
     if raw is None:
         morse: Optional[Simplex] = None
     elif raw == "empty":
         morse = EMPTY
     else:
-        morse = simplex_from_json(raw)
+        morse = _facet_from_json(raw, "Morse face")
     return MorseTile(underlying, ridges, morse)
 
 

@@ -6,8 +6,10 @@ least two (its Morse face), possibly the empty one.  Every face of a basic
 tile of order k contains the restriction set: the (k-1)-face spanned by the
 vertices opposite to the missing ridges.
 
-Classification has one rule, the verifier's (``verify._tile_shape``), which
-``MorseTile.tile_class`` reports and the tile lines, the census and the
+The shape of a missing set has one rule, the verifier's (``verify._shape``
+on position masks): ``classify`` recovers a tile from a missing set by it,
+``tile_join`` builds through ``classify``, and ``MorseTile.tile_class``
+reports its classification, which the tile lines, the census and the
 certificates all use:
 
 * a closed simplex (order 0, no Morse face) is critical of index 0;
@@ -17,8 +19,8 @@ certificates all use:
   order; every other tile, a malformed one included, is regular.
 
 For a vertex the empty simplex is its unique ridge, so the dotted vertex and
-the open vertex are one and the same tile; the normal form stores it with
-ridge set {∅}.
+the open vertex are one and the same tile; the normal form, the one
+``classify`` returns, stores it with ridge set {∅}.
 """
 from __future__ import annotations
 
@@ -33,13 +35,12 @@ from .complexes import (
     closure_complex,
     void_complex,
 )
-from .verify import _tile_shape
+from .verify import _shape, _tile_shape
 
 __all__ = [
     "MorseTile",
     "TileClass",
     "NotAMorseTileError",
-    "make_tile",
     "classify",
     "tile_join",
     "tile_to_relative",
@@ -75,8 +76,8 @@ class MorseTile:
     dotted case).  ``anchor`` optionally names the ambient facet the tile
     sits on; tile algebra ignores it.
 
-    The dataclass itself does not validate; ``make_tile`` and ``classify``
-    do, and the verifier re-derives every tile it is handed.
+    The dataclass itself does not validate; ``classify`` does, and the
+    verifier re-derives every tile it is handed.
     """
 
     underlying: Simplex
@@ -144,80 +145,37 @@ class MorseTile:
         return "".join(parts)
 
 
-def make_tile(
-    underlying: Simplex,
-    missing_ridges: Iterable[Simplex] = (),
-    morse_face: Optional[Simplex] = None,
-    anchor: Optional[Simplex] = None,
-) -> MorseTile:
-    """Validating constructor; raises NotAMorseTileError on a bad shape."""
-    ridges = set(underlying.ridges())
-    mr = set()
-    for r in missing_ridges:
-        r = r if isinstance(r, Simplex) else Simplex(r)
-        if r not in ridges:
-            raise NotAMorseTileError(f"{r!r} is not a ridge of {underlying!r}")
-        mr.add(r)
-    tile = MorseTile(underlying, frozenset(mr), morse_face, anchor)
-    if morse_face is not None:
-        if not morse_face <= underlying or morse_face == underlying:
-            raise NotAMorseTileError("Morse face must be a proper face of the simplex")
-        if underlying.dim - morse_face.dim < 2:
-            raise NotAMorseTileError("Morse face must have codimension at least two")
-        if any(morse_face <= r for r in mr):
-            raise NotAMorseTileError("Morse face lies in a missing ridge")
-        if not tile.restriction_set() <= morse_face:
-            raise NotAMorseTileError("Morse face must contain the restriction set")
-    return tile
-
-
 def classify(underlying: Simplex, missing: Iterable[Simplex]) -> MorseTile:
-    """Recover the (ridges, Morse face) shape of a missing set, or fail.
+    """The Morse tile on ``underlying`` whose missing set is the downward
+    closure of ``missing``, or NotAMorseTileError.
 
-    Succeeds exactly when the downward closure of the missing set is the
-    union of some ridges plus the closure of at most one further face
-    containing the restriction set.
+    The shape is the verifier's (``verify._shape``) on the position masks
+    of the generators: the missing ridges are those opposite the
+    restriction mask, the Morse face is the residue's top.  A missing face
+    of codimension one is thus always a ridge, never a Morse face.
     """
-    given = []
+    vs = underlying.vertices
+    bit = {v: 1 << i for i, v in enumerate(vs)}
+    masks = set()
     for m in missing:
         m = m if isinstance(m, Simplex) else Simplex(m)
         if not m <= underlying or m == underlying:
             raise NotAMorseTileError(f"{m!r} is not a proper face of {underlying!r}")
-        given.append(m)
-    closure = set()
-    # largest first, so a closed input expands only its maximal faces
-    for m in sorted(given, key=len, reverse=True):
-        if m not in closure:
-            closure.update(m.faces())
-    ridges = frozenset(r for r in underlying.ridges() if r in closure)
-    residue = [f for f in closure if not any(f <= r for r in ridges)]
-    if not residue:
-        return make_tile(underlying, ridges)
-    top = max(residue, key=lambda s: s.dim)
-    if any(not (f <= top) for f in residue):
-        raise NotAMorseTileError("missing set has two incomparable extra faces")
-    return make_tile(underlying, ridges, top)
+        masks.add(sum(bit[v] for v in m.vertices))
+    shape = _shape(len(vs), frozenset(masks))
+    if shape.reason is not None:
+        raise NotAMorseTileError(shape.reason)
+    ridges = frozenset(underlying.without(v) for i, v in enumerate(vs) if shape.restriction >> i & 1)
+    morse = None if shape.top < 0 else _simplex(tuple(v for i, v in enumerate(vs) if shape.top >> i & 1))
+    return MorseTile(underlying, ridges, morse)
 
 
-def _normalize(tile: MorseTile) -> MorseTile:
-    """Move a codimension-one Morse face into the ridge set (dim-0 dotting)."""
-    mf = tile.morse_face
-    if mf is not None and tile.underlying.dim - mf.dim == 1:
-        return MorseTile(
-            tile.underlying,
-            tile.missing_ridges | {mf},
-            None,
-            tile.anchor,
-        )
-    return tile
-
-
-def tile_join(t: MorseTile, tp: MorseTile, anchor: Optional[Simplex] = None) -> MorseTile:
+def tile_join(t: MorseTile, tp: MorseTile) -> MorseTile:
     """Join of a basic tile with a Morse tile; orders add.
 
     The missing set of the join is the union of each factor's missing ridges
     joined with the other factor's simplex, plus the first simplex joined
-    with the second factor's Morse face.
+    with the second factor's Morse face; ``classify`` reads its shape.
     """
     if not t.is_basic:
         raise ValueError("first join factor must be a basic tile")
@@ -225,14 +183,11 @@ def tile_join(t: MorseTile, tp: MorseTile, anchor: Optional[Simplex] = None) -> 
         raise ValueError("join factors must be non-empty tiles")
     if set(t.underlying) & set(tp.underlying):
         raise ValueError("join factors share vertex labels")
-    underlying = t.underlying.union(tp.underlying)
-    ridges = [r.union(tp.underlying) for r in t.missing_ridges]
-    ridges += [t.underlying.union(r) for r in tp.missing_ridges]
-    if tp.morse_face is None:
-        morse: Optional[Simplex] = None
-    else:
-        morse = t.underlying.union(tp.morse_face)
-    return _normalize(MorseTile(underlying, frozenset(ridges), morse, anchor))
+    missing = [r.union(tp.underlying) for r in t.missing_ridges]
+    missing += [t.underlying.union(r) for r in tp.missing_ridges]
+    if tp.morse_face is not None:
+        missing.append(t.underlying.union(tp.morse_face))
+    return classify(t.underlying.union(tp.underlying), missing)
 
 
 def tile_to_relative(t: MorseTile) -> RelativeComplex:

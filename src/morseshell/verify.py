@@ -105,13 +105,17 @@ class _Shape(NamedTuple):
     ``closure`` and ``owned`` select, in key order, the masks inside and
     outside the missing closure; ``index`` is the critical index, None for
     a regular tile; ``reason`` says why the missing set is not of Morse-tile
-    shape, None when it is.
+    shape, None when it is.  ``restriction`` is the mask of the vertices
+    opposite the missing ridges, and ``top`` the Morse face's mask, -1 when
+    the missing set has no residue.
     """
 
     closure: Tuple[bool, ...]
     owned: Tuple[bool, ...]
     index: Optional[int]
     reason: Optional[str]
+    restriction: int
+    top: int
 
 
 @lru_cache(maxsize=None)
@@ -157,13 +161,13 @@ def _shape(n: int, generators: frozenset) -> _Shape:
             residue = True
     reason = None
     if not residue:
-        index = 0 if order == 0 else n - 1 if order == n else None
+        index, top = (0 if order == 0 else n - 1 if order == n else None), -1
     elif top not in closure:
         index, reason = None, "missing set has two incomparable extra faces"
     else:
         index = order if top == restriction else None
     inside = tuple(m in closure for m in masks)
-    return _Shape(inside, tuple(not x for x in inside), index, reason)
+    return _Shape(inside, tuple(not x for x in inside), index, reason, restriction, top)
 
 
 # Position bits.  A simplex of more vertices has more masks than memory holds.
@@ -207,12 +211,12 @@ def _euler(keys: Iterable[Key]) -> int:
     return sum((-1) ** (r - 1) * n for r, n in Counter(map(len, keys)).items() if r)
 
 
-def _count(census: Census, shape: _Shape) -> None:
-    census.indices.append(shape.index)
-    if shape.index is None:
+def _count(census: Census, index: Optional[int]) -> None:
+    census.indices.append(index)
+    if index is None:
         census.regular += 1
     else:
-        census.critical[shape.index] = census.critical.get(shape.index, 0) + 1
+        census.critical[index] = census.critical.get(index, 0) + 1
 
 
 def critical_census(t: Tiling) -> Census:
@@ -220,7 +224,7 @@ def critical_census(t: Tiling) -> Census:
     included, counts as regular."""
     census = Census()
     for tile in t.tiles:
-        _count(census, _tile_shape(tile))
+        _count(census, _tile_shape(tile).index)
     return census
 
 
@@ -256,22 +260,25 @@ def _check_tiles(cert: Certificate, s: RelativeComplex, t: Tiling) -> Tuple[Coll
 
     Each anchored tile claims its owned faces, which must be outside L and
     unclaimed; the first face of its missing closure (of its whole simplex
-    if unanchored) neither in L nor owned yet is a shelling gap.  Coverage
-    follows: a face of K \\ L lies in an ambient facet F, a tile owning F
-    is anchored at F, and so with no gap it owns the face or found it owned.
-    Only with a gap or an unowned facet are K \\ L's faces listed, to name
-    the uncovered ones.  Returns the space's face keys, the owner map (each
-    face of the space to the first tile claiming it) and L's face keys.
+    if unanchored) neither in L nor owned yet is a shelling gap.  An
+    unanchored tile counts as regular and gets no shape, whose derivation
+    takes every mask of its simplex, however many vertices it has.
+    Coverage follows: a face of K \\ L lies in an ambient facet F, a tile
+    owning F is anchored at F, and so with no gap it owns the face or found
+    it owned.  Only with a gap or an unowned facet are K \\ L's faces
+    listed, to name the uncovered ones.  Returns the space's face keys, the
+    owner map (each face of the space to the first tile claiming it) and
+    L's face keys.
     """
     missing = _face_keys(s.missing.facets)
     facets = {f.vertices for f in s.ambient.facets}
     owner: Dict[Key, int] = {}
     gaps: List[Tuple[int, Key]] = []
     for p, tile in enumerate(t.tiles):
-        shape = _tile_shape(tile)
-        _count(cert.census, shape)
         vs = tile.underlying.vertices
         if vs in facets:
+            shape = _tile_shape(tile)
+            _count(cert.census, shape.index)
             if shape.reason is not None:
                 cert._fail("tiles_ok", p, f"not a Morse tile: {shape.reason}", tile.underlying)
             for key in compress(_subsets(vs), shape.owned):
@@ -284,6 +291,7 @@ def _check_tiles(cert: Certificate, s: RelativeComplex, t: Tiling) -> Tuple[Coll
             walk = compress(_subsets(vs), shape.closure)
         else:
             cert._fail("partition_ok", p, "tile not anchored at an ambient facet", tile.underlying)
+            _count(cert.census, None)
             walk = _subsets(vs)
         for key in walk:
             if key not in missing and key not in owner:

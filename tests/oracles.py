@@ -14,14 +14,16 @@ identifications the engine's label transports realize.  The Morse-layer
 oracles are the all-pairs scans the face-incidence table in
 ``morseshell.morse`` replaced, and ``gf2_rank`` is textbook row reduction
 of a dense 0/1 matrix.  The reference verifier is the certifier on
-``Simplex`` face sets (``classify``, ``MorseTile.faces``) that
+``Simplex`` face sets (``classify_oracle``, ``MorseTile.faces``) that
 ``morseshell.verify`` replaced; it classifies by ``tile_class_oracle``.
-The reference encoder is the dict-building ``tile_to_json`` plus
-``json.dumps`` that ``serial.tiling_to_lines`` replaced with per-label
-texts.  The reference shelling recursion last is the engine's walk on
-``MorseTile``s and labels (``cone``, ``relabel``) that its kernel on
-compact (labels, omitted-mask, Morse-mask) triples and position templates
-replaced.
+``classify_oracle`` is the shape recovery on ``Simplex`` sets that
+``tiles.classify`` replaced with the verifier's mask rule
+(``verify._shape``).  The reference encoder is the dict-building
+``tile_to_json`` plus ``json.dumps`` that ``serial.tiling_to_lines``
+replaced with per-label texts.  The reference shelling recursion last is
+the engine's walk on ``MorseTile``s and labels (``cone``, ``relabel``)
+that its kernel on compact (labels, omitted-mask, Morse-mask) triples and
+position templates replaced.
 """
 import heapq
 import json
@@ -54,7 +56,7 @@ from morseshell.engine import (
 from morseshell.labels import Label, bary
 from morseshell.morse import DiscreteMorseFunction, ValidationReport, filtration
 from morseshell.serial import simplex_to_json
-from morseshell.tiles import MorseTile, NotAMorseTileError, _normalize, classify, tile_join
+from morseshell.tiles import MorseTile, NotAMorseTileError, tile_join
 from morseshell.verify import Census, Certificate, mod2_betti
 
 
@@ -186,6 +188,14 @@ def relabel(tile: MorseTile, label_map: Callable[[Label], Label]) -> MorseTile:
     )
 
 
+def _normalize(tile: MorseTile) -> MorseTile:
+    """Move a codimension-one Morse face into the ridge set (dim-0 dotting)."""
+    mf = tile.morse_face
+    if mf is not None and tile.underlying.dim - mf.dim == 1:
+        return MorseTile(tile.underlying, tile.missing_ridges | {mf}, None, tile.anchor)
+    return tile
+
+
 def cone(v: Label, t: MorseTile, dotted: bool = False) -> MorseTile:
     """Cone with apex v over a tile, optionally deprived of its base.
 
@@ -248,6 +258,33 @@ def tile_class_oracle(tile: MorseTile) -> Optional[int]:
     if tile.is_basic:
         return 0 if tile.order == 0 else tile.dim if tile.order == tile.dim + 1 else None
     return tile.order if tile.morse_face == tile.restriction_set() else None
+
+
+def classify_oracle(underlying: Simplex, missing) -> MorseTile:
+    """Recover the (ridges, Morse face) shape of a missing set on ``Simplex``
+    sets, or raise ``NotAMorseTileError``: the closure of the missing set,
+    the missing ridges in it, and one top over the faces in no missing
+    ridge, which has codimension at least two and contains the restriction
+    set by construction."""
+    given = []
+    for m in missing:
+        m = m if isinstance(m, Simplex) else Simplex(m)
+        if not m <= underlying or m == underlying:
+            raise NotAMorseTileError(f"{m!r} is not a proper face of {underlying!r}")
+        given.append(m)
+    closure = set()
+    # largest first, so a closed input expands only its maximal faces
+    for m in sorted(given, key=len, reverse=True):
+        if m not in closure:
+            closure.update(m.faces())
+    ridges = frozenset(r for r in underlying.ridges() if r in closure)
+    residue = [f for f in closure if not any(f <= r for r in ridges)]
+    if not residue:
+        return MorseTile(underlying, ridges)
+    top = max(residue, key=lambda s: s.dim)
+    if any(not (f <= top) for f in residue):
+        raise NotAMorseTileError("missing set has two incomparable extra faces")
+    return MorseTile(underlying, ridges, top)
 
 
 # -- link isomorphisms ------------------------------------------------------
@@ -572,17 +609,19 @@ def gf2_rank(columns: Sequence[int]) -> int:
 # -- reference verifier -------------------------------------------------------
 
 
-def critical_census_oracle(t: Tiling) -> Census:
-    """Counts of critical tiles by index, regular tiles aside, and each
-    tile's index by the restriction-set rule (None when regular or
-    malformed)."""
+def _index_oracle(tile: MorseTile) -> Optional[int]:
+    """A tile's critical index by the restriction-set rule, None when it is
+    regular or malformed."""
+    try:
+        return tile_class_oracle(tile)
+    except NotAMorseTileError:
+        return None
+
+
+def _census_oracle(indices) -> Census:
+    """The census of the given per-tile indices, None counting as regular."""
     census = Census()
-    for tile in t.tiles:
-        try:
-            index = tile_class_oracle(tile)
-        except NotAMorseTileError:
-            census.indices.append(None)
-            continue
+    for index in indices:
         census.indices.append(index)
         if index is None:
             census.regular += 1
@@ -591,8 +630,15 @@ def critical_census_oracle(t: Tiling) -> Census:
     return census
 
 
+def critical_census_oracle(t: Tiling) -> Census:
+    """Counts of critical tiles by index, and the number of regular tiles,
+    a malformed one included."""
+    return _census_oracle(map(_index_oracle, t.tiles))
+
+
 def check_tiles_oracle(cert: Certificate, s: RelativeComplex, t: Tiling) -> None:
-    """Partition, shelling and tile-shape checks, plus the tile census."""
+    """Partition, shelling and tile-shape checks, plus the tile census, in
+    which an unanchored tile counts as regular."""
     faces = s.faces()
     ambient_facets = set(s.ambient.facets)
     missing_faces = s.missing.faces()
@@ -603,7 +649,7 @@ def check_tiles_oracle(cert: Certificate, s: RelativeComplex, t: Tiling) -> None
             cert._fail("partition_ok", p, "tile not anchored at an ambient facet", tile.underlying)
             continue
         try:
-            classify(tile.underlying, tile.missing_faces())
+            classify_oracle(tile.underlying, tile.missing_faces())
         except NotAMorseTileError as err:
             cert._fail("tiles_ok", p, f"not a Morse tile: {err}", tile.underlying)
         for face in tile.faces():
@@ -625,7 +671,9 @@ def check_tiles_oracle(cert: Certificate, s: RelativeComplex, t: Tiling) -> None
                 cert._fail("shelling_ok", p, "closure face owned later or never", face)
                 break
 
-    cert.census = critical_census_oracle(t)
+    cert.census = _census_oracle(
+        _index_oracle(tile) if tile.underlying in ambient_facets else None for tile in t.tiles
+    )
 
 
 def check_homology_oracle(cert: Certificate, s: RelativeComplex) -> None:

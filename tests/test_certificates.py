@@ -47,7 +47,7 @@ def _join_pairs():
 
 
 def _mutations(tiling):
-    """The tiling itself and up to eight broken variants of it."""
+    """The tiling itself and up to nine broken variants of it."""
     tiles = list(tiling.tiles)
     k = len(tiles) // 2
 
@@ -96,6 +96,18 @@ def _mutations(tiling):
             ts[i] = MorseTile(t.underlying, t.missing_ridges | {Simplex([a]), Simplex([b])})
 
         out["incomparable"] = variant(incomparable)
+    morse = [i for i, t in enumerate(tiles) if not t.is_basic and t.dim >= 2]
+    if morse:
+        j = morse[0]
+
+        def nonridge(ts):
+            # a vertex among the missing ridges: the restriction-set rule
+            # cannot read the tile, and both censuses count it as regular
+            t = ts[j]
+            vertex = Simplex(t.underlying.vertices[:1])
+            ts[j] = MorseTile(t.underlying, t.missing_ridges | {vertex}, t.morse_face, t.anchor)
+
+        out["nonridge"] = variant(nonridge)
     return out
 
 

@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,13 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morseshell import cli
+from morseshell import cli, verify
 from morseshell.cli import run
 from morseshell.engine import Tiling
 from morseshell.serial import dump_complex_json, dump_complex_text, load_complex_json
 from morseshell.catalog import moebius_torus
 from morseshell.complexes import RelativeComplex
 from morseshell.tiles import MorseTile
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -93,6 +100,46 @@ def test_shell_sd_pipeline(circle_file, tmp_path):
     cert = tmp_path / "cert.json"
     assert run(["verify", str(circle_file), "--tiling", str(out), "-o", str(cert)]) == 0
     assert json.loads(cert.read_text())["ok"] is True
+
+
+def test_shell_sd_checks_homology_against_the_input_complex(torus_file, monkeypatch):
+    """Euler and Betti numbers are subdivision invariants, so ``shell-sd``
+    reads them off K, not off sd(K)."""
+    seen = []
+    original = verify.mod2_betti
+
+    def recording(k):
+        seen.append(k)
+        return original(k)
+
+    monkeypatch.setattr(verify, "mod2_betti", recording)
+    assert run(["shell-sd", str(torus_file), "--vertex", "t0", "-o", "/dev/null"]) == 0
+    assert seen == [moebius_torus()]
+
+
+def test_verify_of_a_wide_unanchored_tile_exits_two_without_deriving_its_shape(tmp_path):
+    """A closed tile line on 40 fresh atoms sits on no facet of the space;
+    its shape would take 2^40 masks, so it must not be derived.  Run in a
+    child process under a 1 GiB address-space limit and a timeout, so a
+    verifier that enumerates the masks fails instead of exhausting memory."""
+    kpath, tpath, cpath = tmp_path / "tri.txt", tmp_path / "t.jsonl", tmp_path / "cert.json"
+    kpath.write_text("a b c\n")
+    tiles = [{"facet": [f"x{i:02}" for i in range(40)]}]
+    tpath.write_text(json.dumps(tiles[0]) + "\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    limit = 1 << 30
+    done = subprocess.run(
+        [sys.executable, "-m", "morseshell", "verify", str(kpath), "--tiling", str(tpath), "-o", str(cpath)],
+        env=env,
+        timeout=60,
+        capture_output=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert done.returncode == 2, done.stderr
+    cert = json.loads(cpath.read_text())
+    assert cert["ok"] is False and cert["partition_ok"] is False
+    assert {"tile": 0, "reason": "tile not anchored at an ambient facet", "witness": tiles[0]["facet"]} in cert["failures"]
+    assert cert["regular"] == 1 and cert["census"] == {}
 
 
 def test_shell_sd2_pipeline_and_verify(circle_file, tmp_path):
@@ -380,10 +427,14 @@ def test_morse_load_of_a_generated_file_exits_zero_or_names_one_error(data):
         ('{"summary": {"depth": 3}}', "summary depth 3 is above 2, the deepest tiling morseshell writes"),
         ('{"facet": [%s]}' % nested(300), "tiling line 14 is nested too deeply"),
         ('{"facet": [%s]}' % nested(100_000), "tiling line 14 is nested too deeply"),
+        ('{"facet": [["a"], ["a"], ["a", "b"]]}', 'facet [["a"], ["a"], ["a", "b"]] repeats a vertex'),
+        ('{"facet": ["a", "b"], "ridges": [["a", "a"]]}', 'ridge ["a", "a"] repeats a vertex'),
+        ('{"facet": ["a", "b", "c"], "morse_face": ["a", "a"]}', 'Morse face ["a", "a"] repeats a vertex'),
     ],
     ids=[
         "no-facet", "array", "string", "ridges-number", "summary-number", "bool-depth",
-        "negative-depth", "deep-depth", "deep-label", "deep-json",
+        "negative-depth", "deep-depth", "deep-label", "deep-json", "repeat-facet",
+        "repeat-ridge", "repeat-morse-face",
     ],
 )
 def test_malformed_tiling_line_exits_one(circle_file, tmp_path, capsys, line, fragment):

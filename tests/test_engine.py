@@ -153,6 +153,16 @@ def test_shelling_of_subdivided_open_triangle():
     assert critical_census(t).critical == {2: 1}
 
 
+def test_a_tile_is_shelled_by_the_shape_of_its_missing_set():
+    """The engine reads a tile's masks off the verifier's shape: a vertex
+    listed among the missing ridges is shelled as the Morse face it
+    generates, and a Morse face off the simplex is rejected."""
+    vertex_as_ridge = shell_sd_tile(MorseTile(s(a, b, c), frozenset([s(a)])))
+    assert vertex_as_ridge.tiles == shell_sd_tile(MorseTile(s(a, b, c), frozenset(), s(a))).tiles
+    with pytest.raises(ValueError, match="not a Morse tile: .* is not a proper face of"):
+        shell_sd_tile(MorseTile(s(a, b, c), frozenset(), s(d)))
+
+
 def test_shelling_of_subdivided_dotted_edge():
     t = shell_sd_tile(classify(s(a, b), [EMPTY]))
     assert verify_tiling(t.space, t).ok

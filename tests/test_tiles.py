@@ -5,6 +5,7 @@ from oracles import (
     all_subcomplex_missing_sets,
     all_tiles_on,
     canonical_triple,
+    classify_oracle,
     cone,
     covered_faces,
     euler_signature,
@@ -22,7 +23,6 @@ from morseshell.tiles import (
     MorseTile,
     NotAMorseTileError,
     classify,
-    make_tile,
     tile_join,
     tile_to_relative,
 )
@@ -105,6 +105,31 @@ def test_classify_agrees_with_enumeration_oracle(dim):
                 classify(underlying, generators)
 
 
+def _outcome(classifier, underlying, missing):
+    """The tile a classifier recovers, or the text of its rejection."""
+    try:
+        return classifier(underlying, missing)
+    except NotAMorseTileError as err:
+        return str(err)
+
+
+def test_classify_agrees_with_the_simplex_set_oracle_errors_included():
+    inputs = 0
+    for dim in range(4):
+        underlying = simplex_of_dim(dim)
+        for missing in all_subcomplex_missing_sets(underlying):
+            whole = sorted(missing, key=lambda f: f.key)
+            generators = [f for f in whole if not any(f < g for g in missing)]
+            for given in (whole, generators):
+                assert _outcome(classify, underlying, given) == _outcome(classify_oracle, underlying, given)
+                inputs += 1
+    assert inputs == 386
+    for given in ([s(a, b, c)], [s(a), s(d)], [s(b, e)]):
+        want = _outcome(classify_oracle, s(a, b, c), given)
+        assert "is not a proper face of" in want
+        assert _outcome(classify, s(a, b, c), given) == want
+
+
 def test_classify_round_trips_every_tile_up_to_dim_4():
     for dim in range(5):
         underlying = simplex_of_dim(dim)
@@ -136,13 +161,11 @@ def test_order_two_tile_with_face_equal_to_restriction_set_is_open():
     trip = canonical_triple(t)
     assert trip == CanonicalTriple(EMPTY, s(a, b, c), EMPTY)
     assert t.tile_class().is_critical and t.tile_class().index == 2
-    with pytest.raises(NotAMorseTileError):
-        make_tile(s(a, b, c), [s(b, c), s(a, c)], s(a, b))
 
 
 def test_triple_with_critical_face_on_tetrahedron():
     # order-two tile on a 3-simplex whose Morse face is the restriction set
-    t = make_tile(s(a, b, c, d), [s(b, c, d), s(a, c, d)], s(a, b))
+    t = classify(s(a, b, c, d), [s(b, c, d), s(a, c, d), s(a, b)])
     trip = canonical_triple(t)
     assert trip == CanonicalTriple(EMPTY, s(a, b), s(c, d))
     assert t.tile_class().is_critical and t.tile_class().index == 2
