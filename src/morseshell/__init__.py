@@ -25,7 +25,6 @@ from .morse import (
     validate,
 )
 from .engine import (
-    BoundaryShelling,
     Tiling,
     shell_boundary_sd,
     shell_sd2_from_dmf,

@@ -65,7 +65,6 @@ from .verify import Census, _tile_shape, critical_census
 
 __all__ = [
     "Tiling",
-    "BoundaryShelling",
     "shell_sd_join",
     "shell_sd_tile",
     "shell_sd_relative",
@@ -324,24 +323,6 @@ def shell_sd_join(t: MorseTile, tp: MorseTile) -> Tuple[Tiling, int]:
     return Tiling(space, tuple(map(_tile, tiles))), prefix
 
 
-@dataclass(frozen=True)
-class BoundaryShelling:
-    """Shelled h-tiling of sd(∂σ) ending with the block over one ridge.
-
-    The first ``prefix`` tiles cover sd(∂σ minus the last ridge); the rest
-    tile sd of the open last ridge as a cone, deprived of its base, with
-    apex the barycenter of that ridge over ``base_tiles`` (a shelling of
-    sd(∂ last)).  The whole tiling has exactly one closed tile (the first)
-    and one open tile (the last).
-    """
-
-    space: RelativeComplex
-    tiles: Tuple[MorseTile, ...]
-    prefix: int
-    apex: Label
-    base_tiles: Tuple[MorseTile, ...]
-
-
 def _boundary_sd(
     sigma: Simplex, last: Optional[Simplex] = None
 ) -> Tuple[List[Compact], int, Label, List[Compact]]:
@@ -373,11 +354,16 @@ def _boundary_sd(
     return tiles, prefix, apex, base
 
 
-def shell_boundary_sd(sigma: Simplex, last: Optional[Simplex] = None) -> BoundaryShelling:
-    """Shell sd(∂σ) from a facet order of ∂σ ending at ``last``."""
-    tiles, prefix, apex, base = _boundary_sd(sigma, last)
+def shell_boundary_sd(sigma: Simplex, last: Optional[Simplex] = None) -> Tuple[Tiling, int]:
+    """Shell sd(∂σ) from a facet order of ∂σ ending at ``last``: the
+    tiling and the length of its initial segment, which covers sd(∂σ minus
+    ``last``).  The tail is the cone at the barycenter of ``last`` over
+    ``shell_boundary_sd(last)``, deprived of its base (the open apex alone
+    for a vertex); the first tile is the one closed tile, the last the one
+    open."""
+    tiles, prefix, _, _ = _boundary_sd(sigma, last)
     space = RelativeComplex(barycentric_complex(SimplicialComplex(sigma.ridges())))
-    return BoundaryShelling(space, tuple(map(_tile, tiles)), prefix, apex, tuple(map(_tile, base)))
+    return Tiling(space, tuple(map(_tile, tiles))), prefix
 
 
 # -- vertex-star-first shellings of sd(S) ------------------------------------

@@ -7,7 +7,9 @@ tile of order k contains the restriction set: the (k-1)-face spanned by the
 vertices opposite to the missing ridges.
 
 The shape of a missing set has one rule, the verifier's (``verify._shape``
-on position masks): ``classify`` recovers a tile from a missing set by it,
+on the position masks of its generators, through ``verify._tile_shape``),
+which reads the at most n + 1 generators of a tile on n vertices and never
+its 2^n faces: ``classify`` recovers a tile from a missing set by it,
 ``tile_join`` builds through ``classify``, and ``MorseTile.tile_class``
 reports its classification, which the tile lines, the census and the
 certificates all use:
@@ -35,7 +37,7 @@ from .complexes import (
     closure_complex,
     void_complex,
 )
-from .verify import _shape, _tile_shape
+from .verify import _tile_shape
 
 __all__ = [
     "MorseTile",
@@ -107,16 +109,6 @@ class MorseTile:
     def is_open(self) -> bool:
         return self.order == self.dim + 1 and self.morse_face is None
 
-    def restriction_set(self) -> Simplex:
-        """Face spanned by the vertices opposite to the missing ridges."""
-        opposite = set()
-        for r in self.missing_ridges:
-            rest = self.underlying.minus(r)
-            if len(rest) != 1:
-                raise NotAMorseTileError(f"{r!r} is not a ridge of {self.underlying!r}")
-            opposite.add(rest.vertices[0])
-        return _simplex(tuple(v for v in self.underlying.vertices if v in opposite))
-
     def tile_class(self) -> TileClass:
         """The verifier's classification of the tile."""
         index = _tile_shape(self).index
@@ -149,22 +141,17 @@ def classify(underlying: Simplex, missing: Iterable[Simplex]) -> MorseTile:
     """The Morse tile on ``underlying`` whose missing set is the downward
     closure of ``missing``, or NotAMorseTileError.
 
-    The shape is the verifier's (``verify._shape``) on the position masks
-    of the generators: the missing ridges are those opposite the
-    restriction mask, the Morse face is the residue's top.  A missing face
-    of codimension one is thus always a ridge, never a Morse face.
+    The shape is the verifier's (``verify._tile_shape``), read off the
+    generators: the missing ridges are those opposite the restriction mask,
+    the Morse face is the residue's top.  A missing face of codimension one
+    is thus always a ridge, never a Morse face.  A generator that is not a
+    proper face of ``underlying`` is named, the key-least one if several.
     """
-    vs = underlying.vertices
-    bit = {v: 1 << i for i, v in enumerate(vs)}
-    masks = set()
-    for m in missing:
-        m = m if isinstance(m, Simplex) else Simplex(m)
-        if not m <= underlying or m == underlying:
-            raise NotAMorseTileError(f"{m!r} is not a proper face of {underlying!r}")
-        masks.add(sum(bit[v] for v in m.vertices))
-    shape = _shape(len(vs), frozenset(masks))
+    given = frozenset(m if isinstance(m, Simplex) else Simplex(m) for m in missing)
+    shape = _tile_shape(MorseTile(underlying, given))
     if shape.reason is not None:
         raise NotAMorseTileError(shape.reason)
+    vs = underlying.vertices
     ridges = frozenset(underlying.without(v) for i, v in enumerate(vs) if shape.restriction >> i & 1)
     morse = None if shape.top < 0 else _simplex(tuple(v for i, v in enumerate(vs) if shape.top >> i & 1))
     return MorseTile(underlying, ridges, morse)

@@ -26,8 +26,12 @@ are walked in key order (by size, then lexicographically by position),
 the order of ``Simplex.faces()``, so failures come out in the same order
 on every run.  The tile shape is re-derived from the missing set by the
 rule in ``_shape``, the package's one classification rule:
-``MorseTile.tile_class`` reports it.  Witnesses are ``Simplex`` objects,
-built only when a check fails.
+``MorseTile.tile_class`` reports it and ``tiles.classify`` recovers tiles
+by it.  It reads the at most n + 1 generators of a tile on n vertices,
+never the 2^n masks of its simplex, so classifying, printing or counting a
+wide tile stays cheap; only the walk over a tile's faces lists its missing
+closure (``_closure``).  Witnesses are ``Simplex`` objects, built only
+when a check fails.
 """
 from __future__ import annotations
 
@@ -100,18 +104,18 @@ class Certificate:
 
 
 class _Shape(NamedTuple):
-    """What a tile's missing set makes of the masks of its simplex.
+    """What a tile's missing set makes of its simplex.
 
-    ``closure`` and ``owned`` select, in key order, the masks inside and
-    outside the missing closure; ``index`` is the critical index, None for
-    a regular tile; ``reason`` says why the missing set is not of Morse-tile
-    shape, None when it is.  ``restriction`` is the mask of the vertices
-    opposite the missing ridges, and ``top`` the Morse face's mask, -1 when
-    the missing set has no residue.
+    ``generators`` are the position masks the missing set was given by;
+    ``index`` is the critical index, None for a regular tile; ``reason``
+    says why the missing set is not of Morse-tile shape, None when it is.
+    ``restriction`` is the mask of the vertices opposite the missing ridges,
+    and ``top`` the Morse face's mask, -1 when the missing set has no
+    residue.  The masks inside and outside the missing closure are
+    ``_closure``'s.
     """
 
-    closure: Tuple[bool, ...]
-    owned: Tuple[bool, ...]
+    generators: frozenset
     index: Optional[int]
     reason: Optional[str]
     restriction: int
@@ -134,44 +138,61 @@ def _subsets(vs: Tuple) -> Iterator[Key]:
 @lru_cache(maxsize=4096)
 def _shape(n: int, generators: frozenset) -> _Shape:
     """The shape of an (n-1)-simplex whose missing set is generated by the
-    given masks.
+    given masks, read off the generators alone.
 
-    The missing closure is the set of submasks of the generators.  Its
-    codimension-one masks are the missing ridges, and the restriction mask
-    is the set of vertices opposite them.  The residue is the closure masks
-    that contain the restriction mask, i.e. those in no missing ridge; it
-    must have one top containing all of it, the Morse face.  (The top has
-    codimension at least two: a codimension-one closure mask is a ridge and
-    misses a vertex of the restriction mask.)  With no residue the tile is
-    basic: critical of index 0 when closed (order 0), of index n - 1 when
-    open (order n), and regular otherwise.  With a top, the tile is critical
-    of index = order when the top is the restriction mask (the dotted
-    simplex is order 0 with top ∅), and regular otherwise.
+    The missing closure is the set of submasks of the generators.  A ridge
+    is maximal among the proper faces, so it lies in the closure only when
+    it is a generator or the whole simplex is one; the restriction mask is
+    the set of vertices opposite the missing ridges (every vertex when the
+    whole simplex is a generator).  The residue is the closure masks that
+    contain the restriction mask, i.e. those in no missing ridge; its
+    maximal elements are generators, so its top, the OR of the generators
+    containing the restriction mask, lies in the closure exactly when it is
+    one of them: the Morse face.  (The top has codimension at least two: a
+    codimension-one closure mask is a ridge and misses a vertex of the
+    restriction mask.)  With no residue the tile is basic: critical of
+    index 0 when closed (order 0), of index n - 1 when open (order n), and
+    regular otherwise.  With a top, the tile is critical of index = order
+    when the top is the restriction mask (the dotted simplex is order 0
+    with top ∅), and regular otherwise.
     """
-    masks = _masks(n)
-    closure = {m for m in masks if any(m & g == m for g in generators)}
     full = (1 << n) - 1
-    restriction = sum(1 << i for i in range(n) if full ^ (1 << i) in closure)
+    if full in generators:
+        restriction = full
+    else:
+        restriction = 0
+        for g in generators:
+            if g.bit_count() == n - 1:
+                restriction |= full ^ g
     order = restriction.bit_count()
+    above = [g for g in generators if g & restriction == restriction]
     top = 0
-    residue = False
-    for m in closure:
-        if m & restriction == restriction:
-            top |= m
-            residue = True
+    for g in above:
+        top |= g
     reason = None
-    if not residue:
+    if not above:
         index, top = (0 if order == 0 else n - 1 if order == n else None), -1
-    elif top not in closure:
+    elif top not in above:
         index, reason = None, "missing set has two incomparable extra faces"
     else:
         index = order if top == restriction else None
-    inside = tuple(m in closure for m in masks)
-    return _Shape(inside, tuple(not x for x in inside), index, reason, restriction, top)
+    return _Shape(generators, index, reason, restriction, top)
 
 
-# Position bits.  A simplex of more vertices has more masks than memory holds.
-_BITS = tuple(1 << i for i in range(64))
+@lru_cache(maxsize=4096)
+def _closure(n: int, generators: frozenset) -> Tuple[Tuple[bool, ...], Tuple[bool, ...]]:
+    """Which masks of an (n-1)-simplex, in key order, lie inside the
+    closure of the generators, and which outside it.  This lists all 2^n
+    masks, so only the verifier's walk, which lists those faces anyway,
+    asks for it."""
+    inside = tuple(any(m & g == m for g in generators) for m in _masks(n))
+    return inside, tuple(not x for x in inside)
+
+
+@lru_cache(maxsize=None)
+def _bits(n: int) -> Tuple[int, ...]:
+    """The position bits of an (n-1)-simplex's vertices."""
+    return tuple(1 << i for i in range(n))
 
 
 def _tile_shape(tile: MorseTile) -> _Shape:
@@ -180,7 +201,7 @@ def _tile_shape(tile: MorseTile) -> _Shape:
     what lies under the generators' parts inside the tile."""
     vs = tile.underlying.vertices
     full = (1 << len(vs)) - 1
-    bit = dict(zip(vs, _BITS))
+    bit = dict(zip(vs, _bits(len(vs))))
     generators = list(tile.missing_ridges)
     if tile.morse_face is not None:
         generators.append(tile.morse_face)
@@ -260,9 +281,11 @@ def _check_tiles(cert: Certificate, s: RelativeComplex, t: Tiling) -> Tuple[Coll
 
     Each anchored tile claims its owned faces, which must be outside L and
     unclaimed; the first face of its missing closure (of its whole simplex
-    if unanchored) neither in L nor owned yet is a shelling gap.  An
-    unanchored tile counts as regular and gets no shape, whose derivation
-    takes every mask of its simplex, however many vertices it has.
+    if unanchored) neither in L nor owned yet is a shelling gap.  Only here
+    are a tile's closure and owned faces listed (``_closure``), since the
+    walk visits those faces anyway.  An unanchored tile counts as regular
+    and gets no shape: it is no tile of the space, so its class has no
+    place in the census.
     Coverage follows: a face of K \\ L lies in an ambient facet F, a tile
     owning F is anchored at F, and so with no gap it owns the face or found
     it owned.  Only with a gap or an unowned facet are K \\ L's faces
@@ -281,14 +304,15 @@ def _check_tiles(cert: Certificate, s: RelativeComplex, t: Tiling) -> Tuple[Coll
             _count(cert.census, shape.index)
             if shape.reason is not None:
                 cert._fail("tiles_ok", p, f"not a Morse tile: {shape.reason}", tile.underlying)
-            for key in compress(_subsets(vs), shape.owned):
+            closure, owned = _closure(len(vs), shape.generators)
+            for key in compress(_subsets(vs), owned):
                 if key in missing:
                     cert._fail("partition_ok", p, "tile claims a face outside the complex", Simplex(key))
                 elif key in owner:
                     cert._fail("partition_ok", p, f"face also owned by tile {owner[key]}", Simplex(key))
                 else:
                     owner[key] = p
-            walk = compress(_subsets(vs), shape.closure)
+            walk = compress(_subsets(vs), closure)
         else:
             cert._fail("partition_ok", p, "tile not anchored at an ambient facet", tile.underlying)
             _count(cert.census, None)

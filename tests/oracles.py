@@ -5,8 +5,12 @@ and flags, never calling the code paths under test.  The MorseTile calculus
 first (``vertex_tile``, ``dotted``, ``relabel``, ``cone``, canonical
 triples, ``euler_signature``) is the tile algebra the engine built with
 before its kernel moved to compact triples; ``tile_class_oracle`` is the
-restriction-set rule for criticality, held equal to the verifier's mask
-rule (``verify._tile_shape``), the one rule the package classifies by.  The
+restriction-set rule for criticality (on ``restriction_set``, which
+``MorseTile`` no longer carries), held equal to the verifier's mask rule
+(``verify._tile_shape``), the one rule the package classifies by.
+``shape_oracle`` is that mask rule as it read the whole missing closure,
+all 2^n masks of the simplex, before ``verify._shape`` read the generators
+alone; the two are held equal field by field.  The
 link-isomorphism layer (derived neighborhoods, the vertex maps identifying
 links in first and second subdivisions with joins of subdivided boundaries
 and links, double-star intersections) spells out by brute force the
@@ -29,8 +33,9 @@ import heapq
 import json
 from fractions import Fraction
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from morseshell.complexes import (
     EMPTY,
@@ -227,8 +232,20 @@ class CanonicalTriple:
     tau: Simplex
 
 
+def restriction_set(tile: MorseTile) -> Simplex:
+    """Face spanned by the vertices opposite to the missing ridges; a
+    missing ridge that is not a ridge raises ``NotAMorseTileError``."""
+    opposite = set()
+    for r in tile.missing_ridges:
+        rest = tile.underlying.minus(r)
+        if len(rest) != 1:
+            raise NotAMorseTileError(f"{r!r} is not a ridge of {tile.underlying!r}")
+        opposite.add(rest.vertices[0])
+    return Simplex([v for v in tile.underlying.vertices if v in opposite])
+
+
 def canonical_triple(tile: MorseTile) -> CanonicalTriple:
-    theta = tile.restriction_set()
+    theta = restriction_set(tile)
     if tile.is_basic:
         return CanonicalTriple(tile.underlying.minus(theta), theta, EMPTY)
     return CanonicalTriple(
@@ -253,11 +270,14 @@ def tile_class_oracle(tile: MorseTile) -> Optional[int]:
     """The critical index of a tile, None when it is regular, by the
     restriction-set rule: a basic tile is critical when closed (index 0) or
     open (index dim); a tile with a Morse face is critical of index = order
-    exactly when its Morse face is its restriction set.  A missing ridge
-    that is not a ridge raises ``NotAMorseTileError``."""
-    if tile.is_basic:
+    exactly when its Morse face is its restriction set.  A Morse face under
+    a missing ridge removes no face, so such a tile is read as basic (the
+    vertex c minus ridge ∅ and Morse face ∅ is the open vertex).  A missing
+    ridge that is not a ridge raises ``NotAMorseTileError``."""
+    morse = tile.morse_face
+    if morse is None or any(morse <= r for r in tile.missing_ridges):
         return 0 if tile.order == 0 else tile.dim if tile.order == tile.dim + 1 else None
-    return tile.order if tile.morse_face == tile.restriction_set() else None
+    return tile.order if morse == restriction_set(tile) else None
 
 
 def classify_oracle(underlying: Simplex, missing) -> MorseTile:
@@ -285,6 +305,64 @@ def classify_oracle(underlying: Simplex, missing) -> MorseTile:
     if any(not (f <= top) for f in residue):
         raise NotAMorseTileError("missing set has two incomparable extra faces")
     return MorseTile(underlying, ridges, top)
+
+
+class ReferenceShape(NamedTuple):
+    """``shape_oracle``'s reading of a missing set: ``closure`` and
+    ``owned`` select, in key order, the masks inside and outside the missing
+    closure; the other fields are those of ``verify._Shape``."""
+
+    closure: Tuple[bool, ...]
+    owned: Tuple[bool, ...]
+    index: Optional[int]
+    reason: Optional[str]
+    restriction: int
+    top: int
+
+
+@lru_cache(maxsize=None)
+def key_order_masks(n: int) -> Tuple[int, ...]:
+    """The masks of the faces of an (n-1)-simplex, by size, then
+    lexicographically by position."""
+    return tuple(
+        sum(1 << i for i in c) for r in range(n + 1) for c in combinations(range(n), r)
+    )
+
+
+def shape_oracle(n: int, generators: frozenset) -> ReferenceShape:
+    """The shape of an (n-1)-simplex whose missing set is generated by the
+    given masks, read off the whole missing closure: the verifier's rule
+    before it read the generators alone (``verify._shape``).
+
+    The missing closure is the set of submasks of the generators.  Its
+    codimension-one masks are the missing ridges, and the restriction mask
+    is the set of vertices opposite them.  The residue is the closure masks
+    that contain the restriction mask; it must have one top containing all
+    of it, the Morse face.  With no residue the tile is basic: critical of
+    index 0 when closed, of index n - 1 when open, and regular otherwise.
+    With a top, the tile is critical of index = order when the top is the
+    restriction mask, and regular otherwise.
+    """
+    masks = key_order_masks(n)
+    closure = {m for g in generators for m in masks if m & g == m}
+    full = (1 << n) - 1
+    restriction = sum(1 << i for i in range(n) if full ^ (1 << i) in closure)
+    order = restriction.bit_count()
+    top = 0
+    residue = False
+    for m in closure:
+        if m & restriction == restriction:
+            top |= m
+            residue = True
+    reason = None
+    if not residue:
+        index, top = (0 if order == 0 else n - 1 if order == n else None), -1
+    elif top not in closure:
+        index, reason = None, "missing set has two incomparable extra faces"
+    else:
+        index = order if top == restriction else None
+    inside = tuple(m in closure for m in masks)
+    return ReferenceShape(inside, tuple(not x for x in inside), index, reason, restriction, top)
 
 
 # -- link isomorphisms ------------------------------------------------------

@@ -187,38 +187,37 @@ def test_shelling_of_closed_simplex_has_single_closed_critical(dim):
 
 def test_boundary_shelling_of_edge():
     # boundary of an edge: one closed vertex, then one dotted vertex
-    bs = shell_boundary_sd(s(a, b))
-    assert len(bs.tiles) == 2 and bs.prefix == 1
-    assert bs.tiles[0] == vertex_tile(bary([a]))
-    assert bs.tiles[1] == vertex_tile(bary([b]), open_=True)
-    assert verify_tiling(bs.space, Tiling(bs.space, bs.tiles)).ok
+    tiling, prefix = shell_boundary_sd(s(a, b))
+    assert len(tiling.tiles) == 2 and prefix == 1
+    assert tiling.tiles[0] == vertex_tile(bary([a]))
+    assert tiling.tiles[1] == vertex_tile(bary([b]), open_=True)
+    assert verify_tiling(tiling.space, tiling).ok
 
 
 def test_boundary_shelling_of_triangle():
-    bs = shell_boundary_sd(s(a, b, c), last=s(a, b))
-    tiling = Tiling(bs.space, bs.tiles)
-    assert verify_tiling(bs.space, tiling).ok
+    tiling, prefix = shell_boundary_sd(s(a, b, c), last=s(a, b))
+    assert verify_tiling(tiling.space, tiling).ok
     census = critical_census(tiling).critical
     assert census == {0: 1, 1: 1}
-    assert bs.tiles[0].is_closed and bs.tiles[-1].is_open
+    assert tiling.tiles[0].is_closed and tiling.tiles[-1].is_open
     # the leading tiles cover the subdivision of the boundary minus the last ridge
     kept = make_complex([[b, c], [a, c]])
-    assert covered(bs.tiles[: bs.prefix]) == barycentric_complex(kept).faces()
-    # the tail is coned at the barycenter of the last ridge
-    assert bs.apex == bary([a, b])
-    assert all(bs.apex in t.underlying for t in bs.tiles[bs.prefix:])
-    assert len(bs.base_tiles) == len(bs.tiles) - bs.prefix
+    assert covered(tiling.tiles[:prefix]) == barycentric_complex(kept).faces()
+    # the tail is coned at the barycenter of the last ridge over sd(∂ ab)
+    apex = bary([a, b])
+    assert all(apex in t.underlying for t in tiling.tiles[prefix:])
+    assert len(shell_boundary_sd(s(a, b))[0].tiles) == len(tiling.tiles) - prefix
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_boundary_shelling_census_one_closed_one_open(dim):
     sigma = Simplex([atom(x) for x in "abcd"[: dim + 1]])
-    bs = shell_boundary_sd(sigma)
-    closed = [t for t in bs.tiles if t.is_closed]
-    open_ = [t for t in bs.tiles if t.is_open]
-    assert len(closed) == 1 and bs.tiles[0] is closed[0]
-    assert len(open_) == 1 and bs.tiles[-1] is open_[0]
-    assert verify_tiling(bs.space, Tiling(bs.space, bs.tiles)).ok
+    tiling, _ = shell_boundary_sd(sigma)
+    closed = [t for t in tiling.tiles if t.is_closed]
+    open_ = [t for t in tiling.tiles if t.is_open]
+    assert len(closed) == 1 and tiling.tiles[0] is closed[0]
+    assert len(open_) == 1 and tiling.tiles[-1] is open_[0]
+    assert verify_tiling(tiling.space, tiling).ok
 
 
 def test_boundary_shelling_rejects_vertices():
@@ -253,9 +252,8 @@ def test_cone_shelling_with_base_over_closed_tiling():
 
 
 def test_cone_shelling_fully_deprived_raises_index():
-    bs = shell_boundary_sd(s(a, b, c))
-    inner = Tiling(bs.space, bs.tiles)
-    out = cone_shelling(v, inner, deprive_prefix=len(bs.tiles))
+    inner, _ = shell_boundary_sd(s(a, b, c))
+    out = cone_shelling(v, inner, deprive_prefix=len(inner.tiles))
     cert = verify_tiling(out.space, out)
     assert cert.ok
     # the result tiles the subdivided open triangle: one critical of index 2
@@ -483,10 +481,10 @@ def test_transported_shelling_verifies_in_the_link():
     # with the actual link of a barycenter, and verify it there
     k = make_complex([[a, b, c], [b, c, d]])
     sigma = s(b, c)
-    bs = shell_boundary_sd(sigma)
+    bd_tiling, _ = shell_boundary_sd(sigma)
     lk_tiling, _ = shell_sd_relative(RelativeComplex(link_complex(k, sigma)), a)
     tiles = []
-    for left in bs.tiles:
+    for left in bd_tiling.tiles:
         for right in lk_tiling.tiles:
             tiles.append(tile_join(left, right))
     model_space = RelativeComplex(

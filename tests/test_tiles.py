@@ -12,6 +12,7 @@ from oracles import (
     missing_closure,
     recompose,
     relabel,
+    restriction_set,
     tile_to_json,
     vertex_tile,
 )
@@ -321,7 +322,7 @@ def test_faces_of_dotted_edge():
 def test_every_nonempty_face_contains_restriction_set():
     for dim in range(5):
         for tile in all_tiles_on(simplex_of_dim(dim)):
-            r = tile.restriction_set()
+            r = restriction_set(tile)
             for f in tile.faces():
                 if not f.is_empty:
                     assert r <= f

@@ -1,4 +1,6 @@
 import ast
+import time
+from itertools import combinations
 from pathlib import Path
 from random import Random
 
@@ -12,20 +14,22 @@ from morseshell.catalog import (
     two_triangles,
 )
 from morseshell.complexes import (
+    EMPTY,
     RelativeComplex,
     Simplex,
     SimplicialComplex,
     barycentric,
+    closure_complex,
     make_complex,
 )
 from morseshell.engine import Tiling, shell_sd2_from_dmf
 from morseshell.labels import atom
 from morseshell.morse import greedy_collapse_dmf, trivial_dmf
-from morseshell.tiles import MorseTile, TileClass
+from morseshell.tiles import MorseTile, TileClass, classify
 from morseshell import verify
 from morseshell.verify import _gf2_rank, audit, critical_census, mod2_betti, verify_tiling
 
-from oracles import all_tiles_on, euler_signature, gf2_rank, tile_class_oracle
+from oracles import all_tiles_on, euler_signature, gf2_rank, shape_oracle, tile_class_oracle
 from test_engine_kernel import RP2
 
 a, b, c, d = (atom(x) for x in "abcd")
@@ -286,6 +290,9 @@ def test_audit_reports_each_homology_failure_once():
 def test_tile_shape_index_is_the_restriction_set_rule_on_every_tile_up_to_dim_4():
     tiles = [t for dim in range(5) for t in all_tiles_on(Simplex([atom(x) for x in "abcde"[: dim + 1]]))]
     assert len(tiles) == 234
+    # the open vertex written with its ridge ∅ also missing as Morse face:
+    # its face set is {c}, so it is critical of index 0
+    tiles.append(MorseTile(s(c), frozenset([EMPTY]), EMPTY))
     for t in tiles:
         assert verify._tile_shape(t).index == tile_class_oracle(t) == t.tile_class().index, t
 
@@ -298,6 +305,62 @@ def test_tile_shape_index_is_the_restriction_set_rule_on_sd2_tiles(name, kind):
     tiling, _ = shell_sd2_from_dmf(k, f)
     disagree = [t for t in tiling.tiles if verify._tile_shape(t).index != tile_class_oracle(t)]
     assert disagree == []
+
+
+def _generator_sets():
+    """Every generator set for n <= 3, every set of at most four generators
+    for n = 4, and 2,000 seeded random sets for each n = 5..10, about half
+    of each drawn among the ridges."""
+    for n in range(4):
+        masks = range(1 << n)
+        for bits in range(1 << (1 << n)):
+            yield n, frozenset(m for m in masks if bits >> m & 1)
+    for k in range(5):
+        for gens in combinations(range(16), k):
+            yield 4, frozenset(gens)
+    rng = Random(21)
+    for n in range(5, 11):
+        full = (1 << n) - 1
+        ridges = [full ^ (1 << i) for i in range(n)]
+        for _ in range(2000):
+            k = rng.randint(0, n + 1)
+            drawn = rng.sample(ridges, k // 2) + [rng.randrange(1 << n) for _ in range(k - k // 2)]
+            yield n, frozenset(drawn)
+
+
+def test_shape_from_generators_equals_the_closure_rule():
+    count = 0
+    for n, gens in _generator_sets():
+        got, ref = verify._shape(n, gens), shape_oracle(n, gens)
+        assert got.generators == gens
+        assert (got.index, got.reason, got.restriction, got.top) == ref[2:], (n, sorted(gens))
+        if n <= 4:
+            assert verify._closure(n, gens) == (ref.closure, ref.owned), (n, sorted(gens))
+        count += 1
+    assert count == 278 + 2517 + 6 * 2000
+
+
+@pytest.mark.parametrize("width", [40, 70])
+def test_a_wide_tile_classifies_in_polynomial_time(width):
+    """Tiles on 40 and on 70 atoms: the shape reads their generators, never
+    the 2^n masks of the simplex, and has a position bit for every vertex."""
+    atoms = [atom(f"w{i:02}") for i in range(width)]
+    sigma = Simplex(atoms)
+    ridge = sigma.without(atoms[0])
+    cases = [
+        ([], MorseTile(sigma, frozenset()), 0),
+        ([ridge], MorseTile(sigma, frozenset([ridge])), None),
+        ([EMPTY], MorseTile(sigma, frozenset(), EMPTY), 0),
+        ([ridge, s(atoms[0])], MorseTile(sigma, frozenset([ridge]), s(atoms[0])), 1),
+    ]
+    start = time.perf_counter()
+    for missing, tile, index in cases:
+        cls = TileClass.regular() if index is None else TileClass.critical(index)
+        assert tile.tile_class() == cls and repr(tile).endswith(f"[{cls!r}])")
+        assert classify(sigma, missing) == tile
+    tiling = Tiling(RelativeComplex(closure_complex(sigma)), tuple(tile for _, tile, _ in cases))
+    assert critical_census(tiling).indices == [index for _, _, index in cases]
+    assert time.perf_counter() - start < 1.0
 
 
 GUARDED = ("morseshell.engine", "morseshell.tiles")
