@@ -19,8 +19,9 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import List, Optional
+from typing import Iterator, List, Optional, TextIO
 
 from .complexes import RelativeComplex, SimplicialComplex, barycentric
 from .engine import Tiling, shell_sd_relative, shell_sd2_from_dmf
@@ -53,11 +54,19 @@ def _read(path: str) -> str:
         raise UsageError(f"cannot read {path}: {err}") from None
 
 
-def _write(path: Optional[str], text: str) -> None:
+@contextmanager
+def _opened(path: Optional[str]) -> Iterator[TextIO]:
+    """The output file, or stdout for no path or ``-``."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
-        Path(path).write_text(text)
+        with open(path, "w") as out:
+            yield out
+
+
+def _write(path: Optional[str], text: str) -> None:
+    with _opened(path) as out:
+        out.write(text)
 
 
 def _load_space(path: str) -> RelativeComplex:
@@ -118,8 +127,10 @@ def _emit_tiling(args, tiling: Tiling, depth: int, cert: Certificate) -> int:
     """Write the tiling lines with the certificate's census, which also
     gives each line's class; a failed certificate also goes to stderr,
     with exit code 2."""
-    lines = tiling_to_lines(tiling, depth, cert.census)
-    _write(args.output, "\n".join(lines) + "\n")
+    with _opened(args.output) as out:
+        for line in tiling_to_lines(tiling, depth, cert.census):
+            out.write(line)
+            out.write("\n")
     if not cert.ok:
         sys.stderr.write(certificate_to_json(cert))
         return 2

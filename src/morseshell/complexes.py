@@ -15,6 +15,7 @@ Conventions for degenerate complexes matter throughout and are fixed here:
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate, combinations, permutations
 from operator import or_
 from typing import Callable, Collection, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
@@ -389,26 +390,42 @@ def join(s1: RelativeComplex, s2: RelativeComplex) -> RelativeComplex:
 # -- barycentric subdivision ----------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _flag_template(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """The n! maximal flags of the non-empty faces of a simplex on n sorted
+    vertices, each a tuple of face masks in the key order of the faces'
+    barycenters.  A barycenter's key is the tuple of its members' keys, so
+    over sorted vertices that order is lexicographic on the faces' sorted
+    positions."""
+    def positions(mask: int) -> Tuple[int, ...]:
+        return tuple(i for i in range(n) if mask >> i & 1)
+
+    return tuple(
+        tuple(sorted(accumulate(perm, or_), key=positions))
+        for perm in permutations([1 << i for i in range(n)])
+    )
+
+
 def barycentric_complex(k: SimplicialComplex) -> SimplicialComplex:
     """The complex of flags of non-empty faces of k.
 
     Vertices are barycenter labels of the non-empty faces; facets are the
-    maximal flags, one per ordering of each facet's vertices.  The void
-    complex and the empty complex {∅} are their own subdivisions.  The
-    result is kept on k, so it is built once per complex object.
+    maximal flags, one per ordering of each facet's vertices, read off
+    ``_flag_template`` already in key order.  The void complex and the
+    empty complex {∅} are their own subdivisions.  The result is kept on k,
+    so it is built once per complex object.
     """
     if k._sd is None:
         flags = set()
         for f in k.facets:
             vs = f.vertices
             # the barycenter of each non-empty face of f, by vertex bitmask
-            hat = {
-                mask: bary([v for i, v in enumerate(vs) if mask >> i & 1])
+            hat = [None] + [
+                bary([v for i, v in enumerate(vs) if mask >> i & 1])
                 for mask in range(1, 1 << len(vs))
-            }
-            for perm in permutations([1 << i for i in range(len(vs))]):
-                chain = [hat[mask] for mask in accumulate(perm, or_)]
-                flags.add(_simplex(tuple(sorted(chain, key=label_key))))
+            ]
+            for flag in _flag_template(len(vs)):
+                flags.add(_simplex(tuple(map(hat.__getitem__, flag))))
         k._sd = SimplicialComplex(flags)
     return k._sd
 

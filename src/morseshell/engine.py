@@ -27,9 +27,14 @@ face, -1 for a basic tile.  Coning prepends the apex and shifts both masks,
 setting bit 0 of ``omitted`` for a base-deprived cone; the only other tile
 operations are reading the (vertex, role) entries off the masks, setting the
 Morse face to a bottom segment of the flag (``_subtract``), splitting off a
-cone apex and dotting the closed tile.  ``MorseTile``s are built from the
-triples in one place, ``_tile``: once per output tile in ``_double_star``,
-and at the return of each public function.
+cone apex and dotting the closed tile.  Each output triple becomes a row of
+the ``Tiling`` in one place, ``_row``, which puts its labels in key order
+and permutes its masks to match: once per output tile in ``_double_star``,
+and at the return of each public function.  The masks stay as the kernel
+made them, so a codimension-one Morse face left by ``_subtract`` stays a
+Morse face.  ``MorseTile``s are built only as the view ``Tiling.tiles``,
+for callers who read it; a public function's input tile enters through the
+verifier's shape of its missing set (``_input_entries``).
 
 The join recursion reads its labels only through their label-key order
 and names each barycenter by the set of vertices it absorbs, so it runs on
@@ -43,10 +48,9 @@ mask once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .complexes import (
     RelativeComplex,
@@ -61,7 +65,7 @@ from .complexes import (
 from .labels import Label, bary, label_key
 from .morse import DiscreteMorseFunction, filtration
 from .tiles import MorseTile, tile_to_relative
-from .verify import Census, _tile_shape, critical_census
+from .verify import Census, Row, _encode, _Shape, _tile_shape, critical_census
 
 __all__ = [
     "Tiling",
@@ -82,42 +86,108 @@ Template = Tuple[Tuple[Compact, ...], int, Tuple[int, ...]]  # tiles over masks,
 EMPTY_TILE: Compact = ((), 0, -1)  # the closed empty simplex, the one tile of sd(∅)
 
 
-@dataclass(frozen=True)
 class Tiling:
-    """An ordered list of tiles anchored at facets of a relative complex."""
+    """An ordered list of tiles anchored at facets of a relative complex.
 
-    space: RelativeComplex
-    tiles: Tuple[MorseTile, ...]
+    The tiles are held as rows (``rows``): each tile's vertex labels in key
+    order, the mask of the positions whose ridge is missing (bit i is the
+    ridge omitting the i-th label) and the Morse face's position mask, -1
+    for a basic tile.  The engine builds its tilings from rows.
+    ``Tiling(space, tiles)`` takes ``MorseTile``s, which the verifier's
+    encoder (``verify._encode``) turns into rows on first use; a tile whose
+    generators a row cannot hold keeps the shape the encoder derived, in
+    ``kept_shapes`` by position.  ``tiles`` is the ``MorseTile`` view,
+    built from the rows on first read and kept.  Two tilings are equal when
+    their spaces and tiles are.
+    """
+
+    __slots__ = ("space", "_tiles", "_rows", "_kept")
+
+    def __init__(self, space: RelativeComplex, tiles: Iterable[MorseTile]):
+        self.space = space
+        self._tiles: Optional[Tuple[MorseTile, ...]] = tuple(tiles)
+        self._rows: Optional[Tuple[Row, ...]] = None
+        self._kept: Dict[int, _Shape] = {}
+
+    @classmethod
+    def _of_rows(cls, space: RelativeComplex, rows: Iterable[Row]) -> "Tiling":
+        t = cls.__new__(cls)
+        t.space, t._tiles, t._rows, t._kept = space, None, tuple(rows), {}
+        return t
+
+    @property
+    def rows(self) -> Tuple[Row, ...]:
+        if self._rows is None:
+            encoded = [_encode(tile) for tile in self._tiles]
+            self._kept = {p: shape for p, (_, shape) in enumerate(encoded) if shape is not None}
+            self._rows = tuple(row for row, _ in encoded)
+        return self._rows
+
+    @property
+    def kept_shapes(self) -> Dict[int, _Shape]:
+        """The encoder's shapes of the given tiles a row cannot hold."""
+        self.rows  # encodes the given tiles on first use
+        return self._kept
+
+    @property
+    def tiles(self) -> Tuple[MorseTile, ...]:
+        if self._tiles is None:
+            self._tiles = tuple(map(_view, self._rows))
+        return self._tiles
 
     def __len__(self) -> int:
-        return len(self.tiles)
+        return len(self._tiles if self._rows is None else self._rows)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Tiling) and self.space == other.space and self.tiles == other.tiles
+
+    def __hash__(self) -> int:
+        return hash((self.space, len(self)))
+
+    def __repr__(self) -> str:
+        return f"Tiling({self.space!r}, {len(self)} tiles)"
+
+
+def _view(row: Row) -> MorseTile:
+    """The MorseTile of a row."""
+    vs, omitted, morse = row
+    ridges = frozenset(_simplex(vs[:i] + vs[i + 1:]) for i in range(len(vs)) if omitted >> i & 1)
+    if morse < 0:
+        return MorseTile(_simplex(vs), ridges)
+    return MorseTile(_simplex(vs), ridges, _simplex(tuple(v for i, v in enumerate(vs) if morse >> i & 1)))
 
 
 # -- compact tiles -------------------------------------------------------------
 
 
-def _compact(t: MorseTile) -> Compact:
-    """A MorseTile as a compact triple over its sorted vertices, its masks
-    those of the verifier's shape of its missing set."""
+@lru_cache(maxsize=4096)
+def _permuted(order: Tuple[int, ...], omitted: int, morse: int) -> Tuple[int, int]:
+    """Masks over the positions of a triple carried to the positions
+    ``order`` lists: bit r of the result is bit ``order[r]`` of the mask."""
+    def carry(mask: int) -> int:
+        return sum(1 << r for r, i in enumerate(order) if mask >> i & 1)
+
+    return carry(omitted), -1 if morse < 0 else carry(morse)
+
+
+def _row(t: Compact) -> Row:
+    """The row of a flag-order triple: its labels in key order, its masks
+    permuted to match."""
+    labels, omitted, morse = t
+    keys = [lab._key for lab in labels]
+    order = tuple(sorted(range(len(labels)), key=keys.__getitem__))
+    return (tuple(map(labels.__getitem__, order)),) + _permuted(order, omitted, morse)
+
+
+def _input_entries(t: MorseTile) -> Tuple[Entry, ...]:
+    """The (vertex, role) entries of a public function's input tile, read
+    off the verifier's shape of its missing set (``verify._tile_shape``):
+    the omitted mask is its restriction and the Morse mask its top.  A tile
+    that shape rejects raises ValueError."""
     shape = _tile_shape(t)
     if shape.reason is not None:
         raise ValueError(f"not a Morse tile: {shape.reason}")
-    return t.underlying.vertices, shape.restriction, shape.top
-
-
-def _tile(t: Compact) -> MorseTile:
-    """The MorseTile of a compact triple; the only place the engine makes one."""
-    labels, omitted, morse = t
-    keys = [lab._key for lab in labels]
-    order = sorted(range(len(labels)), key=keys.__getitem__)
-    vs = tuple(labels[i] for i in order)
-    ridges = frozenset(
-        _simplex(vs[:r] + vs[r + 1:]) for r, i in enumerate(order) if omitted >> i & 1
-    )
-    if morse < 0:
-        return MorseTile(_simplex(vs), ridges)
-    morse_face = _simplex(tuple(labels[i] for i in order if morse >> i & 1))
-    return MorseTile(_simplex(vs), ridges, morse_face)
+    return _entries((t.underlying.vertices, shape.restriction, shape.top))
 
 
 def _cone(apex: Label, t: Compact, dotted: bool = False) -> Compact:
@@ -298,8 +368,8 @@ def shell_sd_tile(t: MorseTile) -> Tiling:
     """
     if t.underlying.is_empty:
         raise ValueError("cannot shell the empty tile")
-    tiles = _shell_entries_tile(_entries(_compact(t)))
-    return Tiling(barycentric(tile_to_relative(t)), tuple(map(_tile, tiles)))
+    tiles = _shell_entries_tile(_input_entries(t))
+    return Tiling._of_rows(barycentric(tile_to_relative(t)), map(_row, tiles))
 
 
 def shell_sd_join(t: MorseTile, tp: MorseTile) -> Tuple[Tiling, int]:
@@ -318,9 +388,9 @@ def shell_sd_join(t: MorseTile, tp: MorseTile) -> Tuple[Tiling, int]:
         raise ValueError("join factors must be non-empty")
     if set(t.underlying) & set(tp.underlying):
         raise ValueError("join factors share vertex labels")
-    tiles, prefix = _shell_entries_join(_entries(_compact(t)), _entries(_compact(tp)))
+    tiles, prefix = _shell_entries_join(_input_entries(t), _input_entries(tp))
     space = barycentric(join(tile_to_relative(t), tile_to_relative(tp)))
-    return Tiling(space, tuple(map(_tile, tiles))), prefix
+    return Tiling._of_rows(space, map(_row, tiles)), prefix
 
 
 def _boundary_sd(
@@ -363,7 +433,7 @@ def shell_boundary_sd(sigma: Simplex, last: Optional[Simplex] = None) -> Tuple[T
     open."""
     tiles, prefix, _, _ = _boundary_sd(sigma, last)
     space = RelativeComplex(barycentric_complex(SimplicialComplex(sigma.ridges())))
-    return Tiling(space, tuple(map(_tile, tiles))), prefix
+    return Tiling._of_rows(space, map(_row, tiles)), prefix
 
 
 # -- vertex-star-first shellings of sd(S) ------------------------------------
@@ -435,7 +505,7 @@ def shell_sd_relative(s: RelativeComplex, v: Label) -> Tuple[Tiling, int]:
     by ``_subtract``.  Returns the tiling and the size of the star segment.
     """
     tiles, prefix = _shell_relative(s, v)
-    return Tiling(barycentric(s), tuple(map(_tile, tiles))), prefix
+    return Tiling._of_rows(barycentric(s), map(_row, tiles)), prefix
 
 
 # -- the second-subdivision pipeline -----------------------------------------
@@ -500,12 +570,12 @@ def _split_cone_tile(t: Compact, apex: Label) -> Compact:
     return base, omitted, morse
 
 
-def _double_star(sigma: Simplex, blocks: Sequence[Block], strip: bool = False) -> List[MorseTile]:
-    """Tiles of the star of the double barycenter of σ from shelled blocks
+def _double_star(sigma: Simplex, blocks: Sequence[Block], strip: bool = False) -> List[Row]:
+    """Rows of the star of the double barycenter of σ from shelled blocks
     of its link: the chained blocks are carried onto the link by
     ``_sd2_transport`` and coned, their segment deprived of its base, and
     the closed tile is dotted when ``strip`` is set.  Each tile becomes a
-    MorseTile here, once."""
+    row here, once."""
     tiles, prefix = _concat(blocks)
     lift = _sd2_transport(sigma)
     apex = bary([bary(sigma.vertices)])
@@ -517,16 +587,16 @@ def _double_star(sigma: Simplex, blocks: Sequence[Block], strip: bool = False) -
         coned.append(_cone(apex, (image, omitted, morse), i < prefix))
     if strip:
         coned = _strip_empty(coned)
-    return [_tile(t) for t in coned]
+    return [_row(t) for t in coned]
 
 
-def _critical_step(k: SimplicialComplex, sigma: Simplex, first: bool) -> List[MorseTile]:
-    """Tiles extending the shelling over the double star of a critical face;
+def _critical_step(k: SimplicialComplex, sigma: Simplex, first: bool) -> List[Row]:
+    """Rows extending the shelling over the double star of a critical face;
     exactly one of them is critical, of index dim σ."""
     if sigma.dim == 0:
         lk = link_complex(k, sigma)
         if lk.dim < 0:
-            return [_tile(((bary([bary(sigma.vertices)]),), int(not first), -1))]
+            return [((bary([bary(sigma.vertices)]),), int(not first), -1)]
         sd_lk = barycentric_complex(lk)
         model, _ = _shell_relative(RelativeComplex(sd_lk), min(sd_lk.vertices()))
         return _double_star(sigma, [(model, 0)], strip=not first)
@@ -538,8 +608,8 @@ def _critical_step(k: SimplicialComplex, sigma: Simplex, first: bool) -> List[Mo
     ])
 
 
-def _collapse_step(k: SimplicialComplex, theta: Simplex, tau: Simplex) -> List[MorseTile]:
-    """Tiles extending the shelling over the double stars of a collapse pair
+def _collapse_step(k: SimplicialComplex, theta: Simplex, tau: Simplex) -> List[Row]:
+    """Rows extending the shelling over the double stars of a collapse pair
     (first the coface, then the free ridge); no critical tiles arise."""
     # stage one: the star of the double barycenter of tau
     boundary, b_prefix, b_apex, b_base = _boundary_sd(tau, last=theta)
@@ -587,12 +657,12 @@ def shell_sd2_from_dmf(
     if k.is_void:
         raise ValueError("cannot shell the void complex")
     steps = filtration(k, f).steps
-    tiles: List[MorseTile] = []
+    rows: List[Row] = []
     for i, step in enumerate(steps):
         if step.is_critical:
-            tiles.extend(_critical_step(k, step.critical, first=i == 0))
+            rows.extend(_critical_step(k, step.critical, first=i == 0))
         else:
             theta, tau = step.collapse
-            tiles.extend(_collapse_step(k, theta, tau))
-    tiling = Tiling(barycentric(barycentric(RelativeComplex(k))), tuple(tiles))
+            rows.extend(_collapse_step(k, theta, tau))
+    tiling = Tiling._of_rows(barycentric(barycentric(RelativeComplex(k))), rows)
     return tiling, critical_census(tiling)

@@ -246,16 +246,16 @@ def tile_from_json(data: dict) -> MorseTile:
     return MorseTile(underlying, ridges, morse)
 
 
-def _label_text(lab: Label, memo: Dict[Label, str]) -> str:
-    """A label's compact JSON text, each label encoded once per ``memo``."""
-    text = memo.get(lab)
-    if text is None:
+class _LabelTexts(dict):
+    """Each label's compact JSON text, encoded on its first lookup and kept."""
+
+    def __missing__(self, lab: Label) -> str:
         if lab.is_atom:
             text = json.dumps(lab.name)
         else:
-            text = "[" + ",".join([_label_text(m, memo) for m in lab.members]) + "]"
-        memo[lab] = text
-    return text
+            text = "[" + ",".join(map(self.__getitem__, lab.members)) + "]"
+        self[lab] = text
+        return text
 
 
 def tiling_to_lines(t: Tiling, depth: int, census: Census) -> List[str]:
@@ -263,43 +263,58 @@ def tiling_to_lines(t: Tiling, depth: int, census: Census) -> List[str]:
 
     A tile line is the compact JSON object, keys sorted, of ``class``,
     ``facet``, ``morse_face`` (null, ``"empty"`` or a simplex) and
-    ``ridges``, assembled from the text of each distinct label, encoded
-    once.  ``class`` (``{"critical": index}`` or ``"regular"``) is the
-    tile's entry in ``census.indices``, so the census must be the tiling's
-    own, as ``verify.critical_census`` or a certificate counts it; a census
-    of another length raises ValueError.  The ridges are in the order
-    of their JSON text with json's default ``", "`` separator, which is the
-    order of their compact text: the default text only adds a space after
-    each separating comma, and two texts first differ at the same point of
-    their structure either way (a comma inside an atom name is escaped
-    context, never a separator).
+    ``ridges``, assembled from the tiling's rows: each label's text is
+    built once, a facet's texts are joined once, and a ridge's text is the
+    facet's texts minus the one at its omitted position.  A given tile
+    whose generators a row cannot hold is written from its ``MorseTile``.
+    ``class`` (``{"critical": index}`` or ``"regular"``) is the tile's
+    entry in ``census.indices``, so the census must be the tiling's own, as
+    ``verify.critical_census`` or a certificate counts it; a census of
+    another length raises ValueError.  The ridges are in the order of their
+    JSON text with json's default ``", "`` separator, which is the order of
+    their compact text: the default text only adds a space after each
+    separating comma, and two texts first differ at the same point of their
+    structure either way (a comma inside an atom name is escaped context,
+    never a separator).  The summary's checksum is taken line by line as
+    the lines are made.
     """
-    if len(census.indices) != len(t.tiles):
-        raise ValueError(f"census classifies {len(census.indices)} tiles, the tiling has {len(t.tiles)}")
-    memo: Dict[Label, str] = {}
+    rows = t.rows
+    if len(census.indices) != len(rows):
+        raise ValueError(f"census classifies {len(census.indices)} tiles, the tiling has {len(rows)}")
+    label_text = _LabelTexts().__getitem__
+    kept = t.kept_shapes
 
-    def text(s: Simplex) -> str:
-        return "[" + ",".join([_label_text(v, memo) for v in s.vertices]) + "]"
+    def text(parts) -> str:
+        return "[%s]" % ",".join(parts)
 
+    # the checksum of "\n".join(tile lines) + "\n": each line and its newline
+    digest = hashlib.sha256(b"" if rows else b"\n")
     lines = []
-    for tile, index in zip(t.tiles, census.indices):
-        mf = tile.morse_face
-        lines.append(
-            '{"class":%s,"facet":%s,"morse_face":%s,"ridges":[%s]}' % (
-                '"regular"' if index is None else '{"critical":%d}' % index,
-                text(tile.underlying),
-                "null" if mf is None else '"empty"' if mf.is_empty else text(mf),
-                ",".join(sorted(map(text, tile.missing_ridges))),
-            )
+    for p, ((vs, omitted, morse), index) in enumerate(zip(rows, census.indices)):
+        parts = list(map(label_text, vs))
+        if p in kept:
+            tile = t.tiles[p]
+            ridges = [text(map(label_text, r.vertices)) for r in tile.missing_ridges]
+            mf = None if tile.morse_face is None else list(map(label_text, tile.morse_face.vertices))
+        else:
+            ridges = ["[%s]" % ",".join(parts[:i] + parts[i + 1:]) for i in range(len(parts)) if omitted >> i & 1]
+            mf = None if morse < 0 else [x for i, x in enumerate(parts) if morse >> i & 1]
+        line = '{"class":%s,"facet":[%s],"morse_face":%s,"ridges":[%s]}' % (
+            '"regular"' if index is None else '{"critical":%d}' % index,
+            ",".join(parts),
+            "null" if mf is None else text(mf) if mf else '"empty"',
+            ",".join(sorted(ridges)),
         )
-    digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+        digest.update(line.encode())
+        digest.update(b"\n")
+        lines.append(line)
     summary = {
         "summary": {
             "depth": depth,
-            "tiles": len(t.tiles),
+            "tiles": len(rows),
             "census": {str(k): v for k, v in sorted(census.critical.items())},
             "regular": census.regular,
-            "checksum": f"sha256:{digest}",
+            "checksum": f"sha256:{digest.hexdigest()}",
         }
     }
     lines.append(json.dumps(summary, sort_keys=True, separators=(",", ":")))

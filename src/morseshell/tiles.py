@@ -23,6 +23,11 @@ certificates all use:
 For a vertex the empty simplex is its unique ridge, so the dotted vertex and
 the open vertex are one and the same tile; the normal form, the one
 ``classify`` returns, stores it with ridge set {∅}.
+
+A tiling holds its tiles as position-mask rows (``engine.Tiling.rows``);
+``MorseTile`` is the form of a tile at the public API and in the tests:
+the view ``Tiling.tiles`` builds from the rows on first read, and the
+input ``Tiling(space, tiles)`` encodes into rows through the verifier.
 """
 from __future__ import annotations
 

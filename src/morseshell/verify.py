@@ -20,18 +20,27 @@ tiling only the faces of the missing part L are enumerated: the tiles
 claim the space's faces in one walk, and coverage follows from the
 shelling check (``_check_tiles``).  The space's faces, those of the
 ambient facets minus L's, are listed only when that argument fails, to
-name the faces no tile covers.  Within a tile, a face is the bitmask of
-the positions of its vertices in the tile's sorted vertex tuple, and masks
-are walked in key order (by size, then lexicographically by position),
-the order of ``Simplex.faces()``, so failures come out in the same order
-on every run.  The tile shape is re-derived from the missing set by the
-rule in ``_shape``, the package's one classification rule:
-``MorseTile.tile_class`` reports it and ``tiles.classify`` recovers tiles
-by it.  It reads the at most n + 1 generators of a tile on n vertices,
-never the 2^n masks of its simplex, so classifying, printing or counting a
-wide tile stays cheap; only the walk over a tile's faces lists its missing
-closure (``_closure``).  Witnesses are ``Simplex`` objects, built only
-when a check fails.
+name the faces no tile covers.
+
+The verifier reads a tiling's rows (``Tiling.rows``): each tile's vertex
+labels in key order, the mask of the positions whose ridge is missing (bit
+i is the ridge omitting vertex i) and the Morse face's position mask, -1
+for a basic tile.  The engine's tilings are rows; ``MorseTile``s given from
+outside become rows through ``_encode``, which also keeps the shape of a
+tile whose generators a row cannot hold (a "ridge" of another
+codimension, a generator that is no proper face of the tile).  Within a
+tile, a face is the bitmask of its positions, and masks are walked in key
+order (by size, then lexicographically by position), the order of
+``Simplex.faces()``, so failures come out in the same order on every run.
+The tile shape is re-derived from the masks by the rule in ``_shape``, the
+package's one classification rule, looked up per row in a cache keyed on
+the masks (``_row_shape``): the census, the certificates, the tile lines'
+``class`` and ``MorseTile.tile_class`` all come from it, and
+``tiles.classify`` recovers tiles by it.  It reads the at most n + 1
+generators of a tile on n vertices, never the 2^n masks of its simplex,
+so classifying, printing or counting a wide tile stays cheap; only the
+walk over a tile's faces lists its missing closure (``_closure``).
+Witnesses are ``Simplex`` objects, built only when a check fails.
 """
 from __future__ import annotations
 
@@ -41,7 +50,7 @@ from functools import lru_cache
 from itertools import chain, combinations, compress, repeat
 from typing import TYPE_CHECKING, Collection, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .complexes import RelativeComplex, Simplex, SimplicialComplex, barycentric
+from .complexes import RelativeComplex, Simplex, SimplicialComplex, _simplex, barycentric
 from .morse import DiscreteMorseFunction, critical_census as dmf_census
 
 if TYPE_CHECKING:
@@ -49,6 +58,7 @@ if TYPE_CHECKING:
     from .tiles import MorseTile
 
 Key = Tuple  # a face as its sorted tuple of vertex labels
+Row = Tuple[Tuple, int, int]  # vertices in key order, omitted-ridge mask, Morse mask
 
 __all__ = [
     "Census",
@@ -195,13 +205,32 @@ def _bits(n: int) -> Tuple[int, ...]:
     return tuple(1 << i for i in range(n))
 
 
-def _tile_shape(tile: MorseTile) -> _Shape:
-    """The shape of a tile's missing set.  A generator that is not a proper
-    face of the tile fails the shape check; its missing closure is then
-    what lies under the generators' parts inside the tile."""
+@lru_cache(maxsize=4096)
+def _row_shape(n: int, omitted: int, morse: int) -> _Shape:
+    """The shape of a row on n vertices: ``_shape`` of its generators, the
+    ridges omitting its omitted positions and its Morse face."""
+    full = (1 << n) - 1
+    generators = [full ^ b for b in _bits(n) if omitted & b]
+    if morse >= 0:
+        generators.append(morse)
+    return _shape(n, frozenset(generators))
+
+
+def _encode(tile: MorseTile) -> Tuple[Row, Optional[_Shape]]:
+    """A MorseTile as a row over its sorted vertices, and None; or, for a
+    tile whose generators a row cannot hold, the row of its shape's
+    restriction and top, and that shape.
+
+    A row holds the tile when every missing ridge is a ridge of its simplex
+    and the Morse face a proper face of it.  Otherwise the shape is that of
+    the generators' masks, and a generator that is not a proper face of the
+    tile fails it; the tile's missing closure is then what lies under the
+    generators' parts inside the tile.
+    """
     vs = tile.underlying.vertices
-    full = (1 << len(vs)) - 1
-    bit = dict(zip(vs, _bits(len(vs))))
+    n = len(vs)
+    full = (1 << n) - 1
+    bit = dict(zip(vs, _bits(n)))
     generators = list(tile.missing_ridges)
     if tile.morse_face is not None:
         generators.append(tile.morse_face)
@@ -212,11 +241,23 @@ def _tile_shape(tile: MorseTile) -> _Shape:
         if m == full or m.bit_count() != len(g.vertices):
             improper.append(g)
         masks.append(m)
-    shape = _shape(len(vs), frozenset(masks))
+    ridges = masks[:len(tile.missing_ridges)]
+    if not improper and all(m.bit_count() == n - 1 for m in ridges):
+        omitted = 0
+        for m in ridges:
+            omitted |= full ^ m
+        return (vs, omitted, -1 if tile.morse_face is None else masks[-1]), None
+    shape = _shape(n, frozenset(masks))
     if improper:
         g = min(improper, key=lambda g: g.key)
-        return shape._replace(index=None, reason=f"{g!r} is not a proper face of {tile.underlying!r}")
-    return shape
+        shape = shape._replace(index=None, reason=f"{g!r} is not a proper face of {tile.underlying!r}")
+    return (vs, shape.restriction, shape.top), shape
+
+
+def _tile_shape(tile: MorseTile) -> _Shape:
+    """The shape of a MorseTile's missing set, through its row."""
+    (vs, omitted, morse), shape = _encode(tile)
+    return shape or _row_shape(len(vs), omitted, morse)
 
 
 def _face_keys(facets: Iterable[Simplex]) -> Set[Key]:
@@ -244,8 +285,9 @@ def critical_census(t: Tiling) -> Census:
     """Counts of critical tiles by index; every other tile, a malformed one
     included, counts as regular."""
     census = Census()
-    for tile in t.tiles:
-        _count(census, _tile_shape(tile).index)
+    kept = t.kept_shapes
+    for p, (vs, omitted, morse) in enumerate(t.rows):
+        _count(census, (kept.get(p) or _row_shape(len(vs), omitted, morse)).index)
     return census
 
 
@@ -277,15 +319,17 @@ def verify_tiling(
 
 
 def _check_tiles(cert: Certificate, s: RelativeComplex, t: Tiling) -> Tuple[Collection[Key], Dict[Key, int], Set[Key]]:
-    """Partition, shelling and tile-shape checks and the census, in one walk.
+    """Partition, shelling and tile-shape checks and the census, in one walk
+    over the tiling's rows.
 
-    Each anchored tile claims its owned faces, which must be outside L and
-    unclaimed; the first face of its missing closure (of its whole simplex
-    if unanchored) neither in L nor owned yet is a shelling gap.  Only here
-    are a tile's closure and owned faces listed (``_closure``), since the
-    walk visits those faces anyway.  An unanchored tile counts as regular
-    and gets no shape: it is no tile of the space, so its class has no
-    place in the census.
+    Each anchored row gets its shape by its masks (``_row_shape``, or the
+    shape the encoder kept for a tile no row holds) and claims its owned
+    faces, which must be outside L and unclaimed; the first face of its
+    missing closure (of its whole simplex if unanchored) neither owned yet
+    nor in L is a shelling gap.  Only here are a tile's closure and owned
+    faces listed (``_closure``), since the walk visits those faces anyway.
+    An unanchored row counts as regular and gets no shape: it is no tile of
+    the space, so its class has no place in the census.
     Coverage follows: a face of K \\ L lies in an ambient facet F, a tile
     owning F is anchored at F, and so with no gap it owns the face or found
     it owned.  Only with a gap or an unowned facet are K \\ L's faces
@@ -297,28 +341,28 @@ def _check_tiles(cert: Certificate, s: RelativeComplex, t: Tiling) -> Tuple[Coll
     facets = {f.vertices for f in s.ambient.facets}
     owner: Dict[Key, int] = {}
     gaps: List[Tuple[int, Key]] = []
-    for p, tile in enumerate(t.tiles):
-        vs = tile.underlying.vertices
+    kept = t.kept_shapes
+    for p, (vs, omitted, morse) in enumerate(t.rows):
         if vs in facets:
-            shape = _tile_shape(tile)
+            shape = kept.get(p) or _row_shape(len(vs), omitted, morse)
             _count(cert.census, shape.index)
             if shape.reason is not None:
-                cert._fail("tiles_ok", p, f"not a Morse tile: {shape.reason}", tile.underlying)
+                cert._fail("tiles_ok", p, f"not a Morse tile: {shape.reason}", _simplex(vs))
             closure, owned = _closure(len(vs), shape.generators)
             for key in compress(_subsets(vs), owned):
-                if key in missing:
+                if missing and key in missing:
                     cert._fail("partition_ok", p, "tile claims a face outside the complex", Simplex(key))
-                elif key in owner:
-                    cert._fail("partition_ok", p, f"face also owned by tile {owner[key]}", Simplex(key))
-                else:
-                    owner[key] = p
+                    continue
+                q = owner.setdefault(key, p)
+                if q != p:
+                    cert._fail("partition_ok", p, f"face also owned by tile {q}", Simplex(key))
             walk = compress(_subsets(vs), closure)
         else:
-            cert._fail("partition_ok", p, "tile not anchored at an ambient facet", tile.underlying)
+            cert._fail("partition_ok", p, "tile not anchored at an ambient facet", _simplex(vs))
             _count(cert.census, None)
             walk = _subsets(vs)
         for key in walk:
-            if key not in missing and key not in owner:
+            if key not in owner and key not in missing:
                 gaps.append((p, key))
                 break
     space: Collection[Key] = owner.keys()
@@ -354,7 +398,7 @@ def _strong_failure(missing: Set[Key], owner: Dict[Key, int], t: Tiling) -> Opti
     K \\ L and a coface F of it lies in K \\ L, since L is downward closed.
     A ridge no tile owns counts as owned at the smallest tile dimension.
     """
-    dims = [tile.dim for tile in t.tiles]
+    dims = [len(vs) - 1 for vs, _, _ in t.rows]
     floor = min(dims, default=0)
     lower = []
     for key, p in owner.items():

@@ -10,7 +10,9 @@ restriction-set rule for criticality (on ``restriction_set``, which
 (``verify._tile_shape``), the one rule the package classifies by.
 ``shape_oracle`` is that mask rule as it read the whole missing closure,
 all 2^n masks of the simplex, before ``verify._shape`` read the generators
-alone; the two are held equal field by field.  The
+alone; the two are held equal field by field.  ``barycentric_oracle`` is
+sd(K) with each flag sorted by label key, the rule
+``complexes.barycentric_complex`` replaced with a flag template.  The
 link-isomorphism layer (derived neighborhoods, the vertex maps identifying
 links in first and second subdivisions with joins of subdivided boundaries
 and links, double-star intersections) spells out by brute force the
@@ -34,7 +36,8 @@ import json
 from fractions import Fraction
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations, permutations
+from operator import or_
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from morseshell.complexes import (
@@ -366,6 +369,23 @@ def shape_oracle(n: int, generators: frozenset) -> ReferenceShape:
 
 
 # -- link isomorphisms ------------------------------------------------------
+
+
+def barycentric_oracle(k: SimplicialComplex) -> SimplicialComplex:
+    """sd(K) by the sort rule ``barycentric_complex`` used before its flag
+    template: each ordering of a facet's vertices gives the chain of the
+    barycenters of its prefixes, sorted by label key in ``Simplex``.  Nothing
+    is kept on k."""
+    flags = set()
+    for f in k.facets:
+        vs = f.vertices
+        hat = {
+            mask: bary([v for i, v in enumerate(vs) if mask >> i & 1])
+            for mask in range(1, 1 << len(vs))
+        }
+        for perm in permutations([1 << i for i in range(len(vs))]):
+            flags.add(Simplex([hat[mask] for mask in accumulate(perm, or_)]))
+    return SimplicialComplex(flags)
 
 
 def derived_neighborhood(l: SimplicialComplex, k: SimplicialComplex) -> SimplicialComplex:
@@ -806,14 +826,15 @@ def verify_tiling_oracle(s: RelativeComplex, t: Tiling, strong: bool = False) ->
 
 
 def tile_to_json(t: MorseTile) -> dict:
-    """Wire record of a tile, as written to tiling files."""
+    """Wire record of a tile, as written to tiling files; a malformed tile
+    is regular, as the census counts it."""
     if t.morse_face is None:
         morse = None
     elif t.morse_face.is_empty:
         morse = "empty"
     else:
         morse = simplex_to_json(t.morse_face)
-    index = tile_class_oracle(t)
+    index = _index_oracle(t)
     return {
         "facet": simplex_to_json(t.underlying),
         "ridges": sorted(

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -473,3 +474,26 @@ def test_shell_sd2_audit_rejects_a_corrupted_tiling(circle_file, monkeypatch, ca
     assert run(["shell-sd2", str(circle_file), "-o", "/dev/null"]) == 2
     cert = json.loads(capsys.readouterr().err)
     assert cert["ok"] is False and not cert["partition_ok"] and cert["failures"]
+
+
+def test_shell_sd2_builds_no_morse_tile(torus_file, tmp_path, monkeypatch):
+    """The sd² command runs on rows from the engine to the file: with the
+    ``MorseTile`` constructor and the MorseTile encoder refusing, it writes
+    the same bytes.  ``verify`` reads the file back as MorseTiles and
+    certifies it."""
+    plain, rows = tmp_path / "plain.jsonl", tmp_path / "rows.jsonl"
+    argv = ["shell-sd2", str(torus_file), "--morse", "greedy", "-o"]
+    assert run(argv + [str(plain)]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sd² command built a MorseTile")
+
+    with monkeypatch.context() as m:
+        m.setattr(MorseTile, "__init__", refuse)
+        m.setattr(verify, "_tile_shape", refuse)
+        assert run(argv + [str(rows)]) == 0
+    digest = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (plain, rows)]
+    assert digest[0] == digest[1]
+    cert = tmp_path / "cert.json"
+    assert run(["verify", str(torus_file), "--tiling", str(rows), "-o", str(cert)]) == 0
+    assert json.loads(cert.read_text())["ok"] is True

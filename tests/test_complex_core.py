@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from oracles import (
     VertexMap,
     apply_map,
+    barycentric_oracle,
     derived_neighborhood,
     link_iso_sd,
     link_iso_sd2,
     star_intersection_sd2,
 )
+from test_engine_kernel import CATALOG
 from test_morse_properties import complexes
 
 from morseshell.complexes import (
@@ -222,6 +224,24 @@ def test_sd_facet_counts_match_permutation_oracle():
     assert len(barycentric_complex(triangle()).facets) == oracle
     twice = barycentric_complex(barycentric_complex(triangle()))
     assert len(twice.facets) == oracle * oracle
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG) + ["empty", "void"])
+def test_flag_template_gives_the_sort_rule_facets_on_the_catalog_and_its_sd(name):
+    """Each flag of ``_flag_template`` is already in the key order of its
+    barycenters: sd and sd² have the sort rule's facets, in its order."""
+    k = {"empty": empty_complex(), "void": void_complex()}.get(name) or CATALOG[name]
+    sd = barycentric_complex(k)
+    assert sd.facets == barycentric_oracle(k).facets
+    assert barycentric_complex(sd).facets == barycentric_oracle(sd).facets
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(complexes())
+def test_flag_template_gives_the_sort_rule_facets_on_random_complexes(k):
+    sd = barycentric_complex(k)
+    assert sd.facets == barycentric_oracle(k).facets
+    assert barycentric_complex(sd).facets == barycentric_oracle(sd).facets
 
 
 def test_sd_of_equal_complexes_is_equal_and_kept_per_object():

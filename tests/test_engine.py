@@ -27,10 +27,9 @@ from morseshell.complexes import (
 )
 from morseshell.engine import (
     Tiling,
-    _compact,
     _cone_block,
+    _row,
     _sd2_transport,
-    _tile,
     shell_boundary_sd,
     shell_sd2_from_dmf,
     shell_sd_join,
@@ -232,14 +231,14 @@ def cone_shelling(apex, t, deprive_prefix):
     """Cone a shelled tiling on the engine's cone primitive, ``_cone_block``,
     depriving the first tiles of their bases; the space is the cone over
     t's space minus the deprived bases."""
-    tiles = _cone_block(apex, [_compact(tile) for tile in t.tiles], deprive_prefix)
+    tiles = _cone_block(apex, t.rows, deprive_prefix)
     k, l = t.space.ambient, t.space.missing
     apex_simplex = Simplex([apex])
     ambient = SimplicialComplex([f.union(apex_simplex) for f in k.facets])
     gens = [f.union(apex_simplex) for f in l.facets]
     gens += [tile.underlying for tile in t.tiles[:deprive_prefix]]
     missing = SimplicialComplex(gens) if gens else void_complex()
-    return Tiling(RelativeComplex(ambient, missing), tuple(map(_tile, tiles)))
+    return Tiling._of_rows(RelativeComplex(ambient, missing), map(_row, tiles))
 
 
 def test_cone_shelling_with_base_over_closed_tiling():

@@ -36,15 +36,16 @@ from morseshell.engine import (
     CLOSED,
     DOTTED,
     OPEN,
-    _compact,
     _cone,
     _entries,
+    _input_entries,
     _join_template,
+    _row,
     _shell_entries_join,
     _split_cone_tile,
     _strip_empty,
     _subtract,
-    _tile,
+    _view,
     shell_boundary_sd,
     shell_sd2_from_dmf,
     shell_sd_join,
@@ -53,8 +54,15 @@ from morseshell.engine import (
 from morseshell.labels import atom, bary
 from morseshell.morse import DiscreteMorseFunction, greedy_collapse_dmf, trivial_dmf
 from morseshell.tiles import MorseTile
+from morseshell.verify import _encode
 
 a, b, c, d, u, v, w = (atom(x) for x in "abcduvw")
+
+
+def view_of(t):
+    """The MorseTile of a flag-order triple: the view of its row."""
+    return _view(_row(t))
+
 
 RP2 = make_complex([
     [f"r{i}" for i in tri]
@@ -187,7 +195,7 @@ def test_memoized_join_matches_reference_on_random_patterns(sides):
     want_tiles, want_prefix = shell_entries_join_oracle(*sides)
     for _ in range(2):
         tiles, prefix = _shell_entries_join(*sides)
-        assert ([_tile(t) for t in tiles], prefix) == (want_tiles, want_prefix)
+        assert ([view_of(t) for t in tiles], prefix) == (want_tiles, want_prefix)
 
 
 def test_join_template_is_keyed_by_shape_and_holds_masks():
@@ -211,23 +219,23 @@ def test_join_template_is_keyed_by_shape_and_holds_masks():
 def test_compact_round_trip_entries_and_cone_on_every_tile(dim):
     simplex = Simplex([atom(x) for x in "abcd"[: dim + 1]])
     for t in all_tiles_on(simplex):
-        ct = _compact(t)
-        assert _tile(ct) == t
-        assert _entries(ct) == entries_oracle(t)
+        row, kept = _encode(t)
+        assert kept is None and _view(row) == t
+        assert _entries(row) == _input_entries(t) == entries_oracle(t)
         for dotted in (False, True):
-            assert _tile(_cone(v, ct, dotted)) == cone(v, t, dotted)
+            assert view_of(_cone(v, row, dotted)) == cone(v, t, dotted)
 
 
 def test_open_vertex_is_the_dotted_vertex():
     hat = bary([a])
     closed, open_ = ((hat,), 0, -1), ((hat,), 1, -1)
     # the ridge {∅} of the open vertex is bit 0, and dotting gives the same tile
-    assert _tile(open_) == vertex_tile(hat, open_=True) == dotted(vertex_tile(hat))
+    assert view_of(open_) == vertex_tile(hat, open_=True) == dotted(vertex_tile(hat))
     assert _strip_empty([closed]) == [open_]
     assert _subtract(closed, {()}) == open_
     assert _entries(open_) == ((hat, OPEN),)
-    assert _tile(_cone(v, open_)) == cone(v, vertex_tile(hat, open_=True))
-    assert _tile(_cone(v, open_, dotted=True)) == cone(v, vertex_tile(hat, open_=True), dotted=True)
+    assert view_of(_cone(v, open_)) == cone(v, vertex_tile(hat, open_=True))
+    assert view_of(_cone(v, open_, dotted=True)) == cone(v, vertex_tile(hat, open_=True), dotted=True)
 
 
 def test_codimension_one_morse_face_folds_into_the_ridges():
@@ -237,10 +245,10 @@ def test_codimension_one_morse_face_folds_into_the_ridges():
     coned = _cone(a, ct)
     assert coned == ((a, b, c), 0b100, -1)
     ref = cone(a, MorseTile(s(b, c), frozenset(), s(b)))
-    assert _tile(coned) == ref and ref.missing_ridges == {s(a, b)}
+    assert view_of(coned) == ref and ref.missing_ridges == {s(a, b)}
     # a dotted vertex with the empty Morse face folds the same way
     assert _cone(a, ((b,), 0, 0)) == ((a, b), 0b10, -1)
-    assert _tile(_cone(a, ((b,), 0, 0))) == cone(a, MorseTile(s(b), frozenset(), EMPTY))
+    assert view_of(_cone(a, ((b,), 0, 0))) == cone(a, MorseTile(s(b), frozenset(), EMPTY))
     # a Morse face of codimension two stays
     assert _cone(a, ((b, c), 0, 0)) == ((a, b, c), 0, 0b001)
 
@@ -254,18 +262,18 @@ def test_subtract_on_a_vertex_tile_and_on_the_empty_face():
     hat, edge = bary([a]), (bary([a]), bary([a, b]))
     # a vertex tile whose only missing face is ∅ becomes the open vertex
     ref = subtract_oracle(vertex_tile(hat), frozenset([EMPTY]))
-    assert _tile(_subtract(((hat,), 0, -1), {()})) == ref == vertex_tile(hat, open_=True)
+    assert view_of(_subtract(((hat,), 0, -1), {()})) == ref == vertex_tile(hat, open_=True)
     # a closed edge loses its empty face: the empty Morse face
     closed = (edge, 0, -1)
     assert _subtract(closed, {()}) == (edge, 0, 0)
-    ref = subtract_oracle(_tile(closed), frozenset([EMPTY]))
-    assert _tile(_subtract(closed, {()})) == ref and ref.morse_face == EMPTY
+    ref = subtract_oracle(view_of(closed), frozenset([EMPTY]))
+    assert view_of(_subtract(closed, {()})) == ref and ref.morse_face == EMPTY
     # a tile that does not own the empty face is left alone
     assert _subtract((edge, 0b10, -1), {()}) == (edge, 0b10, -1)
     # the bottom vertex â in the subcomplex: the Morse face {â}
     m = {(), (a,)}
     assert _subtract(closed, m) == (edge, 0, 0b01)
-    assert _tile(_subtract(closed, m)) == subtract_oracle(_tile(closed), frozenset([EMPTY, s(a)]))
+    assert view_of(_subtract(closed, m)) == subtract_oracle(view_of(closed), frozenset([EMPTY, s(a)]))
     # nothing to remove
     assert _subtract(closed, set()) is closed
 
@@ -275,7 +283,7 @@ def test_split_cone_tile_at_a_non_leading_apex_position():
     x, y, z = bary([a]), bary([a, b]), bary([a, b, c])
     for t in [((x, u, y), 0b101, -1), ((x, u, y, z), 0b0001, 0b0011), ((x, u, y, z), 0, 0b0010)]:
         got = _split_cone_tile(t, u)
-        assert _tile(got) == split_cone_tile_oracle(_tile(t), u)
+        assert view_of(got) == split_cone_tile_oracle(view_of(t), u)
     # apex ∗ dotted vertex: the open vertex
     assert _split_cone_tile(((x, u), 0, 0b10), u) == ((x,), 1, -1)
     # apex ∗ dotted edge

@@ -7,8 +7,10 @@ critical faces with an empty link; both stages of a collapse step, with and
 without a link and a boundary base (the cone and the 2-sphere under
 ``greedy``); a matching on the triangle whose collapse steps shell blocks
 with a dotted part, where regrouping the entries of a one-sided block
-would change the bytes; and the torus under ``trivial``.  A refactor of
-the engine must leave these bytes unchanged.
+would change the bytes; the torus under ``trivial``; and Δ⁴ under
+``greedy``, 14,400 tiles, whose digest is that of the whole file the
+``shell-sd2`` command writes.  A refactor of the engine must leave these
+bytes unchanged.
 """
 import hashlib
 
@@ -37,6 +39,9 @@ GOLDEN = [
      "036868cb1b8a5540dff6dc0eab5823043d04a045cc04347b1575af3f0e3b112b"),
     ("torus-trivial", moebius_torus, trivial_dmf, 504,
      "b7f3167fc84ff525cc6934874516fdde0c5c020832771b13e7053090919626ee"),
+    # the whole file `morseshell shell-sd2` writes for Δ⁴ under greedy
+    ("simplex-4-greedy", lambda: simplex_complex(4), greedy_collapse_dmf, 14400,
+     "208d2feae55815f071ce333e86f8b195addf19cea0d486f5bee65df5ecaa5938"),
 ]
 
 

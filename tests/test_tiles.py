@@ -18,7 +18,7 @@ from oracles import (
 )
 
 from morseshell.complexes import EMPTY, Simplex, barycentric_complex, make_complex, star_link
-from morseshell.engine import CLOSED, DOTTED, OPEN, _compact, _entries, _slice
+from morseshell.engine import CLOSED, DOTTED, OPEN, _input_entries, _slice
 from morseshell.labels import atom
 from morseshell.tiles import (
     MorseTile,
@@ -266,7 +266,7 @@ def test_cone_criticality_law_exhaustive_up_to_dim_3():
 def vertex_link(t, v):
     """The link of v in t by the engine's rule: ``_slice`` at v's entry,
     the rest regrouped into closed, open and dotted parts."""
-    entries = _entries(_compact(t))
+    entries = _input_entries(t)
     j = next(i for i, (u, _) in enumerate(entries) if u is v)
     before, after = _slice(entries, j)
     rest = before + after
