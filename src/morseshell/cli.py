@@ -7,7 +7,7 @@ Commands:
 * ``morse``      produce (trivial/greedy) or load a function, canonical form out;
 * ``shell-sd``   vertex-star-first shelling of sd(S);
 * ``shell-sd2``  full pipeline on sd²(K): tiling, census, certificate;
-* ``verify``     certify a tiling file against its complex.
+* ``verify``     certify a tiling file, and the classes and counts it records.
 
 Exit codes: 0 success, 1 usage or parse error, 2 verification failure.
 All outputs are deterministic; identical invocations produce identical bytes.
@@ -142,7 +142,7 @@ def cmd_shell_sd(args) -> int:
     v = atom(args.vertex)
     tiling, prefix = shell_sd_relative(s, v)
     cert = verify_tiling(tiling.space, tiling, strong=args.strong, homology_of=s)
-    log.info("star segment: %d of %d tiles", prefix, len(tiling.tiles))
+    log.info("star segment: %d of %d tiles", prefix, len(tiling))
     return _emit_tiling(args, tiling, 1, cert)
 
 
@@ -159,23 +159,38 @@ def cmd_shell_sd2(args) -> int:
     return _emit_tiling(args, tiling, 2, cert)
 
 
+def _class_text(index: Optional[int]) -> str:
+    return "regular" if index is None else f"critical {index}"
+
+
 def cmd_verify(args) -> int:
+    """Certify the tiles of a file and every class and count it records."""
     s = _load_space(args.input)
-    tiles, summary, checksum_ok = tiling_from_lines(_read(args.tiling).splitlines())
+    tiles, classes, summary, checksum_ok = tiling_from_lines(_read(args.tiling).splitlines())
     depth = int(summary.get("depth", 0))
     if depth > MAX_DEPTH:
         raise UsageError(f"summary depth {depth} is above {MAX_DEPTH}, the deepest tiling morseshell writes")
     space = _subdivide(s, depth)
     tiling = Tiling(space, tuple(tiles))
     cert = verify_tiling(space, tiling, strong=args.strong, homology_of=s)
+    census = cert.census
+    wrong = [
+        (p, f"recorded class {_class_text(index)} != recomputed {_class_text(census.indices[p])}", None)
+        for p, index in classes.items()
+        if index != census.indices[p]
+    ]
     recorded = {int(k): v for k, v in summary.get("census", {}).items()}
-    census_ok = recorded == cert.census.critical and summary.get("tiles") == len(tiles)
+    census_ok = recorded == census.critical and summary.get("tiles") == len(tiles)
+    regular_ok = summary.get("regular", census.regular) == census.regular
+    cert.failures.extend(wrong)
     if not checksum_ok:
         cert.failures.append((None, "tile lines do not match the recorded checksum", None))
     if not census_ok:
-        cert.failures.append((None, f"recorded census {recorded} != recomputed {cert.census.critical}", None))
+        cert.failures.append((None, f"recorded census {recorded} != recomputed {census.critical}", None))
+    if not regular_ok:
+        cert.failures.append((None, f"recorded regular {summary['regular']} != recomputed {census.regular}", None))
     _write(args.output, certificate_to_json(cert))
-    return 0 if cert.ok and census_ok and checksum_ok else 2
+    return 0 if cert.ok and not wrong and census_ok and regular_ok and checksum_ok else 2
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,6 +7,11 @@ of K.  Both store facets only; face sets are derived on first use.  The
 module provides joins, barycentric subdivision (the complex of flags of
 non-empty faces), and stars and links (absolute and relative).
 
+The package's face rules live here once: ``_subsets`` and ``_face_keys``
+list face keys (sorted vertex tuples) in key order, ``_sorted_by_key``
+orders simplices by ``Simplex.key`` and ``_euler`` counts the Euler
+characteristic of simplices or keys.
+
 Conventions for degenerate complexes matter throughout and are fixed here:
 
 * the *void* complex has no faces at all;
@@ -15,10 +20,11 @@ Conventions for degenerate complexes matter throughout and are fixed here:
 """
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
-from itertools import accumulate, combinations, permutations
+from itertools import accumulate, chain, combinations, permutations, repeat
 from operator import or_
-from typing import Callable, Collection, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Collection, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Sized, Tuple
 
 from .labels import Label, LabelLike, as_label, bary, label_key
 
@@ -104,11 +110,8 @@ class Simplex:
         return _simplex(tuple(w for w in self.vertices if w != v))
 
     def faces(self) -> Iterator["Simplex"]:
-        """All faces, the empty simplex and self included."""
-        vs = self.vertices
-        for r in range(len(vs) + 1):
-            for c in combinations(vs, r):
-                yield _simplex(c)
+        """All faces, the empty simplex and self included, in key order."""
+        return map(_simplex, _subsets(self.vertices))
 
     def ridges(self) -> Tuple["Simplex", ...]:
         """Codimension-one faces; the empty simplex for a vertex."""
@@ -167,21 +170,15 @@ class SimplicialComplex:
 
     def faces(self) -> FrozenSet[Simplex]:
         if self._faces is None:
-            # facets share faces: dedupe the vertex tuples, then build each
-            # face once
-            keys = set()
-            for f in self.facets:
-                vs = f.vertices
-                for r in range(len(vs) + 1):
-                    keys.update(combinations(vs, r))
-            self._faces = frozenset(map(_simplex, keys))
+            # facets share faces: dedupe the keys, then build each face once
+            self._faces = frozenset(map(_simplex, _face_keys(self.facets)))
         return self._faces
 
     def __contains__(self, s: Simplex) -> bool:
         return s in self.faces()
 
     def __iter__(self) -> Iterator[Simplex]:
-        return iter(sorted(self.faces(), key=lambda s: s.key))
+        return iter(_sorted_by_key(self.faces()))
 
     def facets_containing(self, s: Simplex) -> Tuple[Simplex, ...]:
         return tuple(f for f in self.facets if s <= f)
@@ -195,15 +192,12 @@ class SimplicialComplex:
 
     def f_vector(self) -> Tuple[int, ...]:
         """Counts of faces by dimension, starting at dimension 0."""
-        counts = [0] * (self.dim + 1) if self.dim >= 0 else []
-        for s in self.faces():
-            if not s.is_empty:
-                counts[s.dim] += 1
-        return tuple(counts)
+        counts = Counter(map(len, self.faces()))
+        return tuple(counts[r] for r in range(1, self.dim + 2))
 
     def euler(self) -> int:
         """Euler characteristic, summed over non-empty faces."""
-        return sum((-1) ** s.dim for s in self.faces() if not s.is_empty)
+        return _euler(self.faces())
 
     def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
         """Every facet lies under a facet of other; no face set is derived."""
@@ -222,6 +216,24 @@ class SimplicialComplex:
 
     def __repr__(self) -> str:
         return f"SimplicialComplex({len(self.facets)} facets, dim {self.dim})"
+
+
+Key = Tuple[Label, ...]  # a face as its sorted tuple of vertex labels
+
+
+def _subsets(vs: Key) -> Iterator[Key]:
+    """The face keys of a simplex with sorted vertices vs, in key order."""
+    return chain.from_iterable(map(combinations, repeat(vs), range(len(vs) + 1)))
+
+
+def _face_keys(facets: Iterable[Simplex]) -> Set[Key]:
+    """The keys of every face of the given facets, the empty face included."""
+    return set(chain.from_iterable(_subsets(f.vertices) for f in facets))
+
+
+def _euler(faces: Iterable[Sized]) -> int:
+    """Alternating count of the non-empty faces, as simplices or keys."""
+    return sum((-1) ** (r - 1) * n for r, n in Counter(map(len, faces)).items() if r)
 
 
 def _sorted_by_key(simplices: Collection[Simplex]) -> List[Simplex]:
@@ -350,7 +362,7 @@ class RelativeComplex:
         return EMPTY in self.faces()
 
     def euler(self) -> int:
-        return sum((-1) ** s.dim for s in self.faces() if not s.is_empty)
+        return _euler(self.faces())
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -382,9 +394,7 @@ def join(s1: RelativeComplex, s2: RelativeComplex) -> RelativeComplex:
     amb = join_complexes(s1.ambient, s2.ambient)
     m1 = join_complexes(s1.missing, s2.ambient)
     m2 = join_complexes(s1.ambient, s2.missing)
-    facets = list(m1.facets) + list(m2.facets)
-    missing = SimplicialComplex(facets) if facets else void_complex()
-    return RelativeComplex(amb, missing)
+    return RelativeComplex(amb, SimplicialComplex(m1.facets + m2.facets))
 
 
 # -- barycentric subdivision ----------------------------------------------

@@ -49,14 +49,15 @@ mask once.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from typing import Callable, Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .complexes import (
     RelativeComplex,
     Simplex,
     SimplicialComplex,
-    _simplex,
+    _face_keys,
+    _sorted_by_key,
+    _subsets,
     barycentric,
     barycentric_complex,
     join,
@@ -89,54 +90,39 @@ EMPTY_TILE: Compact = ((), 0, -1)  # the closed empty simplex, the one tile of s
 class Tiling:
     """An ordered list of tiles anchored at facets of a relative complex.
 
-    The tiles are held as rows (``rows``): each tile's vertex labels in key
-    order, the mask of the positions whose ridge is missing (bit i is the
-    ridge omitting the i-th label) and the Morse face's position mask, -1
-    for a basic tile.  The engine builds its tilings from rows.
+    The tiles are held as rows (``rows``, of type ``verify.Row``), and the
+    engine builds its tilings from rows.
     ``Tiling(space, tiles)`` takes ``MorseTile``s, which the verifier's
-    encoder (``verify._encode``) turns into rows on first use; a tile whose
-    generators a row cannot hold keeps the shape the encoder derived, in
-    ``kept_shapes`` by position.  ``tiles`` is the ``MorseTile`` view,
-    built from the rows on first read and kept.  Two tilings are equal when
-    their spaces and tiles are.
+    encoder (``verify._encode``) turns into rows at construction; a tile
+    whose generators a row cannot hold keeps the shape the encoder derived,
+    in ``kept_shapes`` by position.  ``tiles`` is the ``MorseTile`` view,
+    built from the rows by ``MorseTile._of_row`` on first read and kept.
+    Two tilings are equal when their spaces and tiles are.
     """
 
-    __slots__ = ("space", "_tiles", "_rows", "_kept")
+    __slots__ = ("space", "rows", "kept_shapes", "_tiles")
 
     def __init__(self, space: RelativeComplex, tiles: Iterable[MorseTile]):
         self.space = space
         self._tiles: Optional[Tuple[MorseTile, ...]] = tuple(tiles)
-        self._rows: Optional[Tuple[Row, ...]] = None
-        self._kept: Dict[int, _Shape] = {}
+        encoded = [_encode(tile) for tile in self._tiles]
+        self.rows: Tuple[Row, ...] = tuple(row for row, _ in encoded)
+        self.kept_shapes: Dict[int, _Shape] = {p: shape for p, (_, shape) in enumerate(encoded) if shape is not None}
 
     @classmethod
     def _of_rows(cls, space: RelativeComplex, rows: Iterable[Row]) -> "Tiling":
         t = cls.__new__(cls)
-        t.space, t._tiles, t._rows, t._kept = space, None, tuple(rows), {}
+        t.space, t._tiles, t.rows, t.kept_shapes = space, None, tuple(rows), {}
         return t
-
-    @property
-    def rows(self) -> Tuple[Row, ...]:
-        if self._rows is None:
-            encoded = [_encode(tile) for tile in self._tiles]
-            self._kept = {p: shape for p, (_, shape) in enumerate(encoded) if shape is not None}
-            self._rows = tuple(row for row, _ in encoded)
-        return self._rows
-
-    @property
-    def kept_shapes(self) -> Dict[int, _Shape]:
-        """The encoder's shapes of the given tiles a row cannot hold."""
-        self.rows  # encodes the given tiles on first use
-        return self._kept
 
     @property
     def tiles(self) -> Tuple[MorseTile, ...]:
         if self._tiles is None:
-            self._tiles = tuple(map(_view, self._rows))
+            self._tiles = tuple(map(MorseTile._of_row, self.rows))
         return self._tiles
 
     def __len__(self) -> int:
-        return len(self._tiles if self._rows is None else self._rows)
+        return len(self.rows)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Tiling) and self.space == other.space and self.tiles == other.tiles
@@ -146,15 +132,6 @@ class Tiling:
 
     def __repr__(self) -> str:
         return f"Tiling({self.space!r}, {len(self)} tiles)"
-
-
-def _view(row: Row) -> MorseTile:
-    """The MorseTile of a row."""
-    vs, omitted, morse = row
-    ridges = frozenset(_simplex(vs[:i] + vs[i + 1:]) for i in range(len(vs)) if omitted >> i & 1)
-    if morse < 0:
-        return MorseTile(_simplex(vs), ridges)
-    return MorseTile(_simplex(vs), ridges, _simplex(tuple(v for i, v in enumerate(vs) if morse >> i & 1)))
 
 
 # -- compact tiles -------------------------------------------------------------
@@ -401,7 +378,7 @@ def _boundary_sd(
     shares with ridges 0..j-1, that is, open at the vertices they omit."""
     if sigma.dim < 1:
         raise ValueError("the boundary of a vertex cannot be shelled")
-    ridges = sorted(sigma.ridges(), key=lambda s: s.key)
+    ridges = _sorted_by_key(sigma.ridges())
     if last is None:
         last = ridges[-1]
     if last not in ridges:
@@ -474,13 +451,14 @@ def _shell_relative(s: RelativeComplex, v: Label) -> Tuple[List[Compact], int]:
     k, l = s.ambient, s.missing
     if not any(v in f for f in k.facets):
         raise ValueError(f"{v!r} is not a vertex of the ambient complex")
-    star = sorted((f for f in k.facets if v in f), key=lambda f: f.key)
-    rest = sorted((f for f in k.facets if v not in f), key=lambda f: f.key)
-    seen = {f.vertices for f in l.faces()}
+    # the facets are in key order already
+    star = [f for f in k.facets if v in f]
+    rest = [f for f in k.facets if v not in f]
+    seen = _face_keys(l.facets)
     blocks: List[Block] = []
     for facet in star + rest:
         vs = facet.vertices
-        faces = [c for r in range(len(vs) + 1) for c in combinations(vs, r)]
+        faces = list(_subsets(vs))
         m_faces = {c for c in faces if c in seen}
 
         def role(w: Label) -> str:

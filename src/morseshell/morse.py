@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .complexes import Simplex, SimplicialComplex, _simplex
+from .complexes import Simplex, SimplicialComplex, _simplex, _sorted_by_key
 
 __all__ = [
     "DiscreteMorseFunction",
@@ -81,7 +81,7 @@ class _Hasse(NamedTuple):
 
 def _hasse(k: SimplicialComplex) -> _Hasse:
     """Fill the table from each face's ridges, |t| lookups per face."""
-    faces = sorted((s for s in k.faces() if not s.is_empty), key=lambda s: s.key)
+    faces = _sorted_by_key(k.faces())[1:]  # the empty face sorts first
     pos = {s: i for i, s in enumerate(faces)}
     up: List[List[int]] = [[] for _ in faces]
     down: List[List[int]] = []

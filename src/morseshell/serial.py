@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from contextlib import contextmanager
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -328,12 +329,25 @@ def _summary_from_json(data) -> dict:
     depth = data.get("depth", 0)
     if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
         raise ValueError(f"summary depth {json.dumps(depth)} is not a non-negative integer")
+    for key in data.get("census", {}):
+        if not re.fullmatch("-?[0-9]+", key):
+            raise ValueError(f"summary census key {json.dumps(key)} is not an integer")
     return data
 
 
-def tiling_from_lines(lines: Sequence[str]) -> Tuple[List[MorseTile], dict, bool]:
-    """Parse tile lines and the summary; also report checksum validity."""
+def _class_from_json(data, n: int) -> Optional[int]:
+    """The class line n records: None for ``"regular"``, k for ``{"critical": k}``."""
+    k = data.get("critical") if isinstance(data, dict) and len(data) == 1 else None
+    if data != "regular" and (isinstance(k, bool) or not isinstance(k, int) or k < 0):
+        raise ValueError(f'tiling line {n} has class {json.dumps(data)}, not "regular" or {{"critical": k}}, k >= 0')
+    return k
+
+
+def tiling_from_lines(lines: Sequence[str]) -> Tuple[List[MorseTile], Dict[int, Optional[int]], dict, bool]:
+    """Parse tile lines and the summary; also report checksum validity and
+    the classes the lines record by position (a line may record none)."""
     tiles: List[MorseTile] = []
+    classes: Dict[int, Optional[int]] = {}
     summary: dict = {}
     tile_lines: List[str] = []
     for n, line in enumerate(lines, 1):
@@ -347,11 +361,14 @@ def tiling_from_lines(lines: Sequence[str]) -> Tuple[List[MorseTile], dict, bool
             if "summary" in data:
                 summary = _summary_from_json(data["summary"])
             else:
-                tiles.append(tile_from_json(data))
+                tile = tile_from_json(data)
+                if "class" in data:
+                    classes[len(tiles)] = _class_from_json(data["class"], n)
+                tiles.append(tile)
                 tile_lines.append(line)
     digest = hashlib.sha256(("\n".join(tile_lines) + "\n").encode()).hexdigest()
     checksum_ok = summary.get("checksum") == f"sha256:{digest}"
-    return tiles, summary, checksum_ok
+    return tiles, classes, summary, checksum_ok
 
 
 def certificate_to_json(cert: Certificate) -> str:

@@ -26,8 +26,8 @@ the open vertex are one and the same tile; the normal form, the one
 
 A tiling holds its tiles as position-mask rows (``engine.Tiling.rows``);
 ``MorseTile`` is the form of a tile at the public API and in the tests:
-the view ``Tiling.tiles`` builds from the rows on first read, and the
-input ``Tiling(space, tiles)`` encodes into rows through the verifier.
+``MorseTile._of_row`` builds the view ``Tiling.tiles`` and ``classify``'s
+result, and ``Tiling(space, tiles)`` encodes into rows via the verifier.
 """
 from __future__ import annotations
 
@@ -39,10 +39,10 @@ from .complexes import (
     Simplex,
     SimplicialComplex,
     _simplex,
+    _sorted_by_key,
     closure_complex,
-    void_complex,
 )
-from .verify import _tile_shape
+from .verify import Row, _tile_shape
 
 __all__ = [
     "MorseTile",
@@ -119,6 +119,15 @@ class MorseTile:
         index = _tile_shape(self).index
         return TileClass.regular() if index is None else TileClass.critical(index)
 
+    @staticmethod
+    def _of_row(row: Row) -> "MorseTile":
+        """The tile of a row (``verify.Row``): the ridges omitting its
+        omitted positions, the Morse face on its Morse positions."""
+        vs, omitted, morse = row
+        ridges = frozenset(_simplex(vs[:i] + vs[i + 1:]) for i in range(len(vs)) if omitted >> i & 1)
+        face = None if morse < 0 else _simplex(tuple(v for i, v in enumerate(vs) if morse >> i & 1))
+        return MorseTile(_simplex(vs), ridges, face)
+
     def missing_faces(self) -> FrozenSet[Simplex]:
         """Downward closure of the missing set."""
         out = set()
@@ -135,7 +144,7 @@ class MorseTile:
     def __repr__(self) -> str:
         parts = [f"MorseTile({self.underlying!r}"]
         if self.missing_ridges:
-            parts.append(f" minus {sorted(self.missing_ridges, key=lambda s: s.key)!r}")
+            parts.append(f" minus {_sorted_by_key(self.missing_ridges)!r}")
         if self.morse_face is not None:
             parts.append(f" morse {self.morse_face!r}")
         parts.append(f" [{self.tile_class()!r}])")
@@ -156,10 +165,7 @@ def classify(underlying: Simplex, missing: Iterable[Simplex]) -> MorseTile:
     shape = _tile_shape(MorseTile(underlying, given))
     if shape.reason is not None:
         raise NotAMorseTileError(shape.reason)
-    vs = underlying.vertices
-    ridges = frozenset(underlying.without(v) for i, v in enumerate(vs) if shape.restriction >> i & 1)
-    morse = None if shape.top < 0 else _simplex(tuple(v for i, v in enumerate(vs) if shape.top >> i & 1))
-    return MorseTile(underlying, ridges, morse)
+    return MorseTile._of_row((underlying.vertices, shape.restriction, shape.top))
 
 
 def tile_join(t: MorseTile, tp: MorseTile) -> MorseTile:
@@ -184,12 +190,5 @@ def tile_join(t: MorseTile, tp: MorseTile) -> MorseTile:
 
 def tile_to_relative(t: MorseTile) -> RelativeComplex:
     """The tile as a pair (closure of its simplex, missing subcomplex)."""
-    ambient = closure_complex(t.underlying)
-    gens = list(t.missing_ridges)
-    if t.morse_face is not None:
-        gens.append(t.morse_face)
-    if not gens:
-        missing = void_complex()
-    else:
-        missing = SimplicialComplex(gens)
-    return RelativeComplex(ambient, missing)
+    gens = list(t.missing_ridges) + ([] if t.morse_face is None else [t.morse_face])
+    return RelativeComplex(closure_complex(t.underlying), SimplicialComplex(gens))

@@ -13,9 +13,10 @@ conservation audits:
 * weak Morse inequalities: census[k] is at least the k-th mod-2 Betti
   number (checked for absolute spaces).
 
-The checks build no ``Simplex`` face set and use none of the tile calculus
-the engine builds with.  A face is keyed by its vertex tuple, the
-``itertools.combinations`` of a facet's sorted vertices.  On an honest
+The checks build no ``Simplex`` face set of the tiled space and use none
+of the tile calculus the engine builds with.  A face is keyed by its vertex
+tuple, listed, counted and ordered by the face rules of ``complexes``
+(``_subsets``, ``_face_keys``, ``_euler``, ``_sorted_by_key``).  On an honest
 tiling only the faces of the missing part L are enumerated: the tiles
 claim the space's faces in one walk, and coverage follows from the
 shelling check (``_check_tiles``).  The space's faces, those of the
@@ -44,20 +45,19 @@ Witnesses are ``Simplex`` objects, built only when a check fails.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations, compress, repeat
-from typing import TYPE_CHECKING, Collection, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from itertools import compress, repeat
+from typing import TYPE_CHECKING, Collection, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .complexes import RelativeComplex, Simplex, SimplicialComplex, _simplex, barycentric
+from .complexes import Key, _euler, _face_keys, _sorted_by_key, _subsets  # the face rules
 from .morse import DiscreteMorseFunction, critical_census as dmf_census
 
 if TYPE_CHECKING:
     from .engine import Tiling
     from .tiles import MorseTile
 
-Key = Tuple  # a face as its sorted tuple of vertex labels
 Row = Tuple[Tuple, int, int]  # vertices in key order, omitted-ridge mask, Morse mask
 
 __all__ = [
@@ -135,14 +135,7 @@ class _Shape(NamedTuple):
 @lru_cache(maxsize=None)
 def _masks(n: int) -> Tuple[int, ...]:
     """The masks of the faces of an (n-1)-simplex, in key order."""
-    return tuple(
-        sum(1 << i for i in c) for r in range(n + 1) for c in combinations(range(n), r)
-    )
-
-
-def _subsets(vs: Tuple) -> Iterator[Key]:
-    """The face keys of a simplex with sorted vertices vs, in key order."""
-    return chain.from_iterable(map(combinations, repeat(vs), range(len(vs) + 1)))
+    return tuple(sum(1 << i for i in c) for c in _subsets(tuple(range(n))))
 
 
 @lru_cache(maxsize=4096)
@@ -249,7 +242,7 @@ def _encode(tile: MorseTile) -> Tuple[Row, Optional[_Shape]]:
         return (vs, omitted, -1 if tile.morse_face is None else masks[-1]), None
     shape = _shape(n, frozenset(masks))
     if improper:
-        g = min(improper, key=lambda g: g.key)
+        g = _sorted_by_key(improper)[0]
         shape = shape._replace(index=None, reason=f"{g!r} is not a proper face of {tile.underlying!r}")
     return (vs, shape.restriction, shape.top), shape
 
@@ -258,19 +251,6 @@ def _tile_shape(tile: MorseTile) -> _Shape:
     """The shape of a MorseTile's missing set, through its row."""
     (vs, omitted, morse), shape = _encode(tile)
     return shape or _row_shape(len(vs), omitted, morse)
-
-
-def _face_keys(facets: Iterable[Simplex]) -> Set[Key]:
-    """The keys of every face of the given facets, the empty face included."""
-    keys: Set[Key] = set()
-    for f in facets:
-        keys.update(_subsets(f.vertices))
-    return keys
-
-
-def _euler(keys: Iterable[Key]) -> int:
-    """Alternating count of the non-empty faces."""
-    return sum((-1) ** (r - 1) * n for r, n in Counter(map(len, keys)).items() if r)
 
 
 def _count(census: Census, index: Optional[int]) -> None:
@@ -306,10 +286,9 @@ def verify_tiling(
     cert = Certificate()
     space, owner, missing = _check_tiles(cert, s, t)
     if homology_of is None:
-        homology_of, keys = s, space
+        _check_homology(cert, _euler(space), s)
     else:
-        keys = _face_keys(homology_of.ambient.facets) - _face_keys(homology_of.missing.facets)
-    _check_homology(cert, _euler(keys), homology_of)
+        _check_homology(cert, homology_of.euler(), homology_of)
     if strong:
         d = _strong_failure(missing, owner, t)
         cert.strong_ok = d is None
@@ -368,7 +347,7 @@ def _check_tiles(cert: Certificate, s: RelativeComplex, t: Tiling) -> Tuple[Coll
     space: Collection[Key] = owner.keys()
     if gaps or not facets <= space:
         space = _face_keys(s.ambient.facets) - missing
-        for face in sorted(map(Simplex, space - owner.keys()), key=lambda f: f.key):
+        for face in _sorted_by_key([Simplex(key) for key in space - owner.keys()]):
             cert._fail("partition_ok", None, "face not covered by any tile", face)
     for p, key in gaps:
         cert._fail("shelling_ok", p, "closure face owned later or never", Simplex(key))

@@ -6,6 +6,7 @@ reference verifier in ``oracles`` on honest and mutated tilings, its
 failures are checked to be deterministic, and the ``verify`` command is
 checked to reject each kind of broken tiling by naming the tile.
 """
+import hashlib
 import json
 import os
 import subprocess
@@ -222,6 +223,39 @@ def _verify_records(tmp_path, source, records, summary):
 
 def _named(cert, reason_start):
     return {f["tile"] for f in json.loads(cert)["failures"] if f["reason"].startswith(reason_start)}
+
+
+def _resummed(records, summary, **fields):
+    """The summary record with the given fields set and the checksum of the
+    records' lines as ``_verify_records`` writes them."""
+    lines = [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records]
+    digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+    data = json.loads(summary)
+    data["summary"].update(fields, checksum=f"sha256:{digest}")
+    return json.dumps(data)
+
+
+def test_verify_checks_the_classes_and_regular_count_a_file_records(sphere_run, tmp_path):
+    """The tiles certify and the checksum matches, yet swapped classes or
+    a wrong regular count fail with exit code 2, the lines named."""
+    source, records, summary = sphere_run
+    assert _verify_records(tmp_path, source, records, _resummed(records, summary))[0] == 0
+    i = next(p for p, r in enumerate(records) if r["class"] != "regular")
+    j = next(p for p, r in enumerate(records) if r["class"] == "regular")
+    swapped = [dict(r) for r in records]
+    swapped[i]["class"], swapped[j]["class"] = records[j]["class"], records[i]["class"]
+    code, cert = _verify_records(tmp_path, source, swapped, _resummed(swapped, summary))
+    index = records[i]["class"]["critical"]
+    assert code == 2 and json.loads(cert)["ok"]
+    assert {f["tile"]: f["reason"] for f in json.loads(cert)["failures"]} == {
+        i: f"recorded class regular != recomputed critical {index}",
+        j: f"recorded class critical {index} != recomputed regular",
+    }
+    regular = json.loads(summary)["summary"]["regular"]
+    code, cert = _verify_records(tmp_path, source, records, _resummed(records, summary, regular=regular + 1))
+    assert code == 2 and json.loads(cert)["failures"] == [
+        {"tile": None, "reason": f"recorded regular {regular + 1} != recomputed {regular}", "witness": None}
+    ]
 
 
 def test_verify_names_a_tile_with_a_flipped_ridge(sphere_run, tmp_path):

@@ -431,11 +431,13 @@ def test_morse_load_of_a_generated_file_exits_zero_or_names_one_error(data):
         ('{"facet": [["a"], ["a"], ["a", "b"]]}', 'facet [["a"], ["a"], ["a", "b"]] repeats a vertex'),
         ('{"facet": ["a", "b"], "ridges": [["a", "a"]]}', 'ridge ["a", "a"] repeats a vertex'),
         ('{"facet": ["a", "b", "c"], "morse_face": ["a", "a"]}', 'Morse face ["a", "a"] repeats a vertex'),
+        ('{"facet": ["a"], "class": "banana"}', 'tiling line 14 has class "banana", not "regular" or'),
+        ('{"summary": {"census": {"x": 1}}}', 'summary census key "x" is not an integer'),
     ],
     ids=[
         "no-facet", "array", "string", "ridges-number", "summary-number", "bool-depth",
         "negative-depth", "deep-depth", "deep-label", "deep-json", "repeat-facet",
-        "repeat-ridge", "repeat-morse-face",
+        "repeat-ridge", "repeat-morse-face", "class-banana", "census-key",
     ],
 )
 def test_malformed_tiling_line_exits_one(circle_file, tmp_path, capsys, line, fragment):
@@ -474,6 +476,24 @@ def test_shell_sd2_audit_rejects_a_corrupted_tiling(circle_file, monkeypatch, ca
     assert run(["shell-sd2", str(circle_file), "-o", "/dev/null"]) == 2
     cert = json.loads(capsys.readouterr().err)
     assert cert["ok"] is False and not cert["partition_ok"] and cert["failures"]
+
+
+def test_shell_sd_builds_no_morse_tile(tmp_path, monkeypatch):
+    """The sd command writes its lines from rows too: with the
+    ``MorseTile`` constructor refusing, it writes the same bytes."""
+    source = tmp_path / "two.txt"
+    source.write_text("a b c\nb c d\n")
+    plain, rows = tmp_path / "plain.jsonl", tmp_path / "rows.jsonl"
+    argv = ["shell-sd", str(source), "--vertex", "a", "-o"]
+    assert run(argv + [str(plain)]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sd command built a MorseTile")
+
+    with monkeypatch.context() as m:
+        m.setattr(MorseTile, "__init__", refuse)
+        assert run(argv + [str(rows)]) == 0
+    assert plain.read_bytes() == rows.read_bytes()
 
 
 def test_shell_sd2_builds_no_morse_tile(torus_file, tmp_path, monkeypatch):

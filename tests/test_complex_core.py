@@ -23,6 +23,7 @@ from morseshell.complexes import (
     RelativeComplex,
     Simplex,
     SimplicialComplex,
+    _sorted_by_key,
     barycentric,
     barycentric_complex,
     boundary_complex,
@@ -239,9 +240,14 @@ def test_flag_template_gives_the_sort_rule_facets_on_the_catalog_and_its_sd(name
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(complexes())
 def test_flag_template_gives_the_sort_rule_facets_on_random_complexes(k):
+    """Also: ``_sorted_by_key`` is the ``Simplex.key`` order on the faces
+    of a complex whose facets differ in size, and of its sd."""
     sd = barycentric_complex(k)
     assert sd.facets == barycentric_oracle(k).facets
     assert barycentric_complex(sd).facets == barycentric_oracle(sd).facets
+    for c in (k, sd):
+        faces = list(c.faces())
+        assert _sorted_by_key(faces) == sorted(faces, key=lambda s: s.key)
 
 
 def test_sd_of_equal_complexes_is_equal_and_kept_per_object():

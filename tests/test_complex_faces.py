@@ -25,8 +25,11 @@ BASES = {
     "sphere3": lambda: boundary_sphere(3),
     "cone": cone_over_circle,
     "two-triangles": two_triangles,
+    # facets of three sizes: a triangle, a dangling edge, an isolated vertex
+    "mixed": lambda: make_complex([["a", "b", "c"], ["c", "d"], ["e"]]),
 }
-CASES = [(name, 0) for name in BASES] + [(name, 1) for name in BASES]
+# at depth 2 the labels nest two deep
+CASES = [(name, 0) for name in BASES] + [(name, 1) for name in BASES] + [("cone", 2), ("two-triangles", 2)]
 
 
 @pytest.fixture(scope="module", params=CASES, ids=lambda c: f"{c[0]}-sd{c[1]}")
@@ -91,6 +94,7 @@ def test_relative_faces_against_brute_force(depth):
     assert s.euler() == sum((-1) ** f.dim for f in expected if not f.is_empty)
     absolute = RelativeComplex(s.ambient)
     assert absolute.has_empty_face and absolute.faces() == frozenset(ambient)
+    assert absolute.euler() == s.ambient.euler() == sum((-1) ** f.dim for f in ambient if not f.is_empty)
 
 
 def _forbid_faces(monkeypatch):

@@ -45,7 +45,6 @@ from morseshell.engine import (
     _split_cone_tile,
     _strip_empty,
     _subtract,
-    _view,
     shell_boundary_sd,
     shell_sd2_from_dmf,
     shell_sd_join,
@@ -61,7 +60,7 @@ a, b, c, d, u, v, w = (atom(x) for x in "abcduvw")
 
 def view_of(t):
     """The MorseTile of a flag-order triple: the view of its row."""
-    return _view(_row(t))
+    return MorseTile._of_row(_row(t))
 
 
 RP2 = make_complex([
@@ -220,7 +219,7 @@ def test_compact_round_trip_entries_and_cone_on_every_tile(dim):
     simplex = Simplex([atom(x) for x in "abcd"[: dim + 1]])
     for t in all_tiles_on(simplex):
         row, kept = _encode(t)
-        assert kept is None and _view(row) == t
+        assert kept is None and MorseTile._of_row(row) == t
         assert _entries(row) == _input_entries(t) == entries_oracle(t)
         for dotted in (False, True):
             assert view_of(_cone(v, row, dotted)) == cone(v, t, dotted)

@@ -2,7 +2,7 @@
 
 The engine builds its tilings from rows (vertex labels in key order, the
 omitted-ridge mask, the Morse mask); ``Tiling(space, tiles)`` takes
-``MorseTile``s and encodes them on first use.  On the sd² corpus and on
+``MorseTile``s and encodes them at construction.  On the sd² corpus and on
 every criterion-3 join pair, a tiling rebuilt from its own ``tiles`` holds
 the same rows and gets the same certificates, census and tile lines.  On
 the broken tilings of the certificate tests, MorseTiles a row can hold
