@@ -7,6 +7,13 @@ of K.  Both store facets only; face sets are derived on first use.  The
 module provides joins, barycentric subdivision (the complex of flags of
 non-empty faces), and stars and links (absolute and relative).
 
+A complex keeps its facets as keys (sorted vertex tuples,
+``SimplicialComplex.facet_keys``).  A subdivision is built on keys alone,
+straight off a flag template, and builds its ``Simplex`` facets only on
+first read; equality and hashing read the keys.  Subdivision and join
+keep the relative invariant, so they build their pairs with the trusted
+``_relative``, beside the validating ``RelativeComplex(...)``.
+
 The package's face rules live here once: ``_subsets`` and ``_face_keys``
 list face keys (sorted vertex tuples) in key order, ``_sorted_by_key``
 orders simplices by ``Simplex.key`` and ``_euler`` counts the Euler
@@ -139,16 +146,25 @@ def _simplex(vertices: Tuple[Label, ...]) -> Simplex:
 
 EMPTY = Simplex(())
 
+Key = Tuple[Label, ...]  # a face as its sorted tuple of vertex labels
+
 
 class SimplicialComplex:
     """A finite simplicial complex, stored as its facets.
 
-    The face set (the empty face included) is derived from the facets on
-    first use and kept, and so is the barycentric subdivision.  Instances
-    are immutable by discipline.
+    ``facet_keys`` holds each facet as its vertex tuple (its ``Key``);
+    ``facets`` holds the same facets as ``Simplex``s in key order.
+    ``SimplicialComplex(facets)`` validates: it deduplicates, absorbs
+    redundant facets and sorts, and keeps both.  A subdivision
+    (``barycentric_complex``) is made from keys alone by the trusted
+    ``_of_keys``, in the order of its flag template, and builds ``facets``
+    on first read.  Equality and hashing read the keys, as a set, so
+    neither builds a ``Simplex``.  The face set (the empty face included)
+    is derived from the keys on first use and kept, and so is the
+    barycentric subdivision.  Instances are immutable by discipline.
     """
 
-    __slots__ = ("facets", "_faces", "_sd", "_hash")
+    __slots__ = ("facet_keys", "_facets", "_faces", "_sd", "_hash")
 
     def __init__(self, facets: Iterable[Simplex]):
         fs = _sorted_by_key(set(facets))
@@ -157,21 +173,37 @@ class SimplicialComplex:
             # larger facet through its first vertex, the empty facet in any
             by_vertex = _facets_by_vertex(fs)
             fs = [f for f in fs if f.vertices and not any(f < g for g in by_vertex[f.vertices[0]])]
-        self.facets: Tuple[Simplex, ...] = tuple(fs)
+        self._facets: Optional[Tuple[Simplex, ...]] = tuple(fs)
+        self.facet_keys: Tuple[Key, ...] = tuple(f.vertices for f in fs)
         self._faces: Optional[FrozenSet[Simplex]] = None
         self._sd: Optional[SimplicialComplex] = None
-        self._hash = hash(self.facets)
+        self._hash: Optional[int] = None
+
+    @classmethod
+    def _of_keys(cls, keys: Tuple[Key, ...]) -> "SimplicialComplex":
+        """Trusted constructor: ``keys`` must be the distinct facets of a
+        complex, none a face of another, each a tuple of labels in label-key
+        order; their order is free."""
+        k = cls.__new__(cls)
+        k.facet_keys, k._facets, k._faces, k._sd, k._hash = keys, None, None, None, None
+        return k
+
+    @property
+    def facets(self) -> Tuple[Simplex, ...]:
+        if self._facets is None:
+            self._facets = tuple(_sorted_by_key(list(map(_simplex, self.facet_keys))))
+        return self._facets
 
     # -- basic queries ---------------------------------------------------
 
     @property
     def is_void(self) -> bool:
-        return not self.facets
+        return not self.facet_keys
 
     def faces(self) -> FrozenSet[Simplex]:
         if self._faces is None:
             # facets share faces: dedupe the keys, then build each face once
-            self._faces = frozenset(map(_simplex, _face_keys(self.facets)))
+            self._faces = frozenset(map(_simplex, _face_keys(self.facet_keys)))
         return self._faces
 
     def __contains__(self, s: Simplex) -> bool:
@@ -185,10 +217,10 @@ class SimplicialComplex:
 
     @property
     def dim(self) -> int:
-        return max((f.dim for f in self.facets), default=-2)
+        return max(map(len, self.facet_keys), default=-1) - 1
 
     def vertices(self) -> Tuple[Label, ...]:
-        return tuple(sorted({v for f in self.facets for v in f}, key=label_key))
+        return tuple(sorted({v for f in self.facet_keys for v in f}, key=label_key))
 
     def f_vector(self) -> Tuple[int, ...]:
         """Counts of faces by dimension, starting at dimension 0."""
@@ -209,16 +241,22 @@ class SimplicialComplex:
         return SimplicialComplex([s for s in keep if s in self])
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(frozenset(self.facet_keys))
         return self._hash
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, SimplicialComplex) and self.facets == other.facets
+        """Same facets: the keys in the same order, or the same set of them
+        (the keys of a complex are distinct)."""
+        if self is other:
+            return True
+        if not isinstance(other, SimplicialComplex):
+            return False
+        a, b = self.facet_keys, other.facet_keys
+        return a == b or (len(a) == len(b) and set(a).issuperset(b))
 
     def __repr__(self) -> str:
-        return f"SimplicialComplex({len(self.facets)} facets, dim {self.dim})"
-
-
-Key = Tuple[Label, ...]  # a face as its sorted tuple of vertex labels
+        return f"SimplicialComplex({len(self.facet_keys)} facets, dim {self.dim})"
 
 
 def _subsets(vs: Key) -> Iterator[Key]:
@@ -226,9 +264,10 @@ def _subsets(vs: Key) -> Iterator[Key]:
     return chain.from_iterable(map(combinations, repeat(vs), range(len(vs) + 1)))
 
 
-def _face_keys(facets: Iterable[Simplex]) -> Set[Key]:
-    """The keys of every face of the given facets, the empty face included."""
-    return set(chain.from_iterable(_subsets(f.vertices) for f in facets))
+def _face_keys(facets: Iterable[Key]) -> Set[Key]:
+    """The keys of every face of the given facet keys, the empty face
+    included."""
+    return set(chain.from_iterable(map(_subsets, facets)))
 
 
 def _euler(faces: Iterable[Sized]) -> int:
@@ -378,11 +417,26 @@ class RelativeComplex:
         return f"RelativeComplex({self.ambient!r} minus {self.missing!r})"
 
 
+def _relative(ambient: SimplicialComplex, missing: SimplicialComplex) -> RelativeComplex:
+    """Trusted constructor: ``missing`` must be a subcomplex of ``ambient``
+    containing no facet of it, the invariant ``RelativeComplex(...)``
+    establishes.  Subdivision and join preserve that invariant, so
+    ``barycentric`` and ``join`` build their pairs here, with no subcomplex
+    test and no pass over shared facets."""
+    s = object.__new__(RelativeComplex)
+    s.ambient, s.missing, s._faces = ambient, missing, None
+    return s
+
+
 def join(s1: RelativeComplex, s2: RelativeComplex) -> RelativeComplex:
     """Join of relative complexes.
 
     The ambient part is the join of the ambients and the missing part is
     (L1 ∗ K2) ∪ (K1 ∗ L2).  Joining with a void complex is the identity.
+    The pair keeps the invariant of its factors: L1 ∗ K2 and K1 ∗ L2 lie
+    in K1 ∗ K2, and a facet F1 ∪ F2 of K1 ∗ K2 lies in their union only if
+    F1 ∈ L1 or F2 ∈ L2, which no facet of a factor does; so it goes
+    through the trusted ``_relative``.
     """
     if s1.ambient.is_void:
         return s2
@@ -394,7 +448,7 @@ def join(s1: RelativeComplex, s2: RelativeComplex) -> RelativeComplex:
     amb = join_complexes(s1.ambient, s2.ambient)
     m1 = join_complexes(s1.missing, s2.ambient)
     m2 = join_complexes(s1.ambient, s2.missing)
-    return RelativeComplex(amb, SimplicialComplex(m1.facets + m2.facets))
+    return _relative(amb, SimplicialComplex(m1.facets + m2.facets))
 
 
 # -- barycentric subdivision ----------------------------------------------
@@ -421,30 +475,35 @@ def barycentric_complex(k: SimplicialComplex) -> SimplicialComplex:
 
     Vertices are barycenter labels of the non-empty faces; facets are the
     maximal flags, one per ordering of each facet's vertices, read off
-    ``_flag_template`` already in key order.  The void complex and the
+    ``_flag_template`` as vertex tuples already in key order.  A maximal
+    flag ends at its own facet of k, so the flags of distinct facets are
+    distinct and none lies in another: the keys go to the trusted
+    ``SimplicialComplex._of_keys`` with no set and no absorption, and the
+    ``Simplex`` facets are built only if read.  The void complex and the
     empty complex {∅} are their own subdivisions.  The result is kept on k,
     so it is built once per complex object.
     """
     if k._sd is None:
-        flags = set()
-        for f in k.facets:
-            vs = f.vertices
-            # the barycenter of each non-empty face of f, by vertex bitmask
+        keys: List[Key] = []
+        for vs in k.facet_keys:
+            # the barycenter of each non-empty face of the facet, by vertex bitmask
             hat = [None] + [
                 bary([v for i, v in enumerate(vs) if mask >> i & 1])
                 for mask in range(1, 1 << len(vs))
             ]
-            for flag in _flag_template(len(vs)):
-                flags.add(_simplex(tuple(map(hat.__getitem__, flag))))
-        k._sd = SimplicialComplex(flags)
+            keys.extend(tuple(map(hat.__getitem__, flag)) for flag in _flag_template(len(vs)))
+        k._sd = SimplicialComplex._of_keys(tuple(keys))
     return k._sd
 
 
 def barycentric(s: RelativeComplex) -> RelativeComplex:
-    """sd(K \\ L) = sd(K) \\ sd(L)."""
-    return RelativeComplex(
-        barycentric_complex(s.ambient), barycentric_complex(s.missing)
-    )
+    """sd(K \\ L) = sd(K) \\ sd(L).
+
+    The pair keeps the invariant of s, so it goes through the trusted
+    ``_relative``: sd(L) ⊆ sd(K), and a maximal flag of K lies in sd(L)
+    only if its top face, a facet of K, lies in L, which none does.
+    """
+    return _relative(barycentric_complex(s.ambient), barycentric_complex(s.missing))
 
 
 # -- stars and links --------------------------------------------------------

@@ -454,7 +454,7 @@ def _shell_relative(s: RelativeComplex, v: Label) -> Tuple[List[Compact], int]:
     # the facets are in key order already
     star = [f for f in k.facets if v in f]
     rest = [f for f in k.facets if v not in f]
-    seen = _face_keys(l.facets)
+    seen = _face_keys(l.facet_keys)
     blocks: List[Block] = []
     for facet in star + rest:
         vs = facet.vertices

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .complexes import Simplex, SimplicialComplex, _simplex, _sorted_by_key
+from .complexes import Key, Simplex, SimplicialComplex, _sorted_by_key
 
 __all__ = [
     "DiscreteMorseFunction",
@@ -74,21 +74,22 @@ class _Hasse(NamedTuple):
     """
 
     faces: List[Simplex]
-    pos: Dict[Simplex, int]  # position of each face; the empty face has none
+    pos: Dict[Key, int]      # position of each face by its vertex tuple; the empty face has none
     up: List[List[int]]      # codimension-one cofaces
     down: List[List[int]]    # codimension-one faces (ridges), the empty one aside
 
 
 def _hasse(k: SimplicialComplex) -> _Hasse:
-    """Fill the table from each face's ridges, |t| lookups per face."""
+    """Fill the table from each face's ridges, |t| lookups per face, by
+    vertex tuple."""
     faces = _sorted_by_key(k.faces())[1:]  # the empty face sorts first
-    pos = {s: i for i, s in enumerate(faces)}
+    pos = {s.vertices: i for i, s in enumerate(faces)}
     up: List[List[int]] = [[] for _ in faces]
     down: List[List[int]] = []
     for i, t in enumerate(faces):
         n = len(t)
         # combinations of the sorted vertices run lexicographically: key order
-        ridges = [pos[_simplex(r)] for r in combinations(t.vertices, n - 1)] if n > 1 else []
+        ridges = list(map(pos.__getitem__, combinations(t.vertices, n - 1))) if n > 1 else []
         for j in ridges:
             up[j].append(i)
         down.append(ridges)
@@ -100,7 +101,7 @@ def _check_total(h: _Hasse, f: DiscreteMorseFunction) -> None:
     for s in f.values:
         if s.is_empty:
             raise ValueError("function has a value on the empty face {}")
-        if s not in h.pos:
+        if s.vertices not in h.pos:
             raise ValueError(f"function has a value on {s!r}, which is not a face of the complex")
     if len(f.values) != len(h.faces):
         missing = next(s for s in h.faces if s not in f.values)
@@ -282,7 +283,7 @@ def dmf_from_matching(
     mapping: Dict[int, int] = {}
     seen = set()
     for s, t in pairs:
-        i, j = h.pos.get(s), h.pos.get(t)
+        i, j = h.pos.get(s.vertices), h.pos.get(t.vertices)
         if i is None or j is None:
             raise ValueError(f"({s!r}, {t!r}) is not a pair of non-empty faces of the complex")
         if i not in h.down[j]:

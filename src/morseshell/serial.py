@@ -329,10 +329,20 @@ def _summary_from_json(data) -> dict:
     depth = data.get("depth", 0)
     if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
         raise ValueError(f"summary depth {json.dumps(depth)} is not a non-negative integer")
-    for key in data.get("census", {}):
+    for key, value in data.get("census", {}).items():
         if not re.fullmatch("-?[0-9]+", key):
             raise ValueError(f"summary census key {json.dumps(key)} is not an integer")
+        _require_int(f"census[{key}]", value)
+    for name in ("regular", "tiles"):
+        if name in data:
+            _require_int(name, data[name])
     return data
+
+
+def _require_int(name: str, value) -> None:
+    """A summary count must be a JSON integer; ``true`` and ``1.0`` are not."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"summary {name} {json.dumps(value)} is not an integer")
 
 
 def _class_from_json(data, n: int) -> Optional[int]:

@@ -16,12 +16,18 @@ conservation audits:
 The checks build no ``Simplex`` face set of the tiled space and use none
 of the tile calculus the engine builds with.  A face is keyed by its vertex
 tuple, listed, counted and ordered by the face rules of ``complexes``
-(``_subsets``, ``_face_keys``, ``_euler``, ``_sorted_by_key``).  On an honest
-tiling only the faces of the missing part L are enumerated: the tiles
-claim the space's faces in one walk, and coverage follows from the
-shelling check (``_check_tiles``).  The space's faces, those of the
+(``_subsets``, ``_face_keys``, ``_euler``, ``_sorted_by_key``), and the
+space is read through its facet keys (``SimplicialComplex.facet_keys``).
+On an honest tiling only the faces of the missing part L are enumerated:
+the tiles claim the space's faces in one walk, and coverage follows from
+the shelling check (``_check_tiles``).  The space's faces, those of the
 ambient facets minus L's, are listed only when that argument fails, to
-name the faces no tile covers.
+name the faces no tile covers.  The shelling check reads each tile's at
+most n + 1 generators, not its missing closure: while every earlier tile
+passed, the faces of L and of the earlier tiles form a subcomplex, so a
+closure whose generators lie in it lies in it whole.  A closure is walked
+face by face only where that argument stops, so failures and witnesses
+are those of a walk over every closure.
 
 The verifier reads a tiling's rows (``Tiling.rows``): each tile's vertex
 labels in key order, the mask of the positions whose ridge is missing (bit
@@ -39,8 +45,10 @@ the masks (``_row_shape``): the census, the certificates, the tile lines'
 ``class`` and ``MorseTile.tile_class`` all come from it, and
 ``tiles.classify`` recovers tiles by it.  It reads the at most n + 1
 generators of a tile on n vertices, never the 2^n masks of its simplex,
-so classifying, printing or counting a wide tile stays cheap; only the
-walk over a tile's faces lists its missing closure (``_closure``).
+so classifying, printing or counting a wide tile stays cheap.  The masks
+of a shape's closure (``_closure``) are listed once per shape, for the
+pickers that build a tile's owned faces and generators from its key
+(``_pickers``), and per tile only where the shelling walk falls back.
 Witnesses are ``Simplex`` objects, built only when a check fails.
 """
 from __future__ import annotations
@@ -48,7 +56,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress, repeat
-from typing import TYPE_CHECKING, Collection, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, Collection, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .complexes import RelativeComplex, Simplex, SimplicialComplex, _simplex, barycentric
 from .complexes import Key, _euler, _face_keys, _sorted_by_key, _subsets  # the face rules
@@ -186,10 +195,29 @@ def _shape(n: int, generators: frozenset) -> _Shape:
 def _closure(n: int, generators: frozenset) -> Tuple[Tuple[bool, ...], Tuple[bool, ...]]:
     """Which masks of an (n-1)-simplex, in key order, lie inside the
     closure of the generators, and which outside it.  This lists all 2^n
-    masks, so only the verifier's walk, which lists those faces anyway,
-    asks for it."""
+    masks, so it is read once per shape (``_pickers``) and by the
+    verifier's fallback walk, which lists those faces anyway."""
     inside = tuple(any(m & g == m for g in generators) for m in _masks(n))
     return inside, tuple(not x for x in inside)
+
+
+def _picker(n: int, mask: int) -> Callable[[Key], Key]:
+    """The face at the positions of mask, taken from a key of n vertices;
+    a slice keeps a face of one vertex, or none, a tuple."""
+    ps = [i for i in range(n) if mask >> i & 1]
+    if len(ps) > 1:
+        return itemgetter(*ps)
+    return itemgetter(slice(ps[0], ps[0] + 1) if ps else slice(0))
+
+
+@lru_cache(maxsize=4096)
+def _pickers(n: int, generators: frozenset) -> Tuple[Tuple[Callable[[Key], Key], ...], Tuple[Callable[[Key], Key], ...]]:
+    """Pickers of the faces an (n-1)-simplex owns, those outside the
+    closure of the generators, in key order, and of the generators
+    themselves.  A tile's faces are then built from its key without
+    listing the faces of its missing closure."""
+    owned = compress(_masks(n), _closure(n, generators)[1])
+    return tuple(_picker(n, m) for m in owned), tuple(_picker(n, g) for g in generators)
 
 
 @lru_cache(maxsize=None)
@@ -263,11 +291,16 @@ def _count(census: Census, index: Optional[int]) -> None:
 
 def critical_census(t: Tiling) -> Census:
     """Counts of critical tiles by index; every other tile, a malformed one
-    included, counts as regular."""
+    included, counts as regular, and so does a tile anchored at no facet
+    of the tiled space's ambient complex, as ``_check_tiles`` counts it."""
     census = Census()
     kept = t.kept_shapes
+    anchors = set(t.space.ambient.facet_keys)
     for p, (vs, omitted, morse) in enumerate(t.rows):
-        _count(census, (kept.get(p) or _row_shape(len(vs), omitted, morse)).index)
+        if vs in anchors:
+            _count(census, (kept.get(p) or _row_shape(len(vs), omitted, morse)).index)
+        else:
+            _count(census, None)
     return census
 
 
@@ -301,14 +334,23 @@ def _check_tiles(cert: Certificate, s: RelativeComplex, t: Tiling) -> Tuple[Coll
     """Partition, shelling and tile-shape checks and the census, in one walk
     over the tiling's rows.
 
-    Each anchored row gets its shape by its masks (``_row_shape``, or the
-    shape the encoder kept for a tile no row holds) and claims its owned
-    faces, which must be outside L and unclaimed; the first face of its
-    missing closure (of its whole simplex if unanchored) neither owned yet
-    nor in L is a shelling gap.  Only here are a tile's closure and owned
-    faces listed (``_closure``), since the walk visits those faces anyway.
-    An unanchored row counts as regular and gets no shape: it is no tile of
-    the space, so its class has no place in the census.
+    Each anchored row, one whose key is a facet key of K, gets its shape by
+    its masks (``_row_shape``, or the shape the encoder kept for a tile no
+    row holds) and claims its owned faces, built from its key by pickers
+    cached per shape (``_pickers``); they must be outside L and unclaimed.
+    The shelling check then reads the row's generators alone: each must be
+    owned by an earlier tile or lie in L.  That is enough: let U_p be L
+    plus the faces owned before row p.  U_0 = L is closed under faces; if
+    U_p is, and holds every generator of row p, it holds the whole missing
+    closure, the faces under the generators, and U_{p+1} adds the faces of
+    the simplex outside that closure, so it is closed under faces again.
+    Where the argument stops, at a row whose generator check fails and at
+    every row after the first gap, the row's missing closure is walked in
+    key order (``_closure``), and its first face neither owned yet nor in
+    L is the shelling gap; so the failures and their witnesses are those
+    of a walk over every closure.  An unanchored row is no tile of the
+    space: it counts as regular, gets no shape, and its whole simplex is
+    walked.
     Coverage follows: a face of K \\ L lies in an ambient facet F, a tile
     owning F is anchored at F, and so with no gap it owns the face or found
     it owned.  Only with a gap or an unowned facet are K \\ L's faces
@@ -316,26 +358,31 @@ def _check_tiles(cert: Certificate, s: RelativeComplex, t: Tiling) -> Tuple[Coll
     owner map (each face of the space to the first tile claiming it) and
     L's face keys.
     """
-    missing = _face_keys(s.missing.facets)
-    facets = {f.vertices for f in s.ambient.facets}
+    missing = _face_keys(s.missing.facet_keys)
+    facets = set(s.ambient.facet_keys)
     owner: Dict[Key, int] = {}
     gaps: List[Tuple[int, Key]] = []
     kept = t.kept_shapes
     for p, (vs, omitted, morse) in enumerate(t.rows):
         if vs in facets:
-            shape = kept.get(p) or _row_shape(len(vs), omitted, morse)
+            n = len(vs)
+            shape = kept.get(p) or _row_shape(n, omitted, morse)
             _count(cert.census, shape.index)
             if shape.reason is not None:
                 cert._fail("tiles_ok", p, f"not a Morse tile: {shape.reason}", _simplex(vs))
-            closure, owned = _closure(len(vs), shape.generators)
-            for key in compress(_subsets(vs), owned):
+            owned, generators = _pickers(n, shape.generators)
+            for pick in owned:
+                key = pick(vs)
                 if missing and key in missing:
                     cert._fail("partition_ok", p, "tile claims a face outside the complex", Simplex(key))
                     continue
                 q = owner.setdefault(key, p)
                 if q != p:
                     cert._fail("partition_ok", p, f"face also owned by tile {q}", Simplex(key))
-            walk = compress(_subsets(vs), closure)
+            held = (pick(vs) for pick in generators)
+            if not gaps and all(key in owner or key in missing for key in held):
+                continue
+            walk = compress(_subsets(vs), _closure(n, shape.generators)[0])
         else:
             cert._fail("partition_ok", p, "tile not anchored at an ambient facet", _simplex(vs))
             _count(cert.census, None)
@@ -346,7 +393,7 @@ def _check_tiles(cert: Certificate, s: RelativeComplex, t: Tiling) -> Tuple[Coll
                 break
     space: Collection[Key] = owner.keys()
     if gaps or not facets <= space:
-        space = _face_keys(s.ambient.facets) - missing
+        space = _face_keys(s.ambient.facet_keys) - missing
         for face in _sorted_by_key([Simplex(key) for key in space - owner.keys()]):
             cert._fail("partition_ok", None, "face not covered by any tile", face)
     for p, key in gaps:
@@ -397,7 +444,7 @@ def mod2_betti(k: SimplicialComplex) -> Tuple[int, ...]:
     if k.is_void or k.dim < 0:
         return ()
     by_dim: List[List[Key]] = [[] for _ in range(k.dim + 1)]
-    for key in _face_keys(k.facets):
+    for key in _face_keys(k.facet_keys):
         if key:
             by_dim[len(key) - 1].append(key)
     ranks = [0] * (k.dim + 2)

@@ -22,6 +22,9 @@ oracles are the all-pairs scans the face-incidence table in
 of a dense 0/1 matrix.  The reference verifier is the certifier on
 ``Simplex`` face sets (``classify_oracle``, ``MorseTile.faces``) that
 ``morseshell.verify`` replaced; it classifies by ``tile_class_oracle``.
+``check_tiles_walk_oracle`` is the verifier's own walk as it listed every
+tile's missing closure, before its shelling check read the generators
+alone.
 ``classify_oracle`` is the shape recovery on ``Simplex`` sets that
 ``tiles.classify`` replaced with the verifier's mask rule
 (``verify._shape``).  The reference encoder is the dict-building
@@ -38,13 +41,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations, permutations
 from operator import or_
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 from morseshell.complexes import (
     EMPTY,
+    Key,
     RelativeComplex,
     Simplex,
     SimplicialComplex,
+    _face_keys,
+    _simplex,
+    _sorted_by_key,
+    _subsets,
     barycentric_complex,
     boundary_complex,
     join_complexes,
@@ -65,7 +73,7 @@ from morseshell.labels import Label, bary
 from morseshell.morse import DiscreteMorseFunction, ValidationReport, filtration
 from morseshell.serial import simplex_to_json
 from morseshell.tiles import MorseTile, NotAMorseTileError, tile_join
-from morseshell.verify import Census, Certificate, mod2_betti
+from morseshell.verify import Census, Certificate, _closure, _count, _row_shape, mod2_betti
 
 
 def faces_of(simplex):
@@ -730,8 +738,10 @@ def _census_oracle(indices) -> Census:
 
 def critical_census_oracle(t: Tiling) -> Census:
     """Counts of critical tiles by index, and the number of regular tiles,
-    a malformed one included."""
-    return _census_oracle(map(_index_oracle, t.tiles))
+    a malformed one included, and one anchored at no ambient facet of the
+    tiled space, as ``check_tiles_oracle`` counts it."""
+    anchors = set(t.space.ambient.facets)
+    return _census_oracle(_index_oracle(tile) if tile.underlying in anchors else None for tile in t.tiles)
 
 
 def check_tiles_oracle(cert: Certificate, s: RelativeComplex, t: Tiling) -> None:
@@ -772,6 +782,53 @@ def check_tiles_oracle(cert: Certificate, s: RelativeComplex, t: Tiling) -> None
     cert.census = _census_oracle(
         _index_oracle(tile) if tile.underlying in ambient_facets else None for tile in t.tiles
     )
+
+
+def check_tiles_walk_oracle(
+    cert: Certificate, s: RelativeComplex, t: Tiling
+) -> Tuple[Set[Key], Dict[Key, int], Set[Key]]:
+    """``verify._check_tiles`` as it walked every anchored tile's whole
+    missing closure in key order, before its shelling check read each
+    tile's generators alone: the same rows, shapes, face keys and failure
+    texts, the first face of each closure neither owned yet nor in L a
+    gap.  Returns the space's face keys, the owner map and L's face keys."""
+    missing = _face_keys(s.missing.facet_keys)
+    facets = {f.vertices for f in s.ambient.facets}
+    owner: Dict[Key, int] = {}
+    gaps: List[Tuple[int, Key]] = []
+    for p, (vs, omitted, morse) in enumerate(t.rows):
+        if vs in facets:
+            shape = t.kept_shapes.get(p) or _row_shape(len(vs), omitted, morse)
+            _count(cert.census, shape.index)
+            if shape.reason is not None:
+                cert._fail("tiles_ok", p, f"not a Morse tile: {shape.reason}", _simplex(vs))
+            closure, owned = _closure(len(vs), shape.generators)
+            for key, mine in zip(_subsets(vs), owned):
+                if not mine:
+                    continue
+                if key in missing:
+                    cert._fail("partition_ok", p, "tile claims a face outside the complex", Simplex(key))
+                    continue
+                q = owner.setdefault(key, p)
+                if q != p:
+                    cert._fail("partition_ok", p, f"face also owned by tile {q}", Simplex(key))
+            walk = [key for key, inside in zip(_subsets(vs), closure) if inside]
+        else:
+            cert._fail("partition_ok", p, "tile not anchored at an ambient facet", _simplex(vs))
+            _count(cert.census, None)
+            walk = list(_subsets(vs))
+        for key in walk:
+            if key not in owner and key not in missing:
+                gaps.append((p, key))
+                break
+    space = set(owner)
+    if gaps or not facets <= space:
+        space = _face_keys(s.ambient.facet_keys) - missing
+        for face in _sorted_by_key([Simplex(key) for key in space - set(owner)]):
+            cert._fail("partition_ok", None, "face not covered by any tile", face)
+    for p, key in gaps:
+        cert._fail("shelling_ok", p, "closure face owned later or never", Simplex(key))
+    return space, owner, missing
 
 
 def check_homology_oracle(cert: Certificate, s: RelativeComplex) -> None:
@@ -847,11 +904,14 @@ def tile_to_json(t: MorseTile) -> dict:
 
 def tile_lines_oracle(t: Tiling) -> List[str]:
     """The tile lines of ``serial.tiling_to_lines``, one ``json.dumps`` of
-    each tile's record."""
-    return [
-        json.dumps(tile_to_json(tile), sort_keys=True, separators=(",", ":"))
-        for tile in t.tiles
-    ]
+    each tile's record, with the class ``critical_census_oracle`` gives the
+    tile (regular when it is anchored at no ambient facet)."""
+    lines = []
+    for tile, index in zip(t.tiles, critical_census_oracle(t).indices):
+        record = tile_to_json(tile)
+        record["class"] = "regular" if index is None else {"critical": index}
+        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+    return lines
 
 
 # -- reference shelling recursion ------------------------------------------------

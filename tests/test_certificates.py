@@ -184,17 +184,17 @@ def test_an_honest_tiling_is_certified_without_the_space_face_set(monkeypatch):
     seen = []
     original = verify._face_keys
 
-    def recording(facets):
-        facets = tuple(facets)
-        seen.append(facets)
-        return original(facets)
+    def recording(keys):
+        keys = tuple(keys)
+        seen.append(keys)
+        return original(keys)
 
     monkeypatch.setattr(verify, "_face_keys", recording)
     assert verify_tiling(tiling.space, tiling, strong=True, homology_of=on_k).ok
-    assert seen and tiling.space.ambient.facets not in seen
+    assert seen and tiling.space.ambient.facet_keys not in seen
     mutated = _mutations(tiling)["drop_last"]
     assert not verify_tiling(tiling.space, mutated, homology_of=on_k).ok
-    assert tiling.space.ambient.facets in seen
+    assert tiling.space.ambient.facet_keys in seen
 
 
 # -- the verify command on broken tilings ---------------------------------------------
@@ -256,6 +256,32 @@ def test_verify_checks_the_classes_and_regular_count_a_file_records(sphere_run, 
     assert code == 2 and json.loads(cert)["failures"] == [
         {"tile": None, "reason": f"recorded regular {regular + 1} != recomputed {regular}", "witness": None}
     ]
+
+
+def test_a_file_written_with_an_unanchored_tile_records_the_census_verify_recomputes(tmp_path):
+    """``critical_census`` counts a tile anchored at no facet of the space
+    as regular, as the verifier does: the classes and summary census
+    written for the ``foreign`` variant (a closed triangle off the space)
+    are the ones ``verify`` recomputes, so only the foreign tile fails:
+    it is not anchored, and its faces are owned by no tile."""
+    k = cone_over_circle()
+    foreign = _mutations(_sd2(k, greedy_collapse_dmf))["foreign"]
+    census = critical_census(foreign)
+    assert census.indices[-1] is None
+    source = tmp_path / "k.txt"
+    source.write_text(dump_complex_text(RelativeComplex(k)))
+    path = tmp_path / "foreign.jsonl"
+    path.write_text("\n".join(tiling_to_lines(foreign, 2, census)) + "\n")
+    cert_path = tmp_path / "cert.json"
+    assert run(["verify", str(source), "--tiling", str(path), "-o", str(cert_path)]) == 2
+    cert = json.loads(cert_path.read_text())
+    last = len(census.indices) - 1
+    assert {(f["tile"], f["reason"]) for f in cert["failures"]} == {
+        (last, "tile not anchored at an ambient facet"),
+        (last, "closure face owned later or never"),
+    }
+    assert cert["census"] == {str(i): n for i, n in census.critical.items()}
+    assert cert["regular"] == census.regular
 
 
 def test_verify_names_a_tile_with_a_flipped_ridge(sphere_run, tmp_path):

@@ -452,6 +452,39 @@ def test_malformed_tiling_line_exits_one(circle_file, tmp_path, capsys, line, fr
     assert fragment in err
 
 
+@pytest.mark.parametrize(
+    "field, value, fragment",
+    [
+        ("census", {"0": True}, "summary census[0] true is not an integer"),
+        ("tiles", 36.0, "summary tiles 36.0 is not an integer"),
+        ("regular", True, "summary regular true is not an integer"),
+        ("regular", "35", 'summary regular "35" is not an integer'),
+    ],
+    ids=["census-true", "tiles-float", "regular-true", "regular-string"],
+)
+def test_summary_counts_must_be_integers(tmp_path, capsys, field, value, fragment):
+    """A JSON true equals 1 and 36.0 equals 36, but neither is a count: the
+    triangle's sd² file with either in its summary exits 1, the field
+    named."""
+    source = tmp_path / "triangle.txt"
+    source.write_text("a b c\n")
+    out = tmp_path / "t.jsonl"
+    assert run(["shell-sd2", str(source), "--morse", "greedy", "-o", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    summary = json.loads(lines[-1])
+    assert summary["summary"]["census"] == {"0": 1}
+    assert (summary["summary"]["tiles"], summary["summary"]["regular"]) == (36, 35)
+    assert run(["verify", str(source), "--tiling", str(out), "-o", "/dev/null"]) == 0
+    summary["summary"][field] = value
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines[:-1] + [json.dumps(summary)]) + "\n")
+    capsys.readouterr()
+    assert run(["verify", str(source), "--tiling", str(bad), "-o", "/dev/null"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err
+
+
 @pytest.mark.parametrize("fault", ["drop", "flip"])
 def test_shell_sd2_audit_rejects_a_corrupted_tiling(circle_file, monkeypatch, capsys, fault):
     """The contract the benchmark's ``--corrupt`` control relies on: wrap
