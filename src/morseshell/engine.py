@@ -359,12 +359,7 @@ def shell_sd_join(t: MorseTile, tp: MorseTile) -> Tuple[Tiling, int]:
     dim T + 1 outside; otherwise there is exactly one critical tile iff
     T ∗ T′ is critical, inside the segment iff it is a closed simplex.
     """
-    if not t.is_basic:
-        raise ValueError("first factor must be a basic tile")
-    if t.underlying.is_empty or tp.underlying.is_empty:
-        raise ValueError("join factors must be non-empty")
-    if set(t.underlying) & set(tp.underlying):
-        raise ValueError("join factors share vertex labels")
+    t._check_join(tp)
     tiles, prefix = _shell_entries_join(_input_entries(t), _input_entries(tp))
     space = barycentric(join(tile_to_relative(t), tile_to_relative(tp)))
     return Tiling._of_rows(space, map(_row, tiles)), prefix

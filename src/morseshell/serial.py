@@ -7,8 +7,10 @@ whitespace-separated atom names, ``#`` comments) or as JSON
 maps from faces of an atom-labeled complex (space-joined names) to rational
 strings, or a matching file ``{"pairs": [[face, coface], ...]}``; either
 loads as its canonical function.  Tilings
-are JSON lines, one tile per line in shelling order, closed by a summary
-record carrying depth, census and a checksum of the tile lines.
+are JSON lines, one tile per line in shelling order, closed by one summary
+record, the last line, carrying depth, tile count, census, regular count
+and a checksum of the tile lines; writer and reader take that checksum by
+one rule, ``_checksum``, line by line.
 """
 from __future__ import annotations
 
@@ -276,8 +278,8 @@ def tiling_to_lines(t: Tiling, depth: int, census: Census) -> List[str]:
     their compact text: the default text only adds a space after each
     separating comma, and two texts first differ at the same point of their
     structure either way (a comma inside an atom name is escaped context,
-    never a separator).  The summary's checksum is taken line by line as
-    the lines are made.
+    never a separator).  The summary's checksum is ``_checksum`` of the
+    tile lines.
     """
     rows = t.rows
     if len(census.indices) != len(rows):
@@ -288,8 +290,6 @@ def tiling_to_lines(t: Tiling, depth: int, census: Census) -> List[str]:
     def text(parts) -> str:
         return "[%s]" % ",".join(parts)
 
-    # the checksum of "\n".join(tile lines) + "\n": each line and its newline
-    digest = hashlib.sha256(b"" if rows else b"\n")
     lines = []
     for p, ((vs, omitted, morse), index) in enumerate(zip(rows, census.indices)):
         parts = list(map(label_text, vs))
@@ -306,8 +306,6 @@ def tiling_to_lines(t: Tiling, depth: int, census: Census) -> List[str]:
             "null" if mf is None else text(mf) if mf else '"empty"',
             ",".join(sorted(ridges)),
         )
-        digest.update(line.encode())
-        digest.update(b"\n")
         lines.append(line)
     summary = {
         "summary": {
@@ -315,7 +313,7 @@ def tiling_to_lines(t: Tiling, depth: int, census: Census) -> List[str]:
             "tiles": len(rows),
             "census": {str(k): v for k, v in sorted(census.critical.items())},
             "regular": census.regular,
-            "checksum": f"sha256:{digest.hexdigest()}",
+            "checksum": _checksum(lines),
         }
     }
     lines.append(json.dumps(summary, sort_keys=True, separators=(",", ":")))
@@ -355,10 +353,13 @@ def _class_from_json(data, n: int) -> Optional[int]:
 
 def tiling_from_lines(lines: Sequence[str]) -> Tuple[List[MorseTile], Dict[int, Optional[int]], dict, bool]:
     """Parse tile lines and the summary; also report checksum validity and
-    the classes the lines record by position (a line may record none)."""
+    the classes the lines record by position (a line may record none).
+    Each line's own shape is checked first; then a line after the summary,
+    a second summary included, is a ValueError naming it."""
     tiles: List[MorseTile] = []
     classes: Dict[int, Optional[int]] = {}
     summary: dict = {}
+    summary_at = 0  # the summary's line number, once read
     tile_lines: List[str] = []
     for n, line in enumerate(lines, 1):
         line = line.strip()
@@ -369,16 +370,30 @@ def tiling_from_lines(lines: Sequence[str]) -> Tuple[List[MorseTile], Dict[int, 
             if not isinstance(data, dict):
                 raise ValueError(f"tiling line {line!r} is not a JSON object")
             if "summary" in data:
-                summary = _summary_from_json(data["summary"])
+                record = _summary_from_json(data["summary"])
             else:
                 tile = tile_from_json(data)
                 if "class" in data:
                     classes[len(tiles)] = _class_from_json(data["class"], n)
-                tiles.append(tile)
-                tile_lines.append(line)
-    digest = hashlib.sha256(("\n".join(tile_lines) + "\n").encode()).hexdigest()
-    checksum_ok = summary.get("checksum") == f"sha256:{digest}"
-    return tiles, classes, summary, checksum_ok
+        if summary_at:
+            raise ValueError(f"tiling line {n} follows the summary record on line {summary_at}")
+        if "summary" in data:
+            summary, summary_at = record, n
+        else:
+            tiles.append(tile)
+            tile_lines.append(line)
+    return tiles, classes, summary, summary.get("checksum") == _checksum(tile_lines)
+
+
+def _checksum(tile_lines: Sequence[str]) -> str:
+    """The summary checksum of a tiling's tile lines, writer's and
+    reader's: the SHA-256 of each line and its newline in turn (of a lone
+    newline for no lines), that is of ``"\\n".join(tile_lines) + "\\n"``."""
+    digest = hashlib.sha256(b"" if tile_lines else b"\n")
+    for line in tile_lines:
+        digest.update(line.encode())
+        digest.update(b"\n")
+    return f"sha256:{digest.hexdigest()}"
 
 
 def certificate_to_json(cert: Certificate) -> str:

@@ -128,6 +128,17 @@ class MorseTile:
         face = None if morse < 0 else _simplex(tuple(v for i, v in enumerate(vs) if morse >> i & 1))
         return MorseTile(_simplex(vs), ridges, face)
 
+    def _check_join(self, other: "MorseTile") -> None:
+        """The one check of join factors, ``tile_join``'s and the engine's
+        ``shell_sd_join``'s: this tile basic, both non-empty, sharing no
+        vertex label; ValueError otherwise."""
+        if not self.is_basic:
+            raise ValueError("first join factor must be a basic tile")
+        if self.underlying.is_empty or other.underlying.is_empty:
+            raise ValueError("join factors must be non-empty tiles")
+        if set(self.underlying) & set(other.underlying):
+            raise ValueError("join factors share vertex labels")
+
     def missing_faces(self) -> FrozenSet[Simplex]:
         """Downward closure of the missing set."""
         out = set()
@@ -175,12 +186,7 @@ def tile_join(t: MorseTile, tp: MorseTile) -> MorseTile:
     joined with the other factor's simplex, plus the first simplex joined
     with the second factor's Morse face; ``classify`` reads its shape.
     """
-    if not t.is_basic:
-        raise ValueError("first join factor must be a basic tile")
-    if t.underlying.is_empty or tp.underlying.is_empty:
-        raise ValueError("join factors must be non-empty tiles")
-    if set(t.underlying) & set(tp.underlying):
-        raise ValueError("join factors share vertex labels")
+    t._check_join(tp)
     missing = [r.union(tp.underlying) for r in t.missing_ridges]
     missing += [t.underlying.union(r) for r in tp.missing_ridges]
     if tp.morse_face is not None:

@@ -13,6 +13,14 @@ conservation audits:
 * weak Morse inequalities: census[k] is at least the k-th mod-2 Betti
   number (checked for absolute spaces).
 
+Every failing check records a failure (tile, reason, witness), and the
+certificate is ok exactly when it holds none (``Certificate.ok``); the
+flags only say which checks failed.  ``audit`` and the ``verify`` command
+record the failures of their own checks on the same list, so ``ok`` is the
+one verdict every caller exits on.  Every row has Morse-tile shape (an
+omitted-ridge mask and a proper Morse face always make a Morse tile), so
+only a ``MorseTile`` given to ``Tiling(space, tiles)`` can fail ``tiles_ok``.
+
 The checks build no ``Simplex`` face set of the tiled space and use none
 of the tile calculus the engine builds with.  A face is keyed by its vertex
 tuple, listed, counted and ordered by the face rules of ``complexes``
@@ -107,15 +115,8 @@ class Certificate:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.partition_ok
-            and self.shelling_ok
-            and self.tiles_ok
-            and self.euler_ok
-            and self.morse_inequalities_ok
-            and self.census_matches_function is not False
-            and self.strong_ok is not False
-        )
+        """The one verdict: no check recorded a failure."""
+        return not self.failures
 
     def _fail(self, flag: str, index: Optional[int], reason: str, witness: Optional[Simplex] = None):
         setattr(self, flag, False)

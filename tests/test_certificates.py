@@ -237,7 +237,8 @@ def _resummed(records, summary, **fields):
 
 def test_verify_checks_the_classes_and_regular_count_a_file_records(sphere_run, tmp_path):
     """The tiles certify and the checksum matches, yet swapped classes or
-    a wrong regular count fail with exit code 2, the lines named."""
+    a wrong regular count fail with exit code 2, the lines named, and the
+    certificate reads not ok."""
     source, records, summary = sphere_run
     assert _verify_records(tmp_path, source, records, _resummed(records, summary))[0] == 0
     i = next(p for p, r in enumerate(records) if r["class"] != "regular")
@@ -246,7 +247,7 @@ def test_verify_checks_the_classes_and_regular_count_a_file_records(sphere_run, 
     swapped[i]["class"], swapped[j]["class"] = records[j]["class"], records[i]["class"]
     code, cert = _verify_records(tmp_path, source, swapped, _resummed(swapped, summary))
     index = records[i]["class"]["critical"]
-    assert code == 2 and json.loads(cert)["ok"]
+    assert code == 2 and json.loads(cert)["ok"] is False
     assert {f["tile"]: f["reason"] for f in json.loads(cert)["failures"]} == {
         i: f"recorded class regular != recomputed critical {index}",
         j: f"recorded class critical {index} != recomputed regular",

@@ -441,10 +441,15 @@ def test_morse_load_of_a_generated_file_exits_zero_or_names_one_error(data):
     ],
 )
 def test_malformed_tiling_line_exits_one(circle_file, tmp_path, capsys, line, fragment):
+    """A malformed tile line is appended to the file; a malformed summary
+    replaces the file's own, since a second summary is an error itself."""
     out = tmp_path / "t.jsonl"
     assert run(["shell-sd2", str(circle_file), "-o", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    if line.startswith('{"summary"'):
+        lines.pop()
     bad = tmp_path / "bad.jsonl"
-    bad.write_text(out.read_text() + line + "\n")
+    bad.write_text("\n".join(lines + [line]) + "\n")
     capsys.readouterr()
     assert run(["verify", str(circle_file), "--tiling", str(bad), "-o", "/dev/null"]) == 1
     err = capsys.readouterr().err
@@ -483,6 +488,53 @@ def test_summary_counts_must_be_integers(tmp_path, capsys, field, value, fragmen
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert fragment in err
+
+
+def _triangle_file(tmp_path):
+    """The triangle ``a b c`` and its greedy sd² file's lines."""
+    source = tmp_path / "triangle.txt"
+    source.write_text("a b c\n")
+    out = tmp_path / "t.jsonl"
+    assert run(["shell-sd2", str(source), "--morse", "greedy", "-o", str(out)]) == 0
+    return source, out.read_text().splitlines()
+
+
+def test_a_wrong_tile_count_is_its_own_failure(tmp_path):
+    """The triangle's greedy sd² file with its summary's tiles set to 35:
+    the census agrees, so the one failure names the tile count, the
+    certificate reads not ok and verify exits 2."""
+    source, lines = _triangle_file(tmp_path)
+    summary = json.loads(lines[-1])
+    summary["summary"]["tiles"] = 35
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines[:-1] + [json.dumps(summary)]) + "\n")
+    cert_path = tmp_path / "cert.json"
+    assert run(["verify", str(source), "--tiling", str(bad), "-o", str(cert_path)]) == 2
+    cert = json.loads(cert_path.read_text())
+    assert cert["ok"] is False
+    assert cert["failures"] == [{"tile": None, "reason": "recorded tiles 35 != recomputed 36", "witness": None}]
+
+
+@pytest.mark.parametrize(
+    "placement, message",
+    [
+        ("bogus-summary-first", "tiling line 38 follows the summary record on line 37"),
+        ("summary-first", "tiling line 2 follows the summary record on line 1"),
+    ],
+)
+def test_the_summary_comes_once_and_last(tmp_path, capsys, placement, message):
+    """A bogus summary before the real one, or the real one before the tile
+    lines, exits 1 naming the line that follows the first summary."""
+    source, lines = _triangle_file(tmp_path)
+    placed = {
+        "bogus-summary-first": lines[:-1] + ['{"summary": {"census": {"0": 5}}}', lines[-1]],
+        "summary-first": lines[-1:] + lines[:-1],
+    }[placement]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(placed) + "\n")
+    capsys.readouterr()
+    assert run(["verify", str(source), "--tiling", str(bad), "-o", "/dev/null"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("fault", ["drop", "flip"])

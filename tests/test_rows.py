@@ -94,6 +94,23 @@ def test_broken_tilings_agree_through_rows_or_keep_their_shape(name, kind):
     assert kept == {"incomparable", "nonridge"} & set(cases)
 
 
+@pytest.mark.parametrize("kind", sorted(FUNCTIONS))
+@pytest.mark.parametrize("name", sorted(SD2_CORPUS))
+def test_a_certificate_is_ok_exactly_when_it_records_no_failure(name, kind):
+    """On the tiling and each broken variant of it, strong off and on, in
+    ``verify_tiling`` and in ``audit``."""
+    k = SD2_CORPUS[name]()
+    f = FUNCTIONS[kind](k)
+    made, _ = shell_sd2_from_dmf(k, f)
+    verdicts = set()
+    for case, given in _mutations(made).items():
+        for strong in (False, True):
+            for cert in (verify_tiling(given.space, given, strong=strong), audit(k, f, given, strong=strong)):
+                assert cert.ok == (not cert.failures), (case, strong)
+                verdicts.add(cert.ok)
+    assert verdicts == {True, False}
+
+
 def test_a_tile_a_row_cannot_hold_keeps_its_shape_and_is_written_as_given():
     made, _ = shell_sd2_from_dmf(simplex_complex(2), trivial_dmf(simplex_complex(2)))
     tiles = list(made.tiles)

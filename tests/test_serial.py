@@ -7,15 +7,17 @@ separator.  Atom names holding commas, quotes, backslashes, spaces and
 non-ASCII characters put escapes and in-name commas where separators sit
 in other labels, so a wrong ridge order or escape shows here.
 """
+import hashlib
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morseshell.engine import shell_sd2_from_dmf
+from morseshell.catalog import moebius_torus
+from morseshell.engine import Tiling, shell_sd2_from_dmf
 from morseshell.morse import greedy_collapse_dmf, trivial_dmf
-from morseshell.serial import load_complex_json, tiling_to_lines
+from morseshell.serial import _checksum, load_complex_json, tiling_from_lines, tiling_to_lines
 from morseshell.verify import Census
 
 from oracles import tile_lines_oracle
@@ -57,3 +59,17 @@ def test_lines_take_the_class_from_the_census_of_the_same_tiling():
     for wrong in (short, Census()):
         with pytest.raises(ValueError, match="census classifies"):
             tiling_to_lines(tiling, 2, wrong)
+
+
+def test_the_writer_and_the_reader_take_one_checksum():
+    """The summary's checksum as written is the reader's, the SHA-256 of
+    the tile lines joined and closed by newlines: on the empty tiling and
+    on the torus's sd² tiling."""
+    k = moebius_torus()
+    made, census = shell_sd2_from_dmf(k, greedy_collapse_dmf(k))
+    for tiling, counted in ((Tiling(made.space, ()), Census()), (made, census)):
+        lines = tiling_to_lines(tiling, 2, counted)
+        tile_lines = lines[:-1]
+        digest = hashlib.sha256(("\n".join(tile_lines) + "\n").encode()).hexdigest()
+        assert json.loads(lines[-1])["summary"]["checksum"] == _checksum(tile_lines) == f"sha256:{digest}"
+        assert tiling_from_lines(lines)[3] is True

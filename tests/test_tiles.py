@@ -18,7 +18,7 @@ from oracles import (
 )
 
 from morseshell.complexes import EMPTY, Simplex, barycentric_complex, make_complex, star_link
-from morseshell.engine import CLOSED, DOTTED, OPEN, _input_entries, _slice
+from morseshell.engine import CLOSED, DOTTED, OPEN, _input_entries, _slice, shell_sd_join
 from morseshell.labels import atom
 from morseshell.tiles import (
     MorseTile,
@@ -377,3 +377,18 @@ def test_faces_of_a_malformed_tile_follow_its_generators():
     assert t.faces() == {s(b), s(c), s(a, b), s(a, c), s(b, c), s(a, b, c)}
     with pytest.raises(NotAMorseTileError):
         classify(t.underlying, t.missing_faces())
+
+
+@pytest.mark.parametrize(
+    "t, tp, message",
+    [
+        (MorseTile(s(a, b), frozenset(), s(a)), MorseTile(s(c), frozenset()), "first join factor must be a basic tile"),
+        (MorseTile(EMPTY, frozenset()), MorseTile(s(c), frozenset()), "join factors must be non-empty tiles"),
+        (MorseTile(s(a, b), frozenset()), MorseTile(s(b, c), frozenset()), "join factors share vertex labels"),
+    ],
+    ids=["morse-first", "empty", "shared"],
+)
+def test_tile_join_and_the_engine_join_reject_the_same_factors(t, tp, message):
+    for join in (tile_join, shell_sd_join):
+        with pytest.raises(ValueError, match=message):
+            join(t, tp)

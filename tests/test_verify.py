@@ -417,3 +417,13 @@ def test_engine_import_guard_sees_every_import_form(statement):
     assert _run_time_engine_imports(f"import os\n{statement}\n") == [2]
     guarded = f"from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    {statement}\n"
     assert _run_time_engine_imports(guarded) == []
+
+
+def test_every_row_is_a_morse_tile():
+    """Every omitted mask and every Morse mask of a proper face, or -1,
+    make a row of Morse-tile shape: all 5,461 rows on at most six
+    vertices.  So only a ``MorseTile`` given to ``Tiling(space, tiles)``
+    can fail ``tiles_ok``."""
+    rows = [(n, omitted, morse) for n in range(7) for omitted in range(1 << n) for morse in range(-1, (1 << n) - 1)]
+    assert len(rows) == 5461
+    assert [row for row in rows if verify._row_shape(*row).reason is not None] == []
