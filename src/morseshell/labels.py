@@ -56,10 +56,14 @@ class LabelRegistry:
         self._barys: dict[Tuple[Label, ...], Label] = {}
 
     def atom(self, name: str) -> Label:
+        """The atom of a name; a new name must hold no whitespace, which
+        separates names in the text complex format and in Morse files."""
         if not isinstance(name, str) or not name:
             raise ValueError(f"atom name must be a non-empty string, got {name!r}")
         lab = self._atoms.get(name)
         if lab is None:
+            if name.split() != [name]:
+                raise ValueError(f"atom name {name!r} holds whitespace")
             lab = Label(True, name, (), (0, name))
             self._atoms[name] = lab
         return lab

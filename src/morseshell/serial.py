@@ -6,11 +6,11 @@ whitespace-separated atom names, ``#`` comments) or as JSON
 (atom) or as an array of labels (a barycenter).  Morse functions are JSON
 maps from faces of an atom-labeled complex (space-joined names) to rational
 strings, or a matching file ``{"pairs": [[face, coface], ...]}``; either
-loads as its canonical function.  Tilings
-are JSON lines, one tile per line in shelling order, closed by one summary
-record, the last line, carrying depth, tile count, census, regular count
-and a checksum of the tile lines; writer and reader take that checksum by
-one rule, ``_checksum``, line by line.
+loads as its canonical function.  This module owns the tiling file:
+JSON lines, one tile line per row in shelling order (``TILE_KEYS``),
+closed by one summary record (``SUMMARY_KEYS``); its reader takes exactly
+what its writer writes, and ``record_failures`` checks what the file
+records against the verifier's recount.
 """
 from __future__ import annotations
 
@@ -21,12 +21,12 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .complexes import EMPTY, RelativeComplex, Simplex, SimplicialComplex, make_complex, void_complex
+from .complexes import EMPTY, RelativeComplex, Simplex, SimplicialComplex, _sorted_by_key, make_complex, void_complex
 from .engine import Tiling
 from .labels import Label, atom, bary
 from .morse import DiscreteMorseFunction, canonicalize, dmf_from_matching
 from .tiles import MorseTile
-from .verify import Census, Certificate
+from .verify import Census, Certificate, Row, _encode
 
 __all__ = [
     "label_to_json",
@@ -43,6 +43,7 @@ __all__ = [
     "tile_from_json",
     "tiling_to_lines",
     "tiling_from_lines",
+    "record_failures",
     "certificate_to_json",
 ]
 
@@ -268,42 +269,34 @@ def tiling_to_lines(t: Tiling, depth: int, census: Census) -> List[str]:
     ``facet``, ``morse_face`` (null, ``"empty"`` or a simplex) and
     ``ridges``, assembled from the tiling's rows: each label's text is
     built once, a facet's texts are joined once, and a ridge's text is the
-    facet's texts minus the one at its omitted position.  A given tile
-    whose generators a row cannot hold is written from its ``MorseTile``.
-    ``class`` (``{"critical": index}`` or ``"regular"``) is the tile's
-    entry in ``census.indices``, so the census must be the tiling's own, as
-    ``verify.critical_census`` or a certificate counts it; a census of
-    another length raises ValueError.  The ridges are in the order of their
-    JSON text with json's default ``", "`` separator, which is the order of
-    their compact text: the default text only adds a space after each
-    separating comma, and two texts first differ at the same point of their
-    structure either way (a comma inside an atom name is escaped context,
-    never a separator).  The summary's checksum is ``_checksum`` of the
-    tile lines.
+    facet's texts minus the one at its omitted position.  A tiling holding
+    a tile no row holds (``Tiling.kept_shapes``) has no lines and raises
+    ValueError.  ``class`` (``{"critical": index}`` or ``"regular"``) is
+    the tile's entry in ``census.indices``, so the census must be the
+    tiling's own, as ``verify.critical_census`` or a certificate counts it;
+    a census of another length raises ValueError.  The ridges are in the
+    order of their JSON text with json's default ``", "`` separator, which
+    is the order of their compact text: the default text only adds a space
+    after each separating comma, and two texts first differ at the same
+    point of their structure either way (a comma inside an atom name is
+    escaped context, never a separator).  The summary's checksum is
+    ``_checksum`` of the tile lines.
     """
     rows = t.rows
+    if t.kept_shapes:
+        raise ValueError(f"tile {min(t.kept_shapes)} is no row, and a tiling line holds a row")
     if len(census.indices) != len(rows):
         raise ValueError(f"census classifies {len(census.indices)} tiles, the tiling has {len(rows)}")
     label_text = _LabelTexts().__getitem__
-    kept = t.kept_shapes
-
-    def text(parts) -> str:
-        return "[%s]" % ",".join(parts)
-
     lines = []
-    for p, ((vs, omitted, morse), index) in enumerate(zip(rows, census.indices)):
+    for (vs, omitted, morse), index in zip(rows, census.indices):
         parts = list(map(label_text, vs))
-        if p in kept:
-            tile = t.tiles[p]
-            ridges = [text(map(label_text, r.vertices)) for r in tile.missing_ridges]
-            mf = None if tile.morse_face is None else list(map(label_text, tile.morse_face.vertices))
-        else:
-            ridges = ["[%s]" % ",".join(parts[:i] + parts[i + 1:]) for i in range(len(parts)) if omitted >> i & 1]
-            mf = None if morse < 0 else [x for i, x in enumerate(parts) if morse >> i & 1]
+        ridges = ["[%s]" % ",".join(parts[:i] + parts[i + 1:]) for i in range(len(parts)) if omitted >> i & 1]
+        mf = None if morse < 0 else [x for i, x in enumerate(parts) if morse >> i & 1]
         line = '{"class":%s,"facet":[%s],"morse_face":%s,"ridges":[%s]}' % (
             '"regular"' if index is None else '{"critical":%d}' % index,
             ",".join(parts),
-            "null" if mf is None else text(mf) if mf else '"empty"',
+            "null" if mf is None else "[%s]" % ",".join(mf) if mf else '"empty"',
             ",".join(sorted(ridges)),
         )
         lines.append(line)
@@ -320,8 +313,18 @@ def tiling_to_lines(t: Tiling, depth: int, census: Census) -> List[str]:
     return lines
 
 
-def _summary_from_json(data) -> dict:
-    """The summary record, checked for the shape of the fields read back."""
+TILE_KEYS = ["class", "facet", "morse_face", "ridges"]
+SUMMARY_KEYS = ["census", "checksum", "depth", "regular", "tiles"]
+
+
+def _require_keys(what: str, data: dict, keys: List[str]) -> None:
+    if sorted(data) != keys:
+        raise ValueError(f"{what} has the keys {json.dumps(sorted(data))}, not {json.dumps(keys)}")
+
+
+def _summary_from_json(data, n: int) -> dict:
+    """The summary record of line n, checked for the shape of each field it
+    holds, then for holding the writer's fields."""
     if not (isinstance(data, dict) and isinstance(data.get("census", {}), dict)):
         raise ValueError(f"summary {json.dumps(data)} is not an object with a census object")
     depth = data.get("depth", 0)
@@ -334,6 +337,7 @@ def _summary_from_json(data) -> dict:
     for name in ("regular", "tiles"):
         if name in data:
             _require_int(name, data[name])
+    _require_keys(f"the summary on tiling line {n}", data, SUMMARY_KEYS)
     return data
 
 
@@ -351,14 +355,15 @@ def _class_from_json(data, n: int) -> Optional[int]:
     return k
 
 
-def tiling_from_lines(lines: Sequence[str]) -> Tuple[List[MorseTile], Dict[int, Optional[int]], dict, bool]:
-    """Parse tile lines and the summary; also report checksum validity and
-    the classes the lines record by position (a line may record none).
-    Each line's own shape is checked first; then a line after the summary,
-    a second summary included, is a ValueError naming it."""
-    tiles: List[MorseTile] = []
-    classes: Dict[int, Optional[int]] = {}
-    summary: dict = {}
+def tiling_from_lines(lines: Sequence[str]) -> Tuple[int, List[Row], tuple]:
+    """The depth, rows and records of a tiling file, which must be what
+    ``tiling_to_lines`` writes: each field's shape is checked, then the
+    keys, and a tile line becomes a row through ``verify._encode``.  The
+    records are each tile line's class, the summary and whether the tile
+    lines match its checksum.  A line no row holds, a line after the
+    summary and a file without one are each a ValueError naming the line."""
+    rows: List[Row] = []
+    classes: List[Optional[int]] = []
     summary_at = 0  # the summary's line number, once read
     tile_lines: List[str] = []
     for n, line in enumerate(lines, 1):
@@ -370,19 +375,55 @@ def tiling_from_lines(lines: Sequence[str]) -> Tuple[List[MorseTile], Dict[int, 
             if not isinstance(data, dict):
                 raise ValueError(f"tiling line {line!r} is not a JSON object")
             if "summary" in data:
-                record = _summary_from_json(data["summary"])
+                record = _summary_from_json(data["summary"], n)
+                _require_keys(f"tiling line {n}", data, ["summary"])
             else:
                 tile = tile_from_json(data)
-                if "class" in data:
-                    classes[len(tiles)] = _class_from_json(data["class"], n)
+                index = _class_from_json(data["class"], n) if "class" in data else None
+                _require_keys(f"tiling line {n}", data, TILE_KEYS)
+                row, kept = _encode(tile)
+                if kept is not None:
+                    f = tile.underlying
+                    bad = _sorted_by_key([r for r in tile.missing_ridges if len(r) != len(f) - 1 or not r <= f])
+                    what = "ridge %s is no ridge" if bad else "Morse face %s is no proper face"
+                    face = json.dumps(simplex_to_json(bad[0] if bad else tile.morse_face))
+                    raise ValueError(f"tiling line {n} is no row: {what % face} of its facet")
         if summary_at:
             raise ValueError(f"tiling line {n} follows the summary record on line {summary_at}")
         if "summary" in data:
             summary, summary_at = record, n
         else:
-            tiles.append(tile)
+            rows.append(row)
+            classes.append(index)
             tile_lines.append(line)
-    return tiles, classes, summary, summary.get("checksum") == _checksum(tile_lines)
+    if not summary_at:
+        raise ValueError("tiling has no summary record: its last line must be one")
+    return summary["depth"], rows, (classes, summary, summary["checksum"] == _checksum(tile_lines))
+
+
+def _class_text(index: Optional[int]) -> str:
+    return "regular" if index is None else f"critical {index}"
+
+
+def record_failures(records: tuple, census: Census) -> List[Tuple[Optional[int], str, None]]:
+    """The failures of what a tiling file records (``tiling_from_lines``)
+    against the census ``verify`` recounts of its tiles."""
+    classes, summary, checksum_ok = records
+    failures = [
+        (p, f"recorded class {_class_text(index)} != recomputed {_class_text(census.indices[p])}", None)
+        for p, index in enumerate(classes)
+        if index != census.indices[p]
+    ]
+    recorded = {int(k): v for k, v in summary["census"].items()}
+    if not checksum_ok:
+        failures.append((None, "tile lines do not match the recorded checksum", None))
+    if recorded != census.critical:
+        failures.append((None, f"recorded census {recorded} != recomputed {census.critical}", None))
+    if summary["tiles"] != len(classes):
+        failures.append((None, f"recorded tiles {summary['tiles']} != recomputed {len(classes)}", None))
+    if summary["regular"] != census.regular:
+        failures.append((None, f"recorded regular {summary['regular']} != recomputed {census.regular}", None))
+    return failures
 
 
 def _checksum(tile_lines: Sequence[str]) -> str:

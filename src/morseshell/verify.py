@@ -19,7 +19,9 @@ flags only say which checks failed.  ``audit`` and the ``verify`` command
 record the failures of their own checks on the same list, so ``ok`` is the
 one verdict every caller exits on.  Every row has Morse-tile shape (an
 omitted-ridge mask and a proper Morse face always make a Morse tile), so
-only a ``MorseTile`` given to ``Tiling(space, tiles)`` can fail ``tiles_ok``.
+only a ``MorseTile`` given in memory to ``Tiling(space, tiles)`` can fail
+``tiles_ok``; no tiling file can, since its reader
+(``serial.tiling_from_lines``) takes rows only.
 
 The checks build no ``Simplex`` face set of the tiled space and use none
 of the tile calculus the engine builds with.  A face is keyed by its vertex
@@ -148,7 +150,6 @@ def _masks(n: int) -> Tuple[int, ...]:
     return tuple(sum(1 << i for i in c) for c in _subsets(tuple(range(n))))
 
 
-@lru_cache(maxsize=4096)
 def _shape(n: int, generators: frozenset) -> _Shape:
     """The shape of an (n-1)-simplex whose missing set is generated by the
     given masks, read off the generators alone.

@@ -125,8 +125,11 @@ def test_verify_of_a_wide_unanchored_tile_exits_two_without_deriving_its_shape(t
     verifier that enumerates the masks fails instead of exhausting memory."""
     kpath, tpath, cpath = tmp_path / "tri.txt", tmp_path / "t.jsonl", tmp_path / "cert.json"
     kpath.write_text("a b c\n")
-    tiles = [{"facet": [f"x{i:02}" for i in range(40)]}]
-    tpath.write_text(json.dumps(tiles[0]) + "\n")
+    tiles = [{"class": "regular", "facet": [f"x{i:02}" for i in range(40)], "morse_face": None, "ridges": []}]
+    line = json.dumps(tiles[0], sort_keys=True, separators=(",", ":"))
+    checksum = "sha256:" + hashlib.sha256((line + "\n").encode()).hexdigest()
+    summary = {"census": {}, "checksum": checksum, "depth": 0, "regular": 1, "tiles": 1}
+    tpath.write_text(line + "\n" + json.dumps({"summary": summary}) + "\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     limit = 1 << 30
     done = subprocess.run(
@@ -141,6 +144,7 @@ def test_verify_of_a_wide_unanchored_tile_exits_two_without_deriving_its_shape(t
     assert cert["ok"] is False and cert["partition_ok"] is False
     assert {"tile": 0, "reason": "tile not anchored at an ambient facet", "witness": tiles[0]["facet"]} in cert["failures"]
     assert cert["regular"] == 1 and cert["census"] == {}
+    assert not any(f["reason"].startswith(("recorded", "tile lines")) for f in cert["failures"])
 
 
 def test_shell_sd2_pipeline_and_verify(circle_file, tmp_path):
@@ -265,6 +269,8 @@ MALFORMED_COMPLEX = [
     # L ⊄ K, even where L holds K's facet
     ('{"facets": [["a", "b"]], "missing": [["a", "b"], ["c"]]}',
      "missing part must be a subcomplex of the ambient complex"),
+    # a name the text format and Morse files would split in two
+    ('{"facets": [["x y", "z"], ["z", "w"]]}', "atom name 'x y' holds whitespace"),
 ]
 
 
@@ -273,7 +279,7 @@ MALFORMED_COMPLEX = [
     "content, fragment", MALFORMED_COMPLEX,
     ids=[
         "facets-number", "missing-number", "empty-facet", "no-facets", "deep-label", "deep-json",
-        "missing-not-a-subcomplex",
+        "missing-not-a-subcomplex", "whitespace-name",
     ],
 )
 def test_malformed_json_complex_exits_one(tmp_path, capsys, command, content, fragment):
@@ -415,6 +421,18 @@ def test_morse_load_of_a_generated_file_exits_zero_or_names_one_error(data):
         assert text.startswith("error: ") and text.count("\n") == 1
 
 
+TILE = {"class": "regular", "facet": ["a", "b", "c"], "morse_face": None, "ridges": []}
+SUMMARY = {"census": {}, "checksum": "sha256:0", "depth": 2, "regular": 0, "tiles": 0}
+
+
+def _record(base: dict, **fields) -> str:
+    """A tile line (``TILE``) or summary line (``SUMMARY``) with all the
+    keys the writer writes, the given fields replaced or, given as
+    ``...``, dropped."""
+    data = {k: v for k, v in {**base, **fields}.items() if v is not ...}
+    return json.dumps({"summary": data} if base is SUMMARY else data)
+
+
 @pytest.mark.parametrize(
     "line, fragment",
     [
@@ -425,31 +443,52 @@ def test_morse_load_of_a_generated_file_exits_zero_or_names_one_error(data):
         ('{"summary": 5}', "summary 5 is not an object"),
         ('{"summary": {"depth": true}}', "summary depth true is not a non-negative integer"),
         ('{"summary": {"depth": -1}}', "summary depth -1 is not a non-negative integer"),
-        ('{"summary": {"depth": 3}}', "summary depth 3 is above 2, the deepest tiling morseshell writes"),
-        ('{"facet": [%s]}' % nested(300), "tiling line 14 is nested too deeply"),
-        ('{"facet": [%s]}' % nested(100_000), "tiling line 14 is nested too deeply"),
+        (_record(SUMMARY, depth=3), "summary depth 3 is above 2, the deepest tiling morseshell writes"),
+        ('{"facet": [%s]}' % nested(300), "tiling line 13 is nested too deeply"),
+        ('{"facet": [%s]}' % nested(100_000), "tiling line 13 is nested too deeply"),
         ('{"facet": [["a"], ["a"], ["a", "b"]]}', 'facet [["a"], ["a"], ["a", "b"]] repeats a vertex'),
         ('{"facet": ["a", "b"], "ridges": [["a", "a"]]}', 'ridge ["a", "a"] repeats a vertex'),
         ('{"facet": ["a", "b", "c"], "morse_face": ["a", "a"]}', 'Morse face ["a", "a"] repeats a vertex'),
-        ('{"facet": ["a"], "class": "banana"}', 'tiling line 14 has class "banana", not "regular" or'),
+        ('{"facet": ["a"], "class": "banana"}', 'tiling line 13 has class "banana", not "regular" or'),
         ('{"summary": {"census": {"x": 1}}}', 'summary census key "x" is not an integer'),
+        ("", "tiling has no summary record"),
+        (_record(TILE, **{"class": ...}), 'tiling line 13 has the keys ["facet", "morse_face", "ridges"], not ["class", "facet", "morse_face", "ridges"]'),
+        (_record(TILE, facet=...), 'has no "facet"'),
+        (_record(TILE, morse_face=...), 'tiling line 13 has the keys ["class", "facet", "ridges"], not'),
+        (_record(TILE, ridges=...), 'tiling line 13 has the keys ["class", "facet", "morse_face"], not'),
+        (_record(TILE, anchor=["a"]), 'tiling line 13 has the keys ["anchor", "class", "facet", "morse_face", "ridges"], not'),
+        (_record(SUMMARY, census=...), 'the summary on tiling line 13 has the keys ["checksum", "depth", "regular", "tiles"], not'),
+        (_record(SUMMARY, checksum=...), 'the summary on tiling line 13 has the keys ["census", "depth", "regular", "tiles"], not'),
+        (_record(SUMMARY, depth=...), 'the summary on tiling line 13 has the keys ["census", "checksum", "regular", "tiles"], not'),
+        (_record(SUMMARY, regular=...), 'the summary on tiling line 13 has the keys ["census", "checksum", "depth", "tiles"], not'),
+        (_record(SUMMARY, tiles=...), 'the summary on tiling line 13 has the keys ["census", "checksum", "depth", "regular"], not'),
+        (_record(TILE, ridges=[["a"]]), 'tiling line 13 is no row: ridge ["a"] is no ridge of its facet'),
+        (_record(TILE, morse_face=["a", "b", "c"]), 'tiling line 13 is no row: Morse face ["a", "b", "c"] is no proper face'),
     ],
     ids=[
         "no-facet", "array", "string", "ridges-number", "summary-number", "bool-depth",
         "negative-depth", "deep-depth", "deep-label", "deep-json", "repeat-facet",
         "repeat-ridge", "repeat-morse-face", "class-banana", "census-key",
+        "no-summary", "no-class", "no-facet-field", "no-morse-face", "no-ridges", "unknown-key",
+        "no-census", "no-checksum", "no-depth", "no-regular", "no-tiles",
+        "vertex-ridge", "facet-morse-face",
     ],
 )
 def test_malformed_tiling_line_exits_one(circle_file, tmp_path, capsys, line, fragment):
-    """A malformed tile line is appended to the file; a malformed summary
-    replaces the file's own, since a second summary is an error itself."""
+    """A malformed tile line goes before the file's summary, where the
+    writer puts tile lines; a malformed summary replaces the file's own,
+    since a second summary is an error itself, and an empty line drops
+    it."""
     out = tmp_path / "t.jsonl"
     assert run(["shell-sd2", str(circle_file), "-o", str(out)]) == 0
     lines = out.read_text().splitlines()
-    if line.startswith('{"summary"'):
-        lines.pop()
+    summary = lines.pop()
+    if line and not line.startswith('{"summary"'):
+        lines += [line, summary]
+    elif line:
+        lines.append(line)
     bad = tmp_path / "bad.jsonl"
-    bad.write_text("\n".join(lines + [line]) + "\n")
+    bad.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert run(["verify", str(circle_file), "--tiling", str(bad), "-o", "/dev/null"]) == 1
     err = capsys.readouterr().err
@@ -523,11 +562,14 @@ def test_a_wrong_tile_count_is_its_own_failure(tmp_path):
     ],
 )
 def test_the_summary_comes_once_and_last(tmp_path, capsys, placement, message):
-    """A bogus summary before the real one, or the real one before the tile
-    lines, exits 1 naming the line that follows the first summary."""
+    """A bogus summary (census {0: 5}) before the real one, or the real one
+    before the tile lines, exits 1 naming the line that follows the first
+    summary."""
     source, lines = _triangle_file(tmp_path)
+    bogus = json.loads(lines[-1])
+    bogus["summary"]["census"] = {"0": 5}
     placed = {
-        "bogus-summary-first": lines[:-1] + ['{"summary": {"census": {"0": 5}}}', lines[-1]],
+        "bogus-summary-first": lines[:-1] + [json.dumps(bogus), lines[-1]],
         "summary-first": lines[-1:] + lines[:-1],
     }[placement]
     bad = tmp_path / "bad.jsonl"
@@ -584,8 +626,8 @@ def test_shell_sd_builds_no_morse_tile(tmp_path, monkeypatch):
 def test_shell_sd2_builds_no_morse_tile(torus_file, tmp_path, monkeypatch):
     """The sd² command runs on rows from the engine to the file: with the
     ``MorseTile`` constructor and the MorseTile encoder refusing, it writes
-    the same bytes.  ``verify`` reads the file back as MorseTiles and
-    certifies it."""
+    the same bytes.  ``verify`` reads the file back as rows and certifies
+    it."""
     plain, rows = tmp_path / "plain.jsonl", tmp_path / "rows.jsonl"
     argv = ["shell-sd2", str(torus_file), "--morse", "greedy", "-o"]
     assert run(argv + [str(plain)]) == 0

@@ -4,10 +4,11 @@ The engine builds its tilings from rows (vertex labels in key order, the
 omitted-ridge mask, the Morse mask); ``Tiling(space, tiles)`` takes
 ``MorseTile``s and encodes them at construction.  On the sd² corpus and on
 every criterion-3 join pair, a tiling rebuilt from its own ``tiles`` holds
-the same rows and gets the same certificates, census and tile lines.  On
-the broken tilings of the certificate tests, MorseTiles a row can hold
-give the same bytes through rows, and the others keep the shape the
-encoder derived.
+the same rows and gets the same certificates, census and tile lines, and
+its lines read back as its rows and classes.  On the broken tilings of the
+certificate tests, MorseTiles a row can hold give the same bytes through
+rows, and the others keep the shape the encoder derived and have no tile
+lines.
 """
 import pytest
 
@@ -18,7 +19,7 @@ from test_engine_kernel import RP2
 from morseshell.catalog import boundary_sphere, cone_over_circle, moebius_torus, simplex_complex, two_triangles
 from morseshell.engine import Tiling, shell_sd2_from_dmf, shell_sd_join
 from morseshell.morse import greedy_collapse_dmf, trivial_dmf
-from morseshell.serial import certificate_to_json, tiling_to_lines
+from morseshell.serial import certificate_to_json, tiling_from_lines, tiling_to_lines
 from morseshell.tiles import MorseTile
 from morseshell.verify import audit, critical_census, verify_tiling
 
@@ -45,12 +46,16 @@ def _certificates(t, audited=None):
 
 def _assert_doors_agree(made, given, audited=None):
     """``given`` holds the same rows as ``made`` and gets the same
-    certificates, census and lines."""
+    certificates, census and lines, which read back as its rows and
+    classes."""
     assert given.rows == made.rows
     census = critical_census(made)
     assert critical_census(given) == census
     assert _certificates(given, audited) == _certificates(made, audited)
-    assert tiling_to_lines(given, 2, census) == tiling_to_lines(made, 2, census)
+    lines = tiling_to_lines(made, 2, census)
+    assert tiling_to_lines(given, 2, census) == lines
+    depth, rows, (classes, _, checksum_ok) = tiling_from_lines(lines)
+    assert (depth, tuple(rows), classes, checksum_ok) == (2, made.rows, census.indices, True)
 
 
 @pytest.mark.parametrize("kind", sorted(FUNCTIONS))
@@ -84,13 +89,15 @@ def test_broken_tilings_agree_through_rows_or_keep_their_shape(name, kind):
     cases, kept = _mutations(made), set()
     for case, given in cases.items():
         census = critical_census(given)
-        assert tiling_to_lines(given, 2, census)[:-1] == tile_lines_oracle(given), case
         if given.kept_shapes:
             kept.add(case)
+            with pytest.raises(ValueError, match="is no row"):
+                tiling_to_lines(given, 2, census)
             continue
+        assert tiling_to_lines(given, 2, census)[:-1] == tile_lines_oracle(given), case
         _assert_doors_agree(Tiling._of_rows(given.space, given.rows), given)
     # a vertex among the missing ridges of a tile of dimension two or more
-    # is no ridge: no row holds it
+    # is no ridge: no row holds it, and no tile line
     assert kept == {"incomparable", "nonridge"} & set(cases)
 
 
@@ -111,7 +118,7 @@ def test_a_certificate_is_ok_exactly_when_it_records_no_failure(name, kind):
     assert verdicts == {True, False}
 
 
-def test_a_tile_a_row_cannot_hold_keeps_its_shape_and_is_written_as_given():
+def test_a_tile_a_row_cannot_hold_keeps_its_shape_and_has_no_tiling_line():
     made, _ = shell_sd2_from_dmf(simplex_complex(2), trivial_dmf(simplex_complex(2)))
     tiles = list(made.tiles)
     t = tiles[0]
@@ -122,6 +129,5 @@ def test_a_tile_a_row_cannot_hold_keeps_its_shape_and_is_written_as_given():
     assert set(given.kept_shapes) == {0}
     shape = given.kept_shapes[0]
     assert shape.reason is None and shape.top == 0b100 and shape.restriction == 0
-    lines = tiling_to_lines(given, 2, critical_census(given))
-    assert lines[:-1] == tile_lines_oracle(given)
-    assert '"ridges":[[' in lines[0] and '"morse_face":null' in lines[0]
+    with pytest.raises(ValueError, match="tile 0 is no row"):
+        tiling_to_lines(given, 2, critical_census(given))
