@@ -33,7 +33,7 @@ from itertools import accumulate, chain, combinations, permutations, repeat
 from operator import or_
 from typing import Callable, Collection, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Sized, Tuple
 
-from .labels import Label, LabelLike, as_label, bary, label_key
+from .labels import Label, LabelLike, _bary, as_label, label_key
 
 __all__ = [
     "Simplex",
@@ -486,11 +486,12 @@ def barycentric_complex(k: SimplicialComplex) -> SimplicialComplex:
     if k._sd is None:
         keys: List[Key] = []
         for vs in k.facet_keys:
-            # the barycenter of each non-empty face of the facet, by vertex bitmask
-            hat = [None] + [
-                bary([v for i, v in enumerate(vs) if mask >> i & 1])
-                for mask in range(1, 1 << len(vs))
-            ]
+            # the faces of the facet by vertex bitmask, each a sub-tuple of the
+            # sorted key, so the trusted ``_bary`` interns its barycenter
+            faces: List[Key] = [()]
+            for v in vs:
+                faces += [f + (v,) for f in faces]
+            hat = [None] + list(map(_bary, faces[1:]))
             keys.extend(tuple(map(hat.__getitem__, flag)) for flag in _flag_template(len(vs)))
         k._sd = SimplicialComplex._of_keys(tuple(keys))
     return k._sd

@@ -16,7 +16,11 @@ bases.  Face bookkeeping rests on two facts about flags:
 The second-subdivision pipeline walks a discrete Morse function's step
 filtration and extends the shelling one double star at a time; each critical
 step contributes exactly one critical tile of the same index, each collapse
-step none.
+step none.  A step shells the joins of the model sd(∂σ) ∗ sd(lk_K σ) with
+their labels built final on sd²(K) (``_step_lift``), and ``_double_star``
+cones them at the double barycenter; only a vertex's step, which shells
+the model sd(sd(lk v)), lifts model labels.  Each link shape is shelled
+once per run (``_link_shelling``).
 
 Inside the engine every tile is a compact triple ``(labels, omitted,
 morse)``: the vertex labels in flag order (the outermost apex first, each
@@ -44,7 +48,8 @@ join's vertices; inside the template a barycenter is the bitmask of the
 ranks it absorbs.  ``_join_template`` shells each pair of (rank, role)
 patterns once and keeps the block, over masks only, in a bounded LRU
 cache; each call then maps the block's masks to barycenter labels, each
-mask once.
+mask once, through a vertex map: the identity for a plain join, the
+step's map onto sd²(K) in the pipeline.
 """
 from __future__ import annotations
 
@@ -63,7 +68,7 @@ from .complexes import (
     join,
     link_complex,
 )
-from .labels import Label, bary, label_key
+from .labels import Label, _bary, bary, label_key
 from .morse import DiscreteMorseFunction, filtration
 from .tiles import MorseTile, tile_to_relative
 from .verify import Census, Row, _encode, _Shape, _tile_shape, critical_census
@@ -308,15 +313,29 @@ def _join_template(left: Pattern, right: Pattern) -> Template:
     return tuple(tiles), prefix, masks
 
 
-def _shell_entries_join(left: Sequence[Entry], right: Sequence[Entry]) -> Tuple[List[Compact], int]:
+def _same(v: Label) -> Label:
+    return v
+
+
+def _labelled(tiles: Sequence[Compact], masks: Iterable[int], members: Sequence[Tuple[Label, int]]) -> List[Compact]:
+    """Template tiles with each mask mapped, once, to the barycenter of the
+    members (in key order) whose bit it holds; a member of bit 0 is in all."""
+    hat = {m: _bary(tuple([x for x, bit in members if not bit or m & bit])) for m in masks}.__getitem__
+    return [(tuple(map(hat, ms)), omitted, morse) for ms, omitted, morse in tiles]
+
+
+def _shell_entries_join(
+    left: Sequence[Entry], right: Sequence[Entry], image: Callable[[Label], Label] = _same,
+    absorbed: Tuple[Label, ...] = (),
+) -> Tuple[List[Compact], int]:
     """Shell sd(T ∗ T′) walking the vertices of T first, on the position
     template of the two (vertex, role) patterns; either side may be empty.
 
     The block depends on the labels only through their label-key order, so
-    each vertex becomes its rank in that order, the template is shelled once
-    per pair of (rank, role) patterns, and each barycenter mask of the
-    template is mapped to its label once per call.  The order of the given
-    entries matters, as in the template.
+    each vertex becomes its rank in that order, and the template is shelled
+    once per pair of (rank, role) patterns.  A template barycenter becomes
+    the barycenter of its vertices' ``image``s and the ``absorbed`` labels,
+    which must all be distinct.  The order of the given entries matters.
     """
     labels = sorted([v for v, _ in left] + [v for v, _ in right], key=label_key)
     rank = {v: i for i, v in enumerate(labels)}
@@ -325,8 +344,11 @@ def _shell_entries_join(left: Sequence[Entry], right: Sequence[Entry]) -> Tuple[
     tiles, prefix, masks = _join_template(
         tuple((rank[v], role) for v, role in left), tuple((rank[v], role) for v, role in right)
     )
-    hat = {m: bary([v for i, v in enumerate(labels) if m >> i & 1]) for m in masks}.__getitem__
-    return [(tuple(map(hat, ms)), omitted, morse) for ms, omitted, morse in tiles], prefix
+    members = sorted([(image(v), 1 << i) for i, v in enumerate(labels)] + [(a, 0) for a in absorbed],
+                     key=lambda e: e[0]._key)
+    if len({x for x, _ in members}) < len(members):
+        raise ValueError(f"label map is not injective on the join of {labels!r}")
+    return _labelled(tiles, masks, members), prefix
 
 
 def _shell_entries_tile(entries: Sequence[Entry]) -> List[Compact]:
@@ -386,7 +408,7 @@ def _boundary_sd(
         entries = _regroup([(w, OPEN if w in earlier else CLOSED) for w in rho])
         tiles.extend(_shell_entries_tile(entries))
     prefix = len(tiles)
-    apex = bary(last.vertices)
+    apex = _bary(last.vertices)
     if last.dim == 0:
         base: List[Compact] = []
         tiles.append(((apex,), 1, -1))
@@ -484,42 +506,48 @@ def shell_sd_relative(s: RelativeComplex, v: Label) -> Tuple[Tiling, int]:
 # -- the second-subdivision pipeline -----------------------------------------
 
 
-def _sd2_transport(sigma: Simplex) -> Callable[[Label], Label]:
-    """Label map carrying tiles of sd(sd(∂σ) ∗ sd(lk_K σ)) onto the link of
-    the double barycenter of σ: boundary-side barycenters keep their face,
-    link-side ones absorb σ, and every flag gains the barycenter of σ.  Each
-    label's image is computed once per map."""
-    sigma_set = set(sigma.vertices)
-    sigma_hat = bary(sigma.vertices)
+Lift = Tuple[Callable[[Label], Label], Tuple[Label, ...]]  # a step's vertex map and σ̂
+Shapes = Dict[Tuple[Tuple[Tuple[int, ...], ...], int], Tuple[List[Compact], int, set]]  # tiles over rank masks
+
+
+def _step_lift(sigma: Simplex) -> Lift:
+    """The map of σ's step from the model sd(∂σ) ∗ sd(lk_K σ) onto the link
+    of σ's double barycenter, for ``_shell_entries_join``: a face of σ keeps
+    its barycenter, a face u of the link goes to that of σ ∪ u (each once
+    per step), and every barycenter absorbs σ̂."""
+    sigma_set = frozenset(sigma.vertices)
     images: Dict[Label, Label] = {}
 
-    def on_model_vertex(u: Label) -> Label:
-        if sigma_set.issuperset(u.members):
-            return u
-        return bary(sigma_set.union(u.members))
+    def image(u: Label) -> Label:
+        if u not in images:
+            images[u] = u if sigma_set.issuperset(u.members) else bary(sigma_set.union(u.members))
+        return images[u]
 
-    def on_label(lab: Label) -> Label:
-        image = images.get(lab)
-        if image is None:
-            image = bary([on_model_vertex(u) for u in lab.members] + [sigma_hat])
-            images[lab] = image
-        return image
-
-    return on_label
+    return image, (_bary(sigma.vertices),)
 
 
 def _link_shelling(
-    k: SimplicialComplex, sigma: Simplex, start: Optional[Label] = None
+    k: SimplicialComplex, sigma: Simplex, shapes: Shapes, start: Optional[Label] = None
 ) -> Tuple[List[Compact], int]:
     """Tiles of a Morse shelling of sd(lk_K σ), its unique closed tile
-    first, plus the star-segment length for the chosen start vertex; an
-    empty link has the one empty tile ``EMPTY_TILE``."""
+    first, plus the star-segment length for the chosen start vertex (the
+    least by default); an empty link has the one empty tile ``EMPTY_TILE``.
+    The shelling depends on the link only through its shape, the facets
+    over the ranks of its vertices and the start's rank, so ``shapes``, kept
+    for one pipeline run, holds each shape shelled once over rank masks."""
     lk = link_complex(k, sigma)
     if lk.dim < 0:
         return [EMPTY_TILE], 0
-    if start is None:
-        start = min(lk.vertices())
-    return _shell_relative(RelativeComplex(lk), start)
+    vertices = lk.vertices()
+    rank = {v: i for i, v in enumerate(vertices)}
+    shape = (tuple(tuple(map(rank.__getitem__, f)) for f in lk.facet_keys), 0 if start is None else rank[start])
+    if shape not in shapes:
+        tiles, prefix = _shell_relative(RelativeComplex(lk), vertices[shape[1]])
+        tiles = [(tuple(sum(1 << rank[v] for v in lab.members) for lab in labels), omitted, morse)
+                 for labels, omitted, morse in tiles]
+        shapes[shape] = tiles, prefix, {m for ms, _, _ in tiles for m in ms}
+    tiles, prefix, masks = shapes[shape]
+    return _labelled(tiles, masks, [(v, 1 << i) for i, v in enumerate(vertices)]), prefix
 
 
 def _split_cone_tile(t: Compact, apex: Label) -> Compact:
@@ -545,49 +573,49 @@ def _split_cone_tile(t: Compact, apex: Label) -> Compact:
 
 def _double_star(sigma: Simplex, blocks: Sequence[Block], strip: bool = False) -> List[Row]:
     """Rows of the star of the double barycenter of σ from shelled blocks
-    of its link: the chained blocks are carried onto the link by
-    ``_sd2_transport`` and coned, their segment deprived of its base, and
-    the closed tile is dotted when ``strip`` is set.  Each tile becomes a
-    row here, once."""
+    of its link, their labels on sd²(K) already: the chained blocks are
+    coned, their segment deprived of its base, and the closed tile is
+    dotted when ``strip`` is set.  Each tile becomes a row here, once."""
     tiles, prefix = _concat(blocks)
-    lift = _sd2_transport(sigma)
-    apex = bary([bary(sigma.vertices)])
-    coned = []
-    for i, (labels, omitted, morse) in enumerate(tiles):
-        image = tuple(map(lift, labels))
-        if len(set(image)) != len(image):
-            raise ValueError(f"label map is not injective on the tile on {labels!r}")
-        coned.append(_cone(apex, (image, omitted, morse), i < prefix))
+    coned = _cone_block(_bary((_bary(sigma.vertices),)), tiles, prefix)
     if strip:
         coned = _strip_empty(coned)
     return [_row(t) for t in coned]
 
 
-def _critical_step(k: SimplicialComplex, sigma: Simplex, first: bool) -> List[Row]:
+def _critical_step(k: SimplicialComplex, sigma: Simplex, first: bool, shapes: Shapes) -> List[Row]:
     """Rows extending the shelling over the double star of a critical face;
     exactly one of them is critical, of index dim σ."""
+    image, absorbed = _step_lift(sigma)
     if sigma.dim == 0:
         lk = link_complex(k, sigma)
         if lk.dim < 0:
-            return [((bary([bary(sigma.vertices)]),), int(not first), -1)]
+            return [((_bary(absorbed),), int(not first), -1)]
+        # shelled on the model sd(sd(lk σ)), whose labels ``_subtract`` reads
         sd_lk = barycentric_complex(lk)
         model, _ = _shell_relative(RelativeComplex(sd_lk), min(sd_lk.vertices()))
-        return _double_star(sigma, [(model, 0)], strip=not first)
-    link_entries = [_entries(t) for t in _link_shelling(k, sigma)[0]]
+        lifted = {lab: bary([*map(image, lab.members), *absorbed]) for lab in dict.fromkeys(
+            lab for labels, _, _ in model for lab in labels)}
+        if len(set(lifted.values())) < len(lifted):
+            raise ValueError(f"label map is not injective on the link of {sigma!r}")
+        tiles = [(tuple(map(lifted.__getitem__, labels)), omitted, morse) for labels, omitted, morse in model]
+        return _double_star(sigma, [(tiles, 0)], strip=not first)
+    link_entries = [_entries(t) for t in _link_shelling(k, sigma, shapes)[0]]
     return _double_star(sigma, [
-        _shell_entries_join(_entries(t_l), e_m)
+        _shell_entries_join(_entries(t_l), e_m, image, absorbed)
         for t_l in _boundary_sd(sigma)[0]
         for e_m in link_entries
     ])
 
 
-def _collapse_step(k: SimplicialComplex, theta: Simplex, tau: Simplex) -> List[Row]:
+def _collapse_step(k: SimplicialComplex, theta: Simplex, tau: Simplex, shapes: Shapes) -> List[Row]:
     """Rows extending the shelling over the double stars of a collapse pair
     (first the coface, then the free ridge); no critical tiles arise."""
     # stage one: the star of the double barycenter of tau
+    lift = _step_lift(tau)
     boundary, b_prefix, b_apex, b_base = _boundary_sd(tau, last=theta)
     base_entries = [_entries(t) for t in b_base] or [()]
-    link_tiles, _ = _link_shelling(k, tau)
+    link_tiles, _ = _link_shelling(k, tau, shapes)
     link_entries = [_entries(t_m) for t_m in link_tiles]
     # the open apex joined with each link tile: a deprived cone over it
     open_entries = [_entries(_cone(b_apex, t_m, dotted=True)) for t_m in link_tiles]
@@ -595,24 +623,25 @@ def _collapse_step(k: SimplicialComplex, theta: Simplex, tau: Simplex) -> List[R
     for l, t_l in enumerate(boundary):
         if l < b_prefix:
             e_l = _entries(t_l)
-            blocks.extend(_shell_entries_join(e_l, e_m) for e_m in link_entries)
+            blocks.extend(_shell_entries_join(e_l, e_m, *lift) for e_m in link_entries)
         else:
             e_b = base_entries[l - b_prefix]
-            blocks.extend(_shell_entries_join(e_b, e_o) for e_o in open_entries)
+            blocks.extend(_shell_entries_join(e_b, e_o, *lift) for e_o in open_entries)
     tiles = _double_star(tau, blocks)
 
     # stage two: the star of the double barycenter of theta
+    lift = _step_lift(theta)
     u = tau.minus(theta).vertices[0]
-    link2, star_split = _link_shelling(k, theta, start=u)
+    link2, star_split = _link_shelling(k, theta, shapes, start=u)
     assert link2[0] != EMPTY_TILE, "a free ridge always has a coface"
-    u_hat = bary([u])
+    u_hat = _bary((u,))
     inner_entries = [_entries(_split_cone_tile(t_m, u_hat)) for t_m in link2[:star_split]]
     rest_entries = [_entries(t_m) for t_m in link2[star_split:]]
     blocks_a, blocks_b = [], []
     for e_l in base_entries:
         head = e_l + ((u_hat, CLOSED),)
-        blocks_a.extend(_shell_entries_join(head, e_i) for e_i in inner_entries)
-        blocks_b.extend(_shell_entries_join(e_l, e_m) for e_m in rest_entries)
+        blocks_a.extend(_shell_entries_join(head, e_i, *lift) for e_i in inner_entries)
+        blocks_b.extend(_shell_entries_join(e_l, e_m, *lift) for e_m in rest_entries)
     return tiles + _double_star(theta, blocks_a + blocks_b)
 
 
@@ -630,12 +659,13 @@ def shell_sd2_from_dmf(
     if k.is_void:
         raise ValueError("cannot shell the void complex")
     steps = filtration(k, f).steps
+    shapes: Shapes = {}
     rows: List[Row] = []
     for i, step in enumerate(steps):
         if step.is_critical:
-            rows.extend(_critical_step(k, step.critical, first=i == 0))
+            rows.extend(_critical_step(k, step.critical, i == 0, shapes))
         else:
             theta, tau = step.collapse
-            rows.extend(_collapse_step(k, theta, tau))
+            rows.extend(_collapse_step(k, theta, tau, shapes))
     tiling = Tiling._of_rows(barycentric(barycentric(RelativeComplex(k))), rows)
     return tiling, critical_census(tiling)

@@ -72,9 +72,13 @@ class LabelRegistry:
         ms = tuple(sorted(set(members), key=label_key))
         if not ms:
             raise ValueError("a barycenter label wraps a non-empty set of labels")
+        return self._bary(ms)
+
+    def _bary(self, ms: Tuple[Label, ...]) -> Label:
+        """Trusted intern: ``ms`` is non-empty, distinct and in key order."""
         lab = self._barys.get(ms)
         if lab is None:
-            lab = Label(False, "", ms, (1, tuple(m.key for m in ms)))
+            lab = Label(False, "", ms, (1, tuple(m._key for m in ms)))
             self._barys[ms] = lab
         return lab
 
@@ -90,6 +94,10 @@ def atom(name: str) -> Label:
 def bary(members: Iterable[Label]) -> Label:
     """Intern the barycenter label of a set of labels."""
     return _DEFAULT.bary(members)
+
+
+# The trusted intern of the default registry (see the module docstring).
+_bary = _DEFAULT._bary
 
 
 LabelLike = Union[str, Label]

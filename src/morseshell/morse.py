@@ -13,6 +13,13 @@ f induces).  There is one step order, the canonical form's: ``filtration``
 reads f's steps off ``canonicalize(k, f)``, one per value, and the critical
 faces of f are the faces of its critical steps.  Values are exact rationals
 throughout; all comparisons are exact.
+
+``_assign_values`` lists the steps as it assigns the values, and a function
+it made keeps them, with the complex they are on, in a private field that
+equality ignores.  ``canonicalize`` returns such a function on its own
+complex as it is, and ``filtration`` reads its steps, so one pipeline run
+builds the ``_Hasse`` table once.  A function built by hand,
+``DiscreteMorseFunction(values)``, has no steps and is validated first.
 """
 from __future__ import annotations
 
@@ -42,9 +49,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DiscreteMorseFunction:
-    """A total map from non-empty faces to rationals."""
+    """A total map from non-empty faces to rationals.
+
+    ``_steps`` is set by ``_assign_values`` only: the complex the function
+    was made on and its canonical steps, each the faces of one value."""
 
     values: Mapping[Simplex, Fraction]
+    _steps: Optional[Tuple[SimplicialComplex, Tuple[Tuple[Simplex, ...], ...]]] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __getitem__(self, s: Simplex) -> Fraction:
         return self.values[s]
@@ -73,6 +86,7 @@ class _Hasse(NamedTuple):
     by position, so every list below is in ``key`` order too.
     """
 
+    complex: SimplicialComplex
     faces: List[Simplex]
     pos: Dict[Key, int]      # position of each face by its vertex tuple; the empty face has none
     up: List[List[int]]      # codimension-one cofaces
@@ -93,7 +107,7 @@ def _hasse(k: SimplicialComplex) -> _Hasse:
         for j in ridges:
             up[j].append(i)
         down.append(ridges)
-    return _Hasse(faces, pos, up, down)
+    return _Hasse(k, faces, pos, up, down)
 
 
 def _check_total(h: _Hasse, f: DiscreteMorseFunction) -> None:
@@ -178,6 +192,8 @@ def _assign_values(h: _Hasse, pairs: Mapping[int, int]) -> DiscreteMorseFunction
     ``pairs`` maps ridge positions to coface positions in ``h``.  A node is
     the position of its smallest face, the ridge of a pair, so ties go in
     ``key`` order.  An edge met through both faces of a pair counts twice.
+    The nodes in the order taken are the function's steps, which it keeps
+    with ``h``'s complex (``DiscreteMorseFunction._steps``).
     """
     n = len(h.faces)
     node = list(range(n))
@@ -195,10 +211,13 @@ def _assign_values(h: _Hasse, pairs: Mapping[int, int]) -> DiscreteMorseFunction
     heap = [a for a in range(n) if node[a] == a and indeg[a] == 0]
     heapq.heapify(heap)
     rank: List[Optional[Fraction]] = [None] * n
+    faces = h.faces
+    steps = []
     counter = 0
     while heap:
         a = heapq.heappop(heap)
         rank[a] = Fraction(counter)
+        steps.append((faces[a],) if a not in pairs else (faces[a], faces[pairs[a]]))
         counter += 1
         for b in succs[a]:
             indeg[b] -= 1
@@ -206,12 +225,18 @@ def _assign_values(h: _Hasse, pairs: Mapping[int, int]) -> DiscreteMorseFunction
                 heapq.heappush(heap, b)
     if counter != n - len(pairs):
         raise ValueError("matched Hasse diagram has a cycle; not an acyclic matching")
-    return DiscreteMorseFunction({s: rank[node[i]] for i, s in enumerate(h.faces)})
+    f = DiscreteMorseFunction({s: rank[node[i]] for i, s in enumerate(faces)})
+    object.__setattr__(f, "_steps", (h.complex, tuple(steps)))
+    return f
 
 
 def canonicalize(k: SimplicialComplex, f: DiscreteMorseFunction) -> DiscreteMorseFunction:
     """Reassign values so the function is monotone, semi-injective and
-    generic, preserving the induced pairing and so the critical faces."""
+    generic, preserving the induced pairing and so the critical faces.  A
+    function ``_assign_values`` made on k is canonical already and is
+    returned as it is."""
+    if f._steps is not None and f._steps[0] == k:
+        return f
     h = _hasse(k)
     _check_total(h, f)
     report = _validate(h, f)
@@ -260,12 +285,10 @@ def filtration(k: SimplicialComplex, f: DiscreteMorseFunction) -> Filtration:
     prefix of steps is a subcomplex.  ``canonicalize`` raises ValueError
     when f is not a discrete Morse function on K.
     """
-    groups: Dict[Fraction, List[Simplex]] = {}
-    for s, v in canonicalize(k, f).items():  # key order: a pair's ridge first
-        groups.setdefault(v, []).append(s)
+    _, groups = canonicalize(k, f)._steps
     return Filtration(tuple(
-        FiltrationStep(critical=g[0]) if len(g) == 1 else FiltrationStep(collapse=tuple(g))
-        for _, g in sorted(groups.items())
+        FiltrationStep(critical=g[0]) if len(g) == 1 else FiltrationStep(collapse=g)
+        for g in groups
     ))
 
 

@@ -19,7 +19,7 @@ import json
 import re
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .complexes import EMPTY, RelativeComplex, Simplex, SimplicialComplex, _sorted_by_key, make_complex, void_complex
 from .engine import Tiling
@@ -288,18 +288,7 @@ def tiling_to_lines(t: Tiling, depth: int, census: Census) -> List[str]:
     if len(census.indices) != len(rows):
         raise ValueError(f"census classifies {len(census.indices)} tiles, the tiling has {len(rows)}")
     label_text = _LabelTexts().__getitem__
-    lines = []
-    for (vs, omitted, morse), index in zip(rows, census.indices):
-        parts = list(map(label_text, vs))
-        ridges = ["[%s]" % ",".join(parts[:i] + parts[i + 1:]) for i in range(len(parts)) if omitted >> i & 1]
-        mf = None if morse < 0 else [x for i, x in enumerate(parts) if morse >> i & 1]
-        line = '{"class":%s,"facet":[%s],"morse_face":%s,"ridges":[%s]}' % (
-            '"regular"' if index is None else '{"critical":%d}' % index,
-            ",".join(parts),
-            "null" if mf is None else "[%s]" % ",".join(mf) if mf else '"empty"',
-            ",".join(sorted(ridges)),
-        )
-        lines.append(line)
+    lines = [_tile_line(label_text, row, index) for row, index in zip(rows, census.indices)]
     summary = {
         "summary": {
             "depth": depth,
@@ -311,6 +300,22 @@ def tiling_to_lines(t: Tiling, depth: int, census: Census) -> List[str]:
     }
     lines.append(json.dumps(summary, sort_keys=True, separators=(",", ":")))
     return lines
+
+
+def _tile_line(label_text: Callable[[Label], str], row: Row, index: Optional[int]) -> str:
+    """The one spelling of a tile line: the text ``tiling_to_lines`` writes
+    for a row and its class, and the only text ``tiling_from_lines`` reads
+    back."""
+    vs, omitted, morse = row
+    parts = list(map(label_text, vs))
+    ridges = ["[%s]" % ",".join(parts[:i] + parts[i + 1:]) for i in range(len(parts)) if omitted >> i & 1]
+    mf = None if morse < 0 else [x for i, x in enumerate(parts) if morse >> i & 1]
+    return '{"class":%s,"facet":[%s],"morse_face":%s,"ridges":[%s]}' % (
+        '"regular"' if index is None else '{"critical":%d}' % index,
+        ",".join(parts),
+        "null" if mf is None else "[%s]" % ",".join(mf) if mf else '"empty"',
+        ",".join(sorted(ridges)),
+    )
 
 
 TILE_KEYS = ["class", "facet", "morse_face", "ridges"]
@@ -360,8 +365,11 @@ def tiling_from_lines(lines: Sequence[str]) -> Tuple[int, List[Row], tuple]:
     ``tiling_to_lines`` writes: each field's shape is checked, then the
     keys, and a tile line becomes a row through ``verify._encode``.  The
     records are each tile line's class, the summary and whether the tile
-    lines match its checksum.  A line no row holds, a line after the
-    summary and a file without one are each a ValueError naming the line."""
+    lines match its checksum.  A line no row holds, a tile line spelled
+    otherwise than the writer spells its row and class (``_tile_line``), a
+    line after the summary and a file without one are each a ValueError
+    naming the line."""
+    label_text = _LabelTexts().__getitem__
     rows: List[Row] = []
     classes: List[Optional[int]] = []
     summary_at = 0  # the summary's line number, once read
@@ -388,6 +396,12 @@ def tiling_from_lines(lines: Sequence[str]) -> Tuple[int, List[Row], tuple]:
                     what = "ridge %s is no ridge" if bad else "Morse face %s is no proper face"
                     face = json.dumps(simplex_to_json(bad[0] if bad else tile.morse_face))
                     raise ValueError(f"tiling line {n} is no row: {what % face} of its facet")
+                want = _tile_line(label_text, row, index)
+                if line != want:
+                    at = next((i for i, (x, y) in enumerate(zip(line, want)) if x != y), min(len(line), len(want)))
+                    raise ValueError(
+                        f"tiling line {n} is not spelled as the writer spells its tile (column {at + 1} differs)"
+                    )
         if summary_at:
             raise ValueError(f"tiling line {n} follows the summary record on line {summary_at}")
         if "summary" in data:

@@ -66,7 +66,6 @@ from morseshell.engine import (
     OPEN,
     Tiling,
     _concat,
-    _sd2_transport,
     _slice,
 )
 from morseshell.labels import Label, bary
@@ -1096,6 +1095,32 @@ def split_cone_tile_oracle(t: MorseTile, apex: Label) -> Optional[MorseTile]:
     if base.is_empty:
         return None
     return MorseTile(base, frozenset(ridges), morse)
+
+
+def _sd2_transport(sigma: Simplex) -> Callable[[Label], Label]:
+    """Label map carrying tiles of sd(sd(∂σ) ∗ sd(lk_K σ)) onto the link of
+    the double barycenter of σ: boundary-side barycenters keep their face,
+    link-side ones absorb σ, and every flag gains the barycenter of σ.  Each
+    label's image is computed once per map.  The engine builds these labels
+    straight from its join templates (``engine._step_image``); this map of
+    the model's labels is the reference they are held to."""
+    sigma_set = set(sigma.vertices)
+    sigma_hat = bary(sigma.vertices)
+    images: Dict[Label, Label] = {}
+
+    def on_model_vertex(u: Label) -> Label:
+        if sigma_set.issuperset(u.members):
+            return u
+        return bary(sigma_set.union(u.members))
+
+    def on_label(lab: Label) -> Label:
+        image = images.get(lab)
+        if image is None:
+            image = bary([on_model_vertex(u) for u in lab.members] + [sigma_hat])
+            images[lab] = image
+        return image
+
+    return on_label
 
 
 def double_star_oracle(sigma: Simplex, blocks) -> List[MorseTile]:

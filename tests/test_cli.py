@@ -25,6 +25,12 @@ from morseshell.tiles import MorseTile
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def _line(data) -> str:
+    """A tiling-file record in the writer's spelling: keys sorted, no
+    spaces."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
 @pytest.fixture
 def torus_file(tmp_path):
     path = tmp_path / "torus.txt"
@@ -126,10 +132,10 @@ def test_verify_of_a_wide_unanchored_tile_exits_two_without_deriving_its_shape(t
     kpath, tpath, cpath = tmp_path / "tri.txt", tmp_path / "t.jsonl", tmp_path / "cert.json"
     kpath.write_text("a b c\n")
     tiles = [{"class": "regular", "facet": [f"x{i:02}" for i in range(40)], "morse_face": None, "ridges": []}]
-    line = json.dumps(tiles[0], sort_keys=True, separators=(",", ":"))
+    line = _line(tiles[0])
     checksum = "sha256:" + hashlib.sha256((line + "\n").encode()).hexdigest()
     summary = {"census": {}, "checksum": checksum, "depth": 0, "regular": 1, "tiles": 1}
-    tpath.write_text(line + "\n" + json.dumps({"summary": summary}) + "\n")
+    tpath.write_text(line + "\n" + _line({"summary": summary}) + "\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     limit = 1 << 30
     done = subprocess.run(
@@ -145,6 +151,38 @@ def test_verify_of_a_wide_unanchored_tile_exits_two_without_deriving_its_shape(t
     assert {"tile": 0, "reason": "tile not anchored at an ambient facet", "witness": tiles[0]["facet"]} in cert["failures"]
     assert cert["regular"] == 1 and cert["census"] == {}
     assert not any(f["reason"].startswith(("recorded", "tile lines")) for f in cert["failures"])
+
+
+IMPORT_PROBE = """
+import json, sys
+from functools import _lru_cache_wrapper
+before = set(sys.modules)
+import morseshell.cli
+from morseshell import complexes, engine, labels, verify
+caches = {f"{mod.__name__}.{name}": fn.cache_info().currsize
+          for mod in (complexes, engine, verify)
+          for name, fn in vars(mod).items() if isinstance(fn, _lru_cache_wrapper)}
+print(json.dumps({
+    "labels": [len(labels._DEFAULT._atoms), len(labels._DEFAULT._barys)],
+    "caches": caches,
+    "foreign": sorted(m for m in set(sys.modules) - before
+                      if m.split(".")[0] not in sys.stdlib_module_names and m.split(".")[0] != "morseshell"),
+}))
+"""
+
+
+def test_importing_the_cli_does_no_work():
+    """A fresh interpreter that imports ``morseshell.cli`` has interned no
+    label, filled no ``lru_cache`` of ``complexes``, ``engine`` or
+    ``verify``, and imported nothing beyond the standard library and the
+    package: a start-up cost would show in every one-shot CLI run."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env, timeout=60, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    probe = json.loads(done.stdout)
+    assert probe["labels"] == [0, 0]
+    assert probe["caches"] and set(probe["caches"].values()) == {0}, probe["caches"]
+    assert probe["foreign"] == []
 
 
 def test_shell_sd2_pipeline_and_verify(circle_file, tmp_path):
@@ -198,7 +236,7 @@ def test_verify_rejects_corrupted_tiling(circle_file, tmp_path):
     # census tampering in the summary record
     summary = json.loads(lines[-1])
     summary["summary"]["census"] = {"0": 99}
-    lines[-1] = json.dumps(summary, sort_keys=True, separators=(",", ":"))
+    lines[-1] = _line(summary)
     bad = tmp_path / "bad.jsonl"
     bad.write_text("\n".join(lines) + "\n")
     assert run(["verify", str(circle_file), "--tiling", str(bad), "-o", "/dev/null"]) == 2
@@ -430,7 +468,7 @@ def _record(base: dict, **fields) -> str:
     keys the writer writes, the given fields replaced or, given as
     ``...``, dropped."""
     data = {k: v for k, v in {**base, **fields}.items() if v is not ...}
-    return json.dumps({"summary": data} if base is SUMMARY else data)
+    return _line({"summary": data} if base is SUMMARY else data)
 
 
 @pytest.mark.parametrize(
@@ -439,18 +477,18 @@ def _record(base: dict, **fields) -> str:
         ("{}", 'tile record {} has no "facet"'),
         ("[1]", "tiling line '[1]' is not a JSON object"),
         ('"x"', "tiling line '\"x\"' is not a JSON object"),
-        ('{"facet": ["a"], "ridges": 5}', '"ridges" that are not an array'),
-        ('{"summary": 5}', "summary 5 is not an object"),
-        ('{"summary": {"depth": true}}', "summary depth true is not a non-negative integer"),
-        ('{"summary": {"depth": -1}}', "summary depth -1 is not a non-negative integer"),
+        ('{"facet":["a"],"ridges":5}', '"ridges" that are not an array'),
+        ('{"summary":5}', "summary 5 is not an object"),
+        ('{"summary":{"depth":true}}', "summary depth true is not a non-negative integer"),
+        ('{"summary":{"depth":-1}}', "summary depth -1 is not a non-negative integer"),
         (_record(SUMMARY, depth=3), "summary depth 3 is above 2, the deepest tiling morseshell writes"),
-        ('{"facet": [%s]}' % nested(300), "tiling line 13 is nested too deeply"),
-        ('{"facet": [%s]}' % nested(100_000), "tiling line 13 is nested too deeply"),
-        ('{"facet": [["a"], ["a"], ["a", "b"]]}', 'facet [["a"], ["a"], ["a", "b"]] repeats a vertex'),
-        ('{"facet": ["a", "b"], "ridges": [["a", "a"]]}', 'ridge ["a", "a"] repeats a vertex'),
-        ('{"facet": ["a", "b", "c"], "morse_face": ["a", "a"]}', 'Morse face ["a", "a"] repeats a vertex'),
-        ('{"facet": ["a"], "class": "banana"}', 'tiling line 13 has class "banana", not "regular" or'),
-        ('{"summary": {"census": {"x": 1}}}', 'summary census key "x" is not an integer'),
+        ('{"facet":[%s]}' % nested(300), "tiling line 13 is nested too deeply"),
+        ('{"facet":[%s]}' % nested(100_000), "tiling line 13 is nested too deeply"),
+        ('{"facet":[["a"],["a"],["a","b"]]}', 'facet [["a"], ["a"], ["a", "b"]] repeats a vertex'),
+        ('{"facet":["a","b"],"ridges":[["a","a"]]}', 'ridge ["a", "a"] repeats a vertex'),
+        ('{"facet":["a","b","c"],"morse_face":["a","a"]}', 'Morse face ["a", "a"] repeats a vertex'),
+        ('{"facet":["a"],"class":"banana"}', 'tiling line 13 has class "banana", not "regular" or'),
+        ('{"summary":{"census":{"x":1}}}', 'summary census key "x" is not an integer'),
         ("", "tiling has no summary record"),
         (_record(TILE, **{"class": ...}), 'tiling line 13 has the keys ["facet", "morse_face", "ridges"], not ["class", "facet", "morse_face", "ridges"]'),
         (_record(TILE, facet=...), 'has no "facet"'),
@@ -496,6 +534,33 @@ def test_malformed_tiling_line_exits_one(circle_file, tmp_path, capsys, line, fr
     assert fragment in err
 
 
+@pytest.mark.parametrize("spelling", ["ridge-twice", "reversed-facet", "default-spacing"])
+def test_verify_reads_only_the_writers_spelling(tmp_path, capsys, spelling):
+    """Three spellings of a tile line that decode to the row the writer
+    wrote, each with the checksum recomputed: a ridge listed twice, the
+    facet reversed, and json's default spacing.  The reader compares each
+    tile line with the text the writer writes for its row, so each exits 1
+    naming the line."""
+    source, lines = _triangle_file(tmp_path)
+    i = next(p for p, x in enumerate(lines[:-1]) if json.loads(x)["ridges"])
+    tile = json.loads(lines[i])
+    if spelling == "ridge-twice":
+        tile["ridges"].append(tile["ridges"][0])
+    elif spelling == "reversed-facet":
+        tile["facet"].reverse()
+    line = json.dumps(tile, sort_keys=True) if spelling == "default-spacing" else _line(tile)
+    assert line != lines[i]
+    tile_lines = lines[:i] + [line] + lines[i + 1:-1]
+    summary = json.loads(lines[-1])
+    summary["summary"]["checksum"] = "sha256:" + hashlib.sha256(("\n".join(tile_lines) + "\n").encode()).hexdigest()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(tile_lines + [_line(summary)]) + "\n")
+    capsys.readouterr()
+    assert run(["verify", str(source), "--tiling", str(bad), "-o", "/dev/null"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: tiling line {i + 1} is not spelled as the writer spells its tile")
+
+
 @pytest.mark.parametrize(
     "field, value, fragment",
     [
@@ -521,7 +586,7 @@ def test_summary_counts_must_be_integers(tmp_path, capsys, field, value, fragmen
     assert run(["verify", str(source), "--tiling", str(out), "-o", "/dev/null"]) == 0
     summary["summary"][field] = value
     bad = tmp_path / "bad.jsonl"
-    bad.write_text("\n".join(lines[:-1] + [json.dumps(summary)]) + "\n")
+    bad.write_text("\n".join(lines[:-1] + [_line(summary)]) + "\n")
     capsys.readouterr()
     assert run(["verify", str(source), "--tiling", str(bad), "-o", "/dev/null"]) == 1
     err = capsys.readouterr().err
@@ -546,7 +611,7 @@ def test_a_wrong_tile_count_is_its_own_failure(tmp_path):
     summary = json.loads(lines[-1])
     summary["summary"]["tiles"] = 35
     bad = tmp_path / "bad.jsonl"
-    bad.write_text("\n".join(lines[:-1] + [json.dumps(summary)]) + "\n")
+    bad.write_text("\n".join(lines[:-1] + [_line(summary)]) + "\n")
     cert_path = tmp_path / "cert.json"
     assert run(["verify", str(source), "--tiling", str(bad), "-o", str(cert_path)]) == 2
     cert = json.loads(cert_path.read_text())
@@ -569,7 +634,7 @@ def test_the_summary_comes_once_and_last(tmp_path, capsys, placement, message):
     bogus = json.loads(lines[-1])
     bogus["summary"]["census"] = {"0": 5}
     placed = {
-        "bogus-summary-first": lines[:-1] + [json.dumps(bogus), lines[-1]],
+        "bogus-summary-first": lines[:-1] + [_line(bogus), lines[-1]],
         "summary-first": lines[-1:] + lines[:-1],
     }[placement]
     bad = tmp_path / "bad.jsonl"

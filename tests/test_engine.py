@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import apply_map, link_iso_sd, link_iso_sd2, link_model_sd, relabel, vertex_tile
+from oracles import _sd2_transport, apply_map, link_iso_sd, link_iso_sd2, link_model_sd, relabel, vertex_tile
 
 from morseshell.catalog import (
     boundary_sphere,
@@ -25,18 +25,21 @@ from morseshell.complexes import (
     star_complex,
     void_complex,
 )
+from morseshell import engine
 from morseshell.engine import (
+    EMPTY_TILE,
     Tiling,
     _cone_block,
+    _link_shelling,
     _row,
-    _sd2_transport,
+    _shell_relative,
     shell_boundary_sd,
     shell_sd2_from_dmf,
     shell_sd_join,
     shell_sd_relative,
     shell_sd_tile,
 )
-from morseshell.labels import atom, bary
+from morseshell.labels import _bary, atom, bary
 from morseshell.morse import DiscreteMorseFunction, dmf_from_matching, greedy_collapse_dmf, trivial_dmf
 from morseshell.serial import tiling_to_lines
 from morseshell.tiles import MorseTile, classify, tile_join
@@ -515,3 +518,72 @@ def test_sd2_transport_agrees_with_the_link_isomorphism_oracle():
         assert set(domain) == set(m.mapping)
         for lab in domain:
             assert transport(lab) == m[lab]
+
+
+CATALOG = [
+    simplex_complex(2), simplex_complex(3), boundary_sphere(1), boundary_sphere(2), boundary_sphere(3),
+    cone_over_circle(), two_triangles(), moebius_torus(),
+]
+
+
+@pytest.mark.parametrize("k", CATALOG, ids=range(len(CATALOG)))
+def test_join_labels_built_on_sd2_are_the_transported_model_labels(k, monkeypatch):
+    """Every join block a step of ``shell_sd2_from_dmf`` asks for, under
+    ``trivial`` and ``greedy``: its labels, built from the template masks
+    through the step's vertex map with σ̂ absorbed, are the very objects
+    the reference transport gives for the plain join's model labels, with
+    the same masks and segment."""
+    join = engine._shell_entries_join
+    seen = []
+
+    def checked(left, right, image=engine._same, absorbed=()):
+        tiles, prefix = join(left, right, image, absorbed)
+        if absorbed:
+            (sigma_hat,) = absorbed
+            transport = _sd2_transport(Simplex(sigma_hat.members))
+            model, model_prefix = join(left, right)
+            assert prefix == model_prefix and len(tiles) == len(model)
+            for (labels, omitted, morse), (model_labels, m_omitted, m_morse) in zip(tiles, model):
+                assert (omitted, morse) == (m_omitted, m_morse)
+                assert all(x is transport(y) for x, y in zip(labels, model_labels))
+            seen.append(len(tiles))
+        return tiles, prefix
+
+    monkeypatch.setattr(engine, "_shell_entries_join", checked)
+    for f in (trivial_dmf(k), greedy_collapse_dmf(k)):
+        shell_sd2_from_dmf(k, f)
+    assert seen
+
+
+@pytest.mark.parametrize("k", CATALOG, ids=range(len(CATALOG)))
+def test_trusted_intern_returns_the_interned_label(k):
+    """``labels._bary`` on a label's members, already distinct and in key
+    order, returns the object ``bary`` returns, for every vertex of sd(K)
+    and sd²(K)."""
+    sd2 = barycentric_complex(barycentric_complex(k))
+    for lab in sd2.vertices():
+        assert _bary(lab.members) is bary(reversed(lab.members)) is lab
+        for u in lab.members:
+            assert _bary(u.members) is bary(reversed(u.members)) is u
+
+
+@pytest.mark.parametrize("k", CATALOG, ids=range(len(CATALOG)))
+def test_link_shellings_read_off_shape_templates_equal_fresh_ones(k):
+    """One shape table for the whole complex, as one ``shell_sd2_from_dmf``
+    call keeps it: the link shelling of every face, from each start vertex,
+    equals a fresh ``_shell_relative`` shelling of the link, whether it was
+    shelled or read off an earlier link's template."""
+    shapes = {}
+    calls = 0
+    for sigma in k.faces():
+        if sigma.is_empty:
+            continue
+        lk = link_complex(k, sigma)
+        if lk.dim < 0:
+            assert _link_shelling(k, sigma, shapes) == ([EMPTY_TILE], 0)
+            continue
+        assert _link_shelling(k, sigma, shapes) == _shell_relative(RelativeComplex(lk), min(lk.vertices()))
+        for start in lk.vertices():
+            assert _link_shelling(k, sigma, shapes, start) == _shell_relative(RelativeComplex(lk), start)
+            calls += 1
+    assert len(shapes) < calls

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from morseshell.catalog import boundary_sphere, cone_over_circle, simplex_complex
+from morseshell.catalog import boundary_sphere, cone_over_circle, moebius_torus, simplex_complex, two_triangles
 from morseshell.complexes import EMPTY, Simplex, make_complex
 from morseshell.engine import shell_sd2_from_dmf
 from morseshell.labels import atom
@@ -162,6 +162,72 @@ def test_canonicalize_idempotent_up_to_order():
     by_f = sorted(f.values, key=lambda x: (f[x], x.key))
     by_g = sorted(g.values, key=lambda x: (g[x], x.key))
     assert by_f == by_g
+
+
+CATALOG = [
+    simplex_complex(0), simplex_complex(2), simplex_complex(3), boundary_sphere(1), boundary_sphere(2),
+    boundary_sphere(3), cone_over_circle(), two_triangles(), moebius_torus(),
+]
+
+
+def made_functions(k):
+    """The functions this module makes on k: trivial, greedy, from greedy's
+    matching, and canonicalize of a hand-built copy of greedy's values."""
+    g = greedy_collapse_dmf(k)
+    pairs = [st.collapse for st in filtration(k, g).steps if not st.is_critical]
+    return [trivial_dmf(k), g, dmf_from_matching(k, pairs), canonicalize(k, DiscreteMorseFunction(dict(g.values)))]
+
+
+@pytest.mark.parametrize("k", CATALOG, ids=range(len(CATALOG)))
+def test_made_functions_are_canonical_and_keep_their_steps(k):
+    """Each function the module makes is its own canonical form, and the
+    steps it keeps are those its values give: one per value, in value
+    order, each group's faces in key order."""
+    for f in made_functions(k):
+        assert canonicalize(k, f) is f
+        assert canonicalize(k, DiscreteMorseFunction(dict(f.values))) == f
+        groups = {}
+        for face in sorted(f.values, key=lambda x: x.key):
+            groups.setdefault(f[face], []).append(face)
+        assert [st.faces() for st in filtration(k, f).steps] == [tuple(g) for _, g in sorted(groups.items())]
+
+
+def test_a_hand_built_function_is_validated_and_keeps_no_steps():
+    """Only ``_assign_values`` sets the kept steps: the constructor takes
+    values alone, and a hand-built non-dmf still raises wherever it goes,
+    even with the values of a made function around it."""
+    k = make_complex([[a, b, c]])
+    made = trivial_dmf(k)
+    with pytest.raises(TypeError):
+        DiscreteMorseFunction(made.values, made._steps)
+    flat = DiscreteMorseFunction({x: Fraction(0) for x in made.values})
+    assert flat._steps is None
+    for call in (canonicalize, filtration, critical_faces, shell_sd2_from_dmf):
+        with pytest.raises(ValueError, match="not a discrete Morse function"):
+            call(k, flat)
+
+
+def test_shell_sd2_builds_the_morse_table_once(tmp_path, monkeypatch):
+    """``shell-sd2`` on the 3-cycle makes or loads f, shells along its
+    filtration and audits its census, and builds ``morse._hasse`` once for
+    all three."""
+    from morseshell import cli, morse
+
+    kpath, fpath = tmp_path / "circle.txt", tmp_path / "f.json"
+    kpath.write_text("a b\nb c\na c\n")
+    fpath.write_text('{"pairs": [[["b"], ["a", "b"]], [["c"], ["b", "c"]]]}')
+    builds = []
+    hasse = morse._hasse
+
+    def counted(k):
+        builds.append(k)
+        return hasse(k)
+
+    monkeypatch.setattr(morse, "_hasse", counted)
+    for spec in ("trivial", "greedy", str(fpath)):
+        builds.clear()
+        assert cli.run(["shell-sd2", str(kpath), "--morse", spec, "-o", str(tmp_path / "t.jsonl")]) == 0
+        assert len(builds) == 1, spec
 
 
 # -- critical faces ----------------------------------------------------------------
